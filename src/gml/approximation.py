@@ -24,6 +24,16 @@ the test suite at small ranks.  When no rule applies within the element
 ceiling the evaluator refuses with ApproximationInfeasible rather than
 approximate: enumeration results are exact, and non-membership claims are
 always tagged with the rank bound they were checked at.
+
+Certificates come from the same derivation.  extract_witness_subpair walks
+the term with the memoized membership and enumeration queries and keeps the
+least supporting key at each node: the unique coding preimage at an
+abstraction, the least key in restriction atom order at an application.  Its
+atoms are numbered as in the rank-k restriction, counted in closed form over
+the lower levels, so the restriction is never built; the small subpair is
+then re-verified by the independent finite interpreter, semantics.interpret.
+Abstraction witnesses over three atoms at rank 2, whose restriction would
+hold billions of elements, answer this way.
 """
 
 from __future__ import annotations
@@ -44,11 +54,16 @@ from .completion import (
     element_valid,
     elements_up_to,
     pair_of,
-    restrict,
+    restriction_atom,
 )
-from .pairs import PartialPair, union, validate
+from .pairs import PartialPair, validate
 from .semantics import Environment, interpret
 from .terms import Abs, App, LambdaTerm, Var, free_vars, is_closed, print_term
+
+# No longer called here, but perfbench/spans.py patches both names on this
+# module to trace calls into the completion and pair layers.
+from .completion import restrict  # noqa: E402,F401
+from .pairs import union  # noqa: E402,F401
 
 DEFAULT_MEMBER_BOUND = 2
 DEFAULT_SLACK = 2
@@ -163,6 +178,16 @@ class Evaluator:
             )
         return elems
 
+    def preimage(self, e: CompletionElement):
+        """The unique key (args, res) that codes to e, or None for an atom
+        outside the coded range."""
+        if isinstance(e, PairElement):
+            return e.args, e.res
+        coded = self.coded_by_value.get(e.atom)
+        if coded is None:
+            return None
+        return frozenset(map(base, coded[0])), base(coded[1])
+
     def _lazy(self, term: LambdaTerm, env: dict, trim: int) -> "LazyValue":
         key = (term, self._env_key(term, env), trim)
         got = self._lazy_cache.get(key)
@@ -221,14 +246,10 @@ class Evaluator:
         fun_set = self.enumerate(t.fun, env, self.k)
         out = set()
         for w in fun_set:
-            if isinstance(w, PairElement):
-                args, res = w.args, w.res
-            else:
-                coded = self.coded_by_value.get(w.atom)
-                if coded is None:
-                    continue
-                args = frozenset(map(base, coded[0]))
-                res = base(coded[1])
+            key = self.preimage(w)
+            if key is None:
+                continue
+            args, res = key
             if res.rank <= trim and all(self.contains(t.arg, env, x) for x in args):
                 out.add(res)
         return frozenset(out)
@@ -253,14 +274,10 @@ class Evaluator:
             return value.contains(e) if value is not None else False
 
         if isinstance(t, Abs):
-            if isinstance(e, PairElement):
-                args, res = e.args, e.res
-            else:
-                coded = self.coded_by_value.get(e.atom)
-                if coded is None:
-                    return False
-                args = frozenset(map(base, coded[0]))
-                res = base(coded[1])
+            key = self.preimage(e)
+            if key is None:
+                return False
+            args, res = key
             return self.contains(t.body, {**env, t.binder: self.explicit(args)}, res)
 
         # application
@@ -271,19 +288,23 @@ class Evaluator:
                 return False
             argument = self._lazy(t.arg, env, self.k - 1)
             return self.contains(t.fun.body, {**env, t.fun.binder: argument}, e)
+        return next(self.supporting_keys(t, env, e), None) is not None
+
+    def supporting_keys(self, t: App, env: dict, e: CompletionElement):
+        """The keys (args, value) putting e in interp(t): value in the
+        function side, args inside the argument side.  Coded keys come first,
+        then the pair elements of the function side."""
         if isinstance(e, BaseElement):
             for a, v in self.coded_by_res.get(e.atom, ()):
                 if self.contains(t.fun, env, base(v)) and all(
                     self.contains(t.arg, env, base(x)) for x in a
                 ):
-                    return True
+                    yield frozenset(map(base, a)), base(v)
         if e.rank <= self.k - 1:
-            fun_set = self.enumerate(t.fun, env, self.k)
-            for w in fun_set:
+            for w in self.enumerate(t.fun, env, self.k):
                 if isinstance(w, PairElement) and w.res is e:
                     if all(self.contains(t.arg, env, x) for x in w.args):
-                        return True
-        return False
+                        yield w.args, w
 
     # -- the self-application collapse --------------------------------------------
     #
@@ -388,54 +409,65 @@ def extract_witness_subpair(
     ceiling: int = DEFAULT_CEILING,
 ) -> PartialPair:
     """A finite subpair of the rank-k restriction inside which e is already
-    derivable, built by structural induction and re-verified before return.
+    derivable, re-verified by the finite interpreter before return.
+
+    The subpair is read off the evaluator's derivation: a variable node
+    contributes its element, an abstraction node the unique key coding to its
+    element, and an application node the least supporting key in the order
+    of restriction atom numbers, so the result is the one a walk over the
+    materialized restriction would find.  Atoms are numbered as in
+    restrict(p, k), which is never built.
     """
     if e.rank > k:
         raise ValueError(f"element has rank {e.rank}, above the bound {k}")
+    if not element_valid(p, e):
+        raise ValueError(f"element {element_str(e, p)} is not valid over the pair")
     _validated_env(p, env, k)
-    r = restrict(p, k, ceiling)
-    b = r.pair
-    env_atoms = Environment(
-        {name: r.to_atoms(values) for name, values in env.items()}
-    )
-    target = r.atom_of[e]
-    if target not in interpret(t, b, env_atoms):
+    ev = Evaluator(p, k, ceiling)
+    values = _env_values(ev, env)
+    if not ev.contains(t, values, e):
         raise ValueError("element not derivable within the rank bound; run member() first")
 
-    def keys_sorted(pred) -> list[tuple[frozenset[int], int]]:
-        return sorted((key for key in b.coding if pred(key)), key=lambda key: (tuple(sorted(key[0])), key[1]))
+    elements: set[CompletionElement] = set()
+    coding: dict[tuple[frozenset, CompletionElement], CompletionElement] = {}
 
-    def ex(node: LambdaTerm, env_a: Environment, alpha: int) -> PartialPair:
+    def walk(node: LambdaTerm, env_v: dict, alpha: CompletionElement) -> None:
+        elements.add(alpha)
         if isinstance(node, Var):
-            return PartialPair({alpha}, {})
+            return
         if isinstance(node, Abs):
-            for key in keys_sorted(lambda key: b.coding[key] == alpha):
-                bset, beta = key
-                inner = env_a.bind(node.binder, bset)
-                if beta in interpret(node.body, b, inner):
-                    sub = ex(node.body, inner, beta)
-                    step = PartialPair(bset | {beta, alpha}, {(bset, beta): alpha})
-                    return union(sub, step)
-            raise AssertionError("abstraction member without a coded preimage")
-        arg_set = interpret(node.arg, b, env_a)
-        fun_set = interpret(node.fun, b, env_a)
-        for key in keys_sorted(
-            lambda key: key[1] == alpha and key[0] <= arg_set and b.coding[key] in fun_set
-        ):
-            aset, _ = key
-            v = b.coding[key]
-            parts = [ex(node.fun, env_a, v)]
-            parts.extend(ex(node.arg, env_a, w) for w in sorted(aset))
-            out = PartialPair(aset | {alpha}, {key: v})
-            for part in parts:
-                out = union(out, part)
-            return out
-        raise AssertionError("application member without a supporting key")
+            key = ev.preimage(alpha)
+            if key is None:
+                raise AssertionError("abstraction member without a coded preimage")
+            args, res = key
+            coding[key] = alpha
+            elements.update(args)
+            walk(node.body, {**env_v, node.binder: ev.explicit(args)}, res)
+            return
+        # restriction atoms are numbered in (rank, structural) order
+        args, value = min(
+            ev.supporting_keys(node, env_v, alpha),
+            key=lambda kv: sorted((x.rank, x.sort_key()) for x in kv[0]),
+            default=(None, None),
+        )
+        if args is None:
+            raise AssertionError("application member without a supporting key")
+        coding[(args, alpha)] = value
+        walk(node.fun, env_v, value)
+        for x in args:
+            walk(node.arg, env_v, x)
 
-    found = ex(t, env_atoms, target)
-    witness = PartialPair(found.atoms, found.coding, labels={a: b.label(a) for a in found.atoms})
-    narrowed = Environment({n: v & witness.atoms for n, v in env_atoms.items()})
-    if target not in interpret(t, witness, narrowed):
+    walk(t, values, e)
+    atom = {x: restriction_atom(p, x, ceiling) for x in elements}
+    witness = PartialPair(
+        atom.values(),
+        {(frozenset(atom[x] for x in args), atom[res]): atom[v] for (args, res), v in coding.items()},
+        labels={atom[x]: element_str(x, p) for x in elements},
+    )
+    narrowed = Environment(
+        {name: frozenset(atom[x] for x in xs if x in atom) for name, xs in env.items()}
+    )
+    if not validate(witness).ok or atom[e] not in interpret(t, witness, narrowed):
         raise AssertionError("witness subpair failed re-verification")
     return witness
 

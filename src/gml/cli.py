@@ -52,6 +52,14 @@ def _load_pair(path: str | None) -> PartialPair:
     return PartialPair.load(path)
 
 
+def _load_valid_pair(path: str | None) -> PartialPair:
+    pair = _load_pair(path)
+    report = validate(pair)
+    if not report.ok:
+        raise UsageError("invalid pair: " + "; ".join(report.violations))
+    return pair
+
+
 def _load_env(path: str | None, pair: PartialPair) -> Environment:
     if path is None:
         return Environment()
@@ -160,13 +168,13 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
         )
 
     if cmd == "interp":
-        pair = _load_pair(args.pair)
+        pair = _load_valid_pair(args.pair)
         env = _load_env(args.env, pair)
         out = interpret(parse(args.term), pair, env)
         return ({"atoms": sorted(pair.label(a) for a in out)}, 0)
 
     if cmd == "complete":
-        pair = _load_pair(args.pair)
+        pair = _load_valid_pair(args.pair)
         elems = elements_up_to(pair, args.rank)
         if args.count:
             return ({"count": len(elems)}, 0)

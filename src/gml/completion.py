@@ -18,6 +18,7 @@ element ceiling raises CeilingExceeded.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import logging
 from dataclasses import dataclass
@@ -239,9 +240,6 @@ class Restriction:
     def to_atoms(self, elems: Iterable[CompletionElement]) -> frozenset[int]:
         return frozenset(self.atom_of[e] for e in elems)
 
-    def to_elements(self, atoms: Iterable[int]) -> frozenset[CompletionElement]:
-        return frozenset(self.of_atom[a] for a in atoms)
-
 
 def restrict(p: PartialPair, k: int, ceiling: int = DEFAULT_CEILING) -> Restriction:
     elements = elements_up_to(p, k, ceiling)
@@ -262,6 +260,55 @@ def restrict(p: PartialPair, k: int, ceiling: int = DEFAULT_CEILING) -> Restrict
     labels = {atom_of[e]: element_str(e, p) for e in elements}
     pair = PartialPair(atom_of.values(), coding, labels=labels)
     return Restriction(pair, elements, atom_of, {v: e for e, v in atom_of.items()}, k)
+
+
+def _keys_below(level: Iterable[CompletionElement], args_key: tuple, res_key: tuple) -> int:
+    """How many keys (S, x) over `level` sort before (args_key, res_key), with
+    S compared as its structurally sorted tuple and then x.
+
+    A subset S sorts before the sorted tuple A exactly when it is a proper
+    prefix of A, or agrees with A up to some position i and then takes an
+    element y between A[i-1] and A[i], followed by any subset of the elements
+    above y; those subsets sum to a difference of two powers of two.
+    """
+    keys = sorted(e.sort_key() for e in level)
+    members = set(keys)
+    n = len(keys)
+    subsets = 0
+    lo = 0
+    for a in args_key:
+        hi = bisect.bisect_left(keys, a)
+        subsets += 1 + 2 ** (n - lo) - 2 ** (n - hi)
+        if a not in members:
+            return subsets * n
+        lo = hi + 1
+    return subsets * n + bisect.bisect_left(keys, res_key)
+
+
+def restriction_atom(p: PartialPair, e: CompletionElement, ceiling: int = DEFAULT_CEILING) -> int:
+    """The atom number of e in restrict(p, k), for any k >= rank(e).
+
+    Counted in closed form over the levels below e's rank, so the rank-k
+    level itself is never built: a pair element of rank r comes after every
+    pair element of lower rank and after the rank-r pair elements that sort
+    before it, which are the keys over E_{r-1} sorting before it, minus those
+    over E_{r-2} (the lower-rank pairs), minus the coded keys when r = 1.
+    """
+    if isinstance(e, BaseElement):
+        return e.atom
+    args_key = tuple(x.sort_key() for x in e.args_sorted)
+    res_key = e.res.sort_key()
+    below = elements_up_to(p, e.rank - 1, ceiling)
+    fresh = _keys_below(below, args_key, res_key)
+    if e.rank >= 2:
+        fresh -= _keys_below(elements_up_to(p, e.rank - 2, ceiling), args_key, res_key)
+    else:
+        fresh -= sum(
+            1
+            for (a, alpha), _ in p.coding.items()
+            if (tuple((0, x) for x in sorted(a)), (0, alpha)) < (args_key, res_key)
+        )
+    return max(p.atoms, default=-1) + 1 + len(below) - len(p.atoms) + fresh
 
 
 # ---------------------------------------------------------------------------

@@ -104,25 +104,35 @@ class PartialPair:
             unknown = set(doc) - {"atoms", "coding"} if isinstance(doc, dict) else None
             raise ValueError(f"malformed pair document (unknown fields: {sorted(unknown or ())})")
         names = doc.get("atoms", [])
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ValueError("pair atoms must be a list of string labels")
         if len(set(names)) != len(names):
             raise ValueError("duplicate atom labels")
         index = {name: i for i, name in enumerate(names)}
 
         def resolve(name: str) -> int:
-            if name not in index:
+            if not isinstance(name, str) or name not in index:
                 raise ValueError(f"unknown atom label {name!r}")
             return index[name]
 
+        entries = doc.get("coding", [])
+        if not isinstance(entries, list):
+            raise ValueError("pair coding must be a list of entries")
         coding = {}
-        for entry in doc.get("coding", []):
+        for entry in entries:
+            if not isinstance(entry, dict):
+                raise ValueError(f"coding entries are objects, got {entry!r}")
             if set(entry) != {"args", "res", "val"}:
                 raise ValueError(
                     "coding entries carry exactly the fields args/res/val, "
                     f"got {sorted(entry)}"
                 )
-            if len(set(entry["args"])) != len(entry["args"]):
+            if not isinstance(entry["args"], list):
+                raise ValueError("coding args must be a list of atom labels")
+            args = [resolve(x) for x in entry["args"]]
+            if len(set(args)) != len(args):
                 raise ValueError("duplicate atoms in coding args")
-            key = (frozenset(resolve(x) for x in entry["args"]), resolve(entry["res"]))
+            key = (frozenset(args), resolve(entry["res"]))
             if key in coding:
                 raise ValueError("duplicate coding key")
             coding[key] = resolve(entry["val"])
@@ -132,9 +142,6 @@ class PartialPair:
     def load(cls, path: str) -> "PartialPair":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
-
-
-EMPTY_PAIR = PartialPair(())
 
 
 @dataclass(frozen=True, slots=True)

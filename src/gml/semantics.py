@@ -52,9 +52,6 @@ class Environment:
         updated[name] = frozenset(values)
         return Environment(updated)
 
-    def support(self) -> frozenset[str]:
-        return frozenset(self._map)
-
     def restrict(self, names: Iterable[str]) -> "Environment":
         names = set(names)
         return Environment({n: v for n, v in self._map.items() if n in names})
@@ -87,10 +84,21 @@ class Environment:
         if not isinstance(doc, dict) or set(doc) - {"env"}:
             raise ValueError("malformed environment document")
         index = {pair.label(a): a for a in pair.atoms}
+        entries = doc.get("env", [])
+        if not isinstance(entries, list):
+            raise ValueError("malformed environment document")
         mapping: dict[str, frozenset] = {}
-        for entry in doc.get("env", []):
-            if set(entry) - {"var", "atoms"}:
-                raise ValueError("malformed environment entry")
+        for entry in entries:
+            if (
+                not isinstance(entry, dict)
+                or set(entry) != {"var", "atoms"}
+                or not isinstance(entry["var"], str)
+                or not isinstance(entry["atoms"], list)
+            ):
+                raise ValueError('malformed environment entry: expected a "var" name and an "atoms" list')
+            for x in entry["atoms"]:
+                if not isinstance(x, str) or x not in index:
+                    raise ValueError(f"unknown atom label {x!r} in the environment of {entry['var']!r}")
             mapping[entry["var"]] = frozenset(index[x] for x in entry["atoms"])
         return cls(mapping)
 

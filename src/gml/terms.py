@@ -272,8 +272,6 @@ def nat_of_ident(s: str) -> int:
 # de Bruijn indices and value n >= d stands for the free identifier
 # ident_of_nat(n - d).  Alpha equivalence is plain equality of these trees.
 
-_NVar = tuple  # ("v", n) | ("l", body) | ("a", fun, arg)
-
 
 def to_nameless(t: LambdaTerm) -> tuple:
     def go(t: LambdaTerm, env: dict[str, int], depth: int) -> tuple:

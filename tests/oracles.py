@@ -3,7 +3,10 @@
 Everything here is written directly from the defining clauses, with no code
 shared with the package internals: the interpreter quantifies over full
 powersets, the completion oracle builds levels as raw nested tuples, and the
-closed-term enumerator generates nameless trees size by size.
+closed-term enumerator generates nameless trees size by size.  The one
+exception is the witness oracle, which walks the materialized restriction
+with the package's own finite interpreter (both are checked against the naive
+oracles above).
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ import itertools
 from functools import lru_cache
 from random import Random
 
-from gml.pairs import PartialPair
+from gml.completion import restrict
+from gml.pairs import PartialPair, union
+from gml.semantics import Environment, interpret
 from gml.terms import Abs, App, LambdaTerm, Var, from_nameless
 
 
@@ -62,6 +67,50 @@ def naive_levels(pair: PartialPair, k: int) -> frozenset:
                         new.add(("p", frozenset(args), res))
         level = frozenset(new)
     return level
+
+
+# ---------------------------------------------------------------------------
+# Witness subpairs by a walk over the whole rank-k restriction: at each node
+# take the least coded key of the restriction (by sorted argument atoms) that
+# supports the element, and recurse into the parts.
+
+
+def restriction_witness(t: LambdaTerm, pair: PartialPair, e, k: int) -> PartialPair:
+    r = restrict(pair, k)
+    b = r.pair
+    target = r.atom_of[e]
+    assert target in interpret(t, b), "element not derivable at this rank"
+
+    def keys_sorted(pred) -> list:
+        return sorted(
+            (key for key in b.coding if pred(key)),
+            key=lambda key: (tuple(sorted(key[0])), key[1]),
+        )
+
+    def ex(node: LambdaTerm, env: Environment, alpha: int) -> PartialPair:
+        if isinstance(node, Var):
+            return PartialPair({alpha}, {})
+        if isinstance(node, Abs):
+            for bset, beta in keys_sorted(lambda key: b.coding[key] == alpha):
+                inner = env.bind(node.binder, bset)
+                if beta in interpret(node.body, b, inner):
+                    step = PartialPair(bset | {beta, alpha}, {(bset, beta): alpha})
+                    return union(ex(node.body, inner, beta), step)
+            raise AssertionError("abstraction member without a coded preimage")
+        arg_set = interpret(node.arg, b, env)
+        fun_set = interpret(node.fun, b, env)
+        for key in keys_sorted(
+            lambda key: key[1] == alpha and key[0] <= arg_set and b.coding[key] in fun_set
+        ):
+            v = b.coding[key]
+            out = union(PartialPair(key[0] | {alpha}, {key: v}), ex(node.fun, env, v))
+            for w in sorted(key[0]):
+                out = union(out, ex(node.arg, env, w))
+            return out
+        raise AssertionError("application member without a supporting key")
+
+    found = ex(t, Environment(), target)
+    return PartialPair(found.atoms, found.coding, labels={a: b.label(a) for a in found.atoms})
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,12 @@ from gml.completion import (
     lift_automorphism,
     pair_of,
     restrict,
+    restriction_atom,
 )
 from gml.pairs import PartialPair, automorphisms, is_subpair, union, validate
 from gml.semantics import Environment, interpret
 from gml.terms import FALSE, IDENTITY, OMEGA, TRUE, Var, parse
-from oracles import closed_terms_up_to, random_pair
+from oracles import closed_terms_up_to, random_pair, restriction_witness
 
 
 def approx_oracle(t, p, k):
@@ -214,6 +215,61 @@ class TestExtractWitness:
                     assert restrict(p, found.rank).atom_of[e] in interpret(t, w, Environment())
                     checked += 1
         assert checked >= 100
+
+
+class TestWitnessFromEvaluator:
+    def test_agrees_with_restriction_walk(self, p1, free1):
+        rng = Random(43)
+        terms = [
+            parse(s)
+            for s in (
+                "I",
+                "T",
+                "F",
+                "\\x.x x",
+                "I I",
+                "\\x y.x y",
+                "\\x.x I",
+                "\\x.x (x x)",
+                "\\x y.y x",
+                "\\x.T x x",
+                "(\\x.x x) I",
+                "\\x.(\\y.y) (x x)",
+            )
+        ]
+        free2 = PartialPair({0, 1})
+        coded2 = PartialPair({0, 1}, {(frozenset({0}), 0): 1})
+        sym2 = PartialPair({0, 1}, {(frozenset({0}), 0): 0, (frozenset({1}), 1): 1})
+        checked = 0
+        for p, kmax in [(p1, 2), (free1, 2), (free2, 1), (coded2, 1), (sym2, 1)]:
+            for t in terms:
+                found_set = sorted(approx_interpret(t, p, k=kmax), key=lambda e: e.sort_key())
+                rng.shuffle(found_set)
+                for e in found_set[:10]:
+                    rank = member(t, p, e, kmax).rank
+                    ours = extract_witness_subpair(t, p, e, rank)
+                    oracle = restriction_witness(t, p, e, rank)
+                    assert ours.atoms == oracle.atoms, (t, p, e)
+                    assert ours.coding == oracle.coding, (t, p, e)
+                    assert ours.labels == oracle.labels, (t, p, e)
+                    checked += 1
+        assert checked >= 100
+
+    def test_three_atom_rank_two_abstraction(self):
+        free3 = PartialPair({0, 1, 2}, labels={0: "a", 1: "b", 2: "c"})
+        inner = pair_of([base(0)], base(0))
+        e = pair_of([inner], inner)
+        assert member(IDENTITY, free3, e, 2).rank == 2
+        w = extract_witness_subpair(IDENTITY, free3, e, 2)
+        i, o = restriction_atom(free3, inner), restriction_atom(free3, e)
+        assert w.atoms == {i, o}
+        assert w.coding == {(frozenset({i}), i): o}
+        assert w.labels == {i: "({a},a)", o: "({({a},a)},({a},a))"}
+        assert o in interpret(IDENTITY, w)
+
+    def test_invalid_element_rejected(self, p1):
+        with pytest.raises(ValueError):
+            extract_witness_subpair(IDENTITY, p1, pair_of([base(0)], base(0)), 2)
 
 
 class TestCheckInequation:

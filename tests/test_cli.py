@@ -109,6 +109,59 @@ class TestMemberWitness:
         assert len(loaded.atoms) == 2
 
 
+class TestThreeAtomWitness:
+    def test_rank_two_abstraction_answers(self, capsys, pair_file):
+        free3 = pair_file(PartialPair({0, 1, 2}, labels={0: "a", 1: "b", 2: "c"}), "free3.json")
+        code, doc = run_json(capsys, "witness", "--pair", free3, "--rank", "2", "\\x.x", "({({a},a)},({a},a))")
+        assert code == 0
+        assert doc["found"] and doc["rank"] == 2
+        assert doc["witness_subpair"] == {
+            "atoms": ["({a},a)", "({({a},a)},({a},a))"],
+            "coding": [{"args": ["({a},a)"], "res": "({a},a)", "val": "({({a},a)},({a},a))"}],
+        }
+
+
+class TestMalformedInput:
+    def assert_usage_error(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert not out
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    def write(self, tmp_path, name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_unknown_env_label(self, capsys, coded_file, tmp_path):
+        env = self.write(tmp_path, "env.json", {"env": [{"var": "x", "atoms": ["nope"]}]})
+        self.assert_usage_error(capsys, "interp", "--pair", coded_file, "--env", env, "x")
+
+    def test_env_entry_without_var(self, capsys, coded_file, tmp_path):
+        env = self.write(tmp_path, "env.json", {"env": [{"atoms": ["0"]}]})
+        self.assert_usage_error(capsys, "interp", "--pair", coded_file, "--env", env, "x")
+
+    def test_atoms_not_a_list(self, capsys, tmp_path):
+        pair = self.write(tmp_path, "pair.json", {"atoms": 5})
+        self.assert_usage_error(capsys, "interp", "--pair", pair, "I")
+
+    def test_non_injective_pair_rejected(self, capsys, tmp_path):
+        pair = self.write(
+            tmp_path,
+            "pair.json",
+            {
+                "atoms": ["a", "b"],
+                "coding": [
+                    {"args": ["a"], "res": "a", "val": "b"},
+                    {"args": ["b"], "res": "b", "val": "b"},
+                ],
+            },
+        )
+        self.assert_usage_error(capsys, "interp", "--pair", pair, "I")
+        self.assert_usage_error(capsys, "complete", "--pair", pair, "--rank", "1")
+        self.assert_usage_error(capsys, "member", "--pair", pair, "I", "a")
+
+
 class TestCheck:
     def test_equation_failure_exits_one(self, capsys, coded_file):
         code, doc = run_json(capsys, "check", "--pair", coded_file, "--kM", "2", "--kN", "4", "T = F")

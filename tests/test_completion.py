@@ -18,6 +18,7 @@ from gml.completion import (
     parse_element,
     rank,
     restrict,
+    restriction_atom,
 )
 from gml.pairs import PartialPair, automorphisms, is_subpair, union, validate
 from oracles import naive_levels, random_pair
@@ -145,6 +146,36 @@ class TestRestriction:
         r = restrict(free1, 1)
         labels = {r.pair.label(r.atom_of[e]) for e in r.elements}
         assert labels == {"0", "({},0)", "({0},0)"}
+
+
+class TestRestrictionAtom:
+    def test_matches_restriction_numbering(self):
+        one_atom = [PartialPair({0})] + [
+            PartialPair({0}, {(frozenset(args), 0): 0}) for args in ((), (0,))
+        ]
+        two_atom = [
+            PartialPair({0, 1}),
+            PartialPair({0, 1}, {(frozenset({0}), 0): 1}),
+            PartialPair({0, 1}, {(frozenset({0}), 0): 0, (frozenset({1}), 1): 1}),
+        ]
+        for p in one_atom + two_atom:
+            r = restrict(p, 2)
+            for e in r.elements:
+                assert restriction_atom(p, e) == r.atom_of[e], (p, element_str(e))
+
+    def test_random_pairs_up_to_rank_two(self):
+        rng = Random(33)
+        for _ in range(20):
+            p = random_pair(rng, max_atoms=2, max_entries=3)
+            r = restrict(p, 2)
+            for e in r.elements:
+                assert restriction_atom(p, e) == r.atom_of[e], (p, element_str(e))
+
+    def test_builds_only_lower_levels(self):
+        free3 = PartialPair({0, 1, 2})
+        inner = pair_of([base(0)], base(0))
+        # level 2 of a free 3-atom pair would hold 3.6e9 elements
+        assert restriction_atom(free3, pair_of([inner], inner), ceiling=100) > restriction_atom(free3, inner)
 
 
 class TestCanonicalMorphism:
