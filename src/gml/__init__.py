@@ -33,9 +33,7 @@ from .completion import (
     restrict,
 )
 from .minmodel import (
-    AtomCode,
-    PairCode,
-    UniversalCoding,
+    PRIME_CODED,
     component_of,
     element_code,
     element_decode,
@@ -47,7 +45,6 @@ from .minmodel import (
     relocation_morphism,
     restriction_property_check,
     search_counterexample,
-    universal_coding,
 )
 from .pairs import (
     Morphism,

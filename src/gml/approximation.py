@@ -50,6 +50,7 @@ from .completion import (
     DEFAULT_CEILING,
     _atom_key,
     base,
+    coding_preimage,
     element_str,
     element_valid,
     elements_up_to,
@@ -137,7 +138,6 @@ class Evaluator:
         self.pair = pair
         self.k = k
         self.ceiling = ceiling
-        self.coded_by_value = {v: key for key, v in pair.coding.items()}
         self.coded_by_res: dict[int, list[tuple[frozenset[int], int]]] = {}
         for (a, alpha), v in pair.coding.items():
             self.coded_by_res.setdefault(alpha, []).append((a, v))
@@ -177,16 +177,6 @@ class Evaluator:
                 f"abstraction over level {j} needs {keys} keys, ceiling is {self.ceiling}"
             )
         return elems
-
-    def preimage(self, e: CompletionElement):
-        """The unique key (args, res) that codes to e, or None for an atom
-        outside the coded range."""
-        if isinstance(e, PairElement):
-            return e.args, e.res
-        coded = self.coded_by_value.get(e.atom)
-        if coded is None:
-            return None
-        return frozenset(map(base, coded[0])), base(coded[1])
 
     def _lazy(self, term: LambdaTerm, env: dict, trim: int) -> "LazyValue":
         key = (term, self._env_key(term, env), trim)
@@ -246,7 +236,7 @@ class Evaluator:
         fun_set = self.enumerate(t.fun, env, self.k)
         out = set()
         for w in fun_set:
-            key = self.preimage(w)
+            key = coding_preimage(self.pair, w)
             if key is None:
                 continue
             args, res = key
@@ -274,7 +264,7 @@ class Evaluator:
             return value.contains(e) if value is not None else False
 
         if isinstance(t, Abs):
-            key = self.preimage(e)
+            key = coding_preimage(self.pair, e)
             if key is None:
                 return False
             args, res = key
@@ -436,7 +426,7 @@ def extract_witness_subpair(
         if isinstance(node, Var):
             return
         if isinstance(node, Abs):
-            key = ev.preimage(alpha)
+            key = coding_preimage(p, alpha)
             if key is None:
                 raise AssertionError("abstraction member without a coded preimage")
             args, res = key

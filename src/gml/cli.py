@@ -282,6 +282,9 @@ def main(argv: list[str] | None = None) -> int:
     except CeilingExceeded as exc:
         print(f"bound too large: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:  # term and element syntax are parsed recursively
+        print("usage error: input nested too deeply", file=sys.stderr)
+        return 2
     except (ParseError, ValueError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

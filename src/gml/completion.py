@@ -155,23 +155,27 @@ def apply_coding(
     p: PartialPair, args: Iterable[CompletionElement], res: CompletionElement
 ) -> CompletionElement:
     """The completion's total injective coding: coded keys collapse to their
-    atom, everything else codes as itself."""
+    atom, everything else codes as itself.  Only `p.coding.get` is asked of
+    p, so the prime-coded pair of minmodel completes the same way."""
     args = frozenset(args)
     key = _atom_key(args, res)
-    if key is not None and key in p.coding:
-        return base(p.coding[key])
+    if key is not None:
+        v = p.coding.get(key)
+        if v is not None:
+            return base(v)
     return pair_of(args, res)
 
 
 def coding_preimage(p: PartialPair, e: CompletionElement):
     """Inverse of apply_coding on its range: the unique (args, res) key with
-    value e, or None when e is an atom outside the coded range."""
+    value e, or None when e is an atom outside the coded range.  An atom's
+    key comes from the pair's own inverse lookup, `p.inverse.get`."""
     if isinstance(e, PairElement):
         return (e.args, e.res)
-    for (a, alpha), v in p.coding.items():
-        if v == e.atom:
-            return (frozenset(map(base, a)), base(alpha))
-    return None
+    key = p.inverse.get(e.atom)
+    if key is None:
+        return None
+    return (frozenset(map(base, key[0])), base(key[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +320,8 @@ def restriction_atom(p: PartialPair, e: CompletionElement, ceiling: int = DEFAUL
 
 
 class CompletionCoding:
-    """Total coding handle of the completion of a pair (elements universe)."""
+    """Total coding handle of the completion of a pair (elements universe),
+    finite or the prime-coded pair of the minimum model."""
 
     def __init__(self, pair: PartialPair):
         self.pair = pair

@@ -1,15 +1,18 @@
-"""The effective minimum-theory graph model, componentwise.
+"""The effective minimum-theory graph model: the completion of the
+prime-coded pair.
 
 Finite partial pairs with carrier inside the naturals are put in bijection
 with the naturals: pairs are grouped by carrier bitmask (ascending), and the
 codings over one carrier are ordered by size and then lexicographically over
 their sorted entry lists.  The k-th pair is relocated onto powers of the k-th
-prime, which makes all component carriers pairwise disjoint; the union of the
-relocated codings is a computable total-on-keys partial coding of a decidable
-subset of the naturals, and its completion interprets every closed term as in
-each component separately.  An inequation refutable in any completion of a
-finite pair is therefore refutable in some component, which the search here
-scans for.
+prime, which makes all component carriers pairwise disjoint.  The union of
+the relocated pairs is one decidable partial pair, PRIME_CODED: membership
+in its carrier is decided by factoring, and a key is looked up in the
+component its atoms live in.  The model is the free completion of that pair,
+built by the same completion code as the completions of finite pairs, and it
+interprets every closed term as in each component separately.  An
+inequation refutable in any completion of a finite pair is therefore
+refutable in some component, which the search here scans for.
 
 Primes come from a small incremental sieve (1-indexed: prime(1) = 2; index 0
 belongs to the empty pair, which has no atoms and needs no prime).
@@ -19,12 +22,21 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
 from math import comb
+from types import SimpleNamespace
 from typing import Iterable, Optional
 
 from .approximation import Evaluator, Verdict, approx_interpret, check_inequation
-from .completion import CeilingExceeded, DEFAULT_CEILING, elements_up_to, support_atoms
+from .completion import (
+    BaseElement,
+    CeilingExceeded,
+    CompletionElement,
+    DEFAULT_CEILING,
+    base,
+    elements_up_to,
+    pair_of,
+    support_atoms,
+)
 from .pairs import Morphism, PartialPair, union
 from .terms import LambdaTerm, _cantor_pair, _cantor_unpair, is_closed
 
@@ -43,9 +55,12 @@ _PRIMES: list[int] = [2, 3]
 def _extend_primes() -> None:
     candidate = _PRIMES[-1] + 2
     while True:
-        if all(candidate % p for p in _PRIMES if p * p <= candidate):
-            _PRIMES.append(candidate)
-            return
+        for p in _PRIMES:
+            if p * p > candidate:
+                _PRIMES.append(candidate)
+                return
+            if candidate % p == 0:
+                break
         candidate += 2
 
 
@@ -292,119 +307,83 @@ def relocation_morphism(k: int) -> Morphism:
     return Morphism(source, target, {x: p ** (x + 1) for x in source.atoms})
 
 
-def is_in_P(n: int) -> bool:
-    """Membership in the union of the relocated carriers, by factoring."""
+def _component(n: int) -> Optional[int]:
+    """The index of the component whose carrier holds n, or None."""
     pe = _prime_power(n)
     if pe is None:
-        return False
-    p, e = pe
-    k = prime_index(p)
-    if k is None:
-        return False
-    return (e - 1) in enumerate_pair(k).atoms
+        return None
+    k = prime_index(pe[0])
+    return k if pe[1] - 1 in enumerate_pair(k).atoms else None
+
+
+def is_in_P(n: int) -> bool:
+    """Membership in the union of the relocated carriers, by factoring."""
+    return _component(n) is not None
 
 
 def component_of(n: int) -> int:
     """The component index whose carrier contains n."""
-    if n < 1:
-        raise ValueError("carrier members are positive naturals")
-    pe = _prime_power(n)
-    if pe is None or not is_in_P(n):
+    k = _component(n)
+    if k is None:
         raise ValueError(f"{n} is not in the model carrier")
-    return prime_index(pe[0])
-
-
-def _decompose(n: int) -> tuple[int, int]:
-    """(component index, original atom) for a carrier member."""
-    p, e = _prime_power(n)
-    return prime_index(p), e - 1
+    return k
 
 
 # ---------------------------------------------------------------------------
-# Elements of the big model and the universal coding
+# The big model: the completion of the prime-coded pair
+#
+# The relocated components form one partial pair with an infinite, decidable
+# carrier.  It answers the three lookups the completion code asks of a pair
+# (`n in atoms`, `coding.get(key)`, `inverse.get(value)`), so apply_coding,
+# CompletionCoding and element_str serve it unchanged and its elements are
+# the completion's own BaseElement/PairElement.  Carriers are disjoint, so
+# a key is looked up in the component of its result atom and a value in its
+# own component.
 
 
-@dataclass(frozen=True)
-class AtomCode:
-    """A carrier member p_k**(x+1); decidable by factoring."""
-
-    n: int
-
-    def sort_key(self) -> tuple:
-        return (0, self.n)
-
-    def __str__(self) -> str:
-        return str(self.n)
+def _coded_value(key: tuple[frozenset[int], int]) -> Optional[int]:
+    k = _component(key[1])
+    return None if k is None else relocate(k).coding.get(key)
 
 
-@dataclass(frozen=True)
-class PairCode:
-    """An uncoded (args, res) element of the completion of the big model."""
-
-    args: frozenset
-    res: "CodedElement"
-
-    def sort_key(self) -> tuple:
-        return (1, tuple(sorted(e.sort_key() for e in self.args)), self.res.sort_key())
-
-    def __str__(self) -> str:
-        inner = ",".join(str(e) for e in sorted(self.args, key=lambda e: e.sort_key()))
-        return f"({{{inner}}},{self.res})"
+def _coded_key(n: int) -> Optional[tuple[frozenset[int], int]]:
+    k = _component(n)
+    return None if k is None else relocate(k).inverse.get(n)
 
 
-CodedElement = AtomCode | PairCode
+class _Carrier:
+    def __contains__(self, n: int) -> bool:
+        return is_in_P(n)
 
 
-def universal_coding(args: Iterable[CodedElement], res: CodedElement) -> CodedElement:
-    """Total injective coding of the big model: keys living inside a single
-    component and coded there collapse to the coded atom; everything else
-    (mixed components included) codes as a fresh pair."""
-    args = frozenset(args)
-    if isinstance(res, AtomCode) and all(isinstance(a, AtomCode) for a in args):
-        parts = [_decompose(a.n) for a in args]
-        res_k, res_x = _decompose(res.n)
-        if all(k == res_k for k, _ in parts):
-            component = enumerate_pair(res_k)
-            key = (frozenset(x for _, x in parts), res_x)
-            if key in component.coding:
-                return AtomCode(kth_prime(res_k) ** (component.coding[key] + 1))
-    return PairCode(args, res)
+class PrimeCodedPair:
+    """The union of all relocated finite pairs, as one partial pair given by
+    its lookups alone (carrier and coding are infinite)."""
+
+    atoms = _Carrier()
+    coding = SimpleNamespace(get=_coded_value)
+    inverse = SimpleNamespace(get=_coded_key)
 
 
-class UniversalCoding:
-    """Coding handle over the big model's elements."""
+PRIME_CODED = PrimeCodedPair()
 
-    def atom(self, n: int) -> AtomCode:
-        if not is_in_P(n):
-            raise ValueError(f"{n} is not in the model carrier")
-        return AtomCode(n)
-
-    def code(self, args: frozenset, res: CodedElement) -> CodedElement:
-        return universal_coding(args, res)
-
-    def extends(self, a: PartialPair) -> bool:
-        try:
-            for (args, alpha), v in a.coding.items():
-                image = self.code(frozenset(self.atom(x) for x in args), self.atom(alpha))
-                if image != self.atom(v):
-                    return False
-        except ValueError:
-            return False
-        return True
+# perfbench/checker.py builds big-model elements under these older names.
+AtomCode = base
+PairCode = pair_of
 
 
-def element_code(e: CodedElement) -> int:
+def element_code(e: CompletionElement) -> int:
     """Injective natural-number code: even codes are carrier atoms (tag bit
     0), odd codes pair a bitmask of member codes with the result code."""
-    if isinstance(e, AtomCode):
-        return 2 * e.n
+    if isinstance(e, BaseElement):
+        return 2 * e.atom
     mask = 0
     for a in e.args:
         mask |= 1 << element_code(a)
     return 2 * _cantor_pair(mask, element_code(e.res)) + 1
 
 
-def element_decode(code: int) -> CodedElement:
+def element_decode(code: int) -> CompletionElement:
     """Inverse of element_code on its range."""
     if code < 0:
         raise ValueError("codes are naturals")
@@ -412,7 +391,7 @@ def element_decode(code: int) -> CodedElement:
         n = code // 2
         if not is_in_P(n):
             raise ValueError(f"{code} does not code an element: {n} is outside the carrier")
-        return AtomCode(n)
+        return base(n)
     mask, res_code = _cantor_unpair((code - 1) // 2)
     args = []
     bit = 0
@@ -421,7 +400,7 @@ def element_decode(code: int) -> CodedElement:
             args.append(element_decode(bit))
         mask >>= 1
         bit += 1
-    return PairCode(frozenset(args), element_decode(res_code))
+    return pair_of(args, element_decode(res_code))
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,11 @@ class PartialPair:
 
     The constructor accepts arbitrary well-typed data; use validate() to
     check the pair invariants (violations are data, not construction faults).
+    `inverse` maps each coded value back to its key (the first such key in
+    coding order when the coding is not injective).
     """
 
-    __slots__ = ("atoms", "coding", "labels", "_hash")
+    __slots__ = ("atoms", "coding", "inverse", "labels", "_hash")
 
     def __init__(
         self,
@@ -55,6 +57,10 @@ class PartialPair:
         for (args, alpha), value in items:
             norm[(frozenset(int(x) for x in args), int(alpha))] = int(value)
         object.__setattr__(self, "coding", norm)
+        inverse: dict[int, CodingKey] = {}
+        for key, value in norm.items():
+            inverse.setdefault(value, key)
+        object.__setattr__(self, "inverse", inverse)
         object.__setattr__(self, "labels", dict(labels) if labels else {})
         object.__setattr__(self, "_hash", hash((self.atoms, frozenset(norm.items()))))
 
@@ -300,11 +306,14 @@ def orbits(p: PartialPair, max_atoms: int = DEFAULT_AUTOMORPHISM_BOUND) -> list[
 # ---------------------------------------------------------------------------
 # Closure-generated subpairs
 #
-# A coding handle exposes a (possibly partial) injective coding on some
-# element universe: code(args, res) returns an element or None when the key
-# is undefined.  Handles over total codings (completions, the prime-coded
-# minimal model) never return None, so closures under them keep growing and
-# the round budget cuts the run off.
+# A coding handle exposes an injective coding on some element universe:
+#   atom(x)          the element for carrier atom x (ValueError outside it);
+#   code(args, res)  the element the key codes to, or None when undefined,
+#                    which only a finite pair's own coding may answer;
+#   preimage(value)  the unique key coding to value, or None.
+# Handles over completions, the prime-coded minimum model included, are
+# total, so closures under them keep growing until the round budget cuts the
+# run off.
 
 
 class PairCoding:
@@ -322,10 +331,7 @@ class PairCoding:
         return self.pair.coding.get((frozenset(args), res))
 
     def preimage(self, value):
-        for key, v in self.pair.coding.items():
-            if v == value:
-                return key
-        return None
+        return self.pair.inverse.get(value)
 
 
 _CLOSURE_KEY_CEILING = 10**6
@@ -381,23 +387,13 @@ def generate_subgraphmodel(
     elements = tuple(sorted(current, key=key))
     index = {e: i for i, e in enumerate(elements)}
     entries = {}
-    if hasattr(coding, "preimage"):
-        # injective coding: recover the unique key of each closure member
-        for value in elements:
-            found = coding.preimage(value)
-            if found is None:
-                continue
-            args, res = found
-            if res in index and all(a in index for a in args):
-                entries[(frozenset(index[a] for a in args), index[res])] = index[value]
-    else:
-        _check_closure_size(current)
-        for n in range(len(elements) + 1):
-            for args in itertools.combinations(elements, n):
-                for res in elements:
-                    value = coding.code(frozenset(args), res)
-                    if value is not None and value in index:
-                        entries[(frozenset(index[a] for a in args), index[res])] = index[value]
+    for value in elements:  # the coding is injective: one key per member
+        found = coding.preimage(value)
+        if found is None:
+            continue
+        args, res = found
+        if res in index and all(a in index for a in args):
+            entries[(frozenset(index[a] for a in args), index[res])] = index[value]
     pair = PartialPair(
         range(len(elements)),
         entries,

@@ -3,10 +3,11 @@
 Everything here is written directly from the defining clauses, with no code
 shared with the package internals: the interpreter quantifies over full
 powersets, the completion oracle builds levels as raw nested tuples, and the
-closed-term enumerator generates nameless trees size by size.  The one
-exception is the witness oracle, which walks the materialized restriction
-with the package's own finite interpreter (both are checked against the naive
-oracles above).
+closed-term enumerator generates nameless trees size by size.  Two
+exceptions: the witness oracle walks the materialized restriction with the
+package's own finite interpreter (both are checked against the naive oracles
+above), and the closure oracle scans keys through the coding handle it is
+given.
 """
 
 from __future__ import annotations
@@ -111,6 +112,23 @@ def restriction_witness(t: LambdaTerm, pair: PartialPair, e, k: int) -> PartialP
 
     found = ex(t, Environment(), target)
     return PartialPair(found.atoms, found.coding, labels={a: b.label(a) for a in found.atoms})
+
+
+# ---------------------------------------------------------------------------
+# The pair a coding handle induces on a closure, by scanning every key over
+# the closure and keeping those whose value lands inside; no preimage needed.
+
+
+def closure_pair_by_key_scan(coding, elements: tuple) -> PartialPair:
+    index = {e: i for i, e in enumerate(elements)}
+    entries = {}
+    for m in range(len(elements) + 1):
+        for args in itertools.combinations(elements, m):
+            for res in elements:
+                value = coding.code(frozenset(args), res)
+                if value is not None and value in index:
+                    entries[(frozenset(index[a] for a in args), index[res])] = index[value]
+    return PartialPair(range(len(elements)), entries)
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,17 @@ class TestMalformedInput:
         self.assert_usage_error(capsys, "complete", "--pair", pair, "--rank", "1")
         self.assert_usage_error(capsys, "member", "--pair", pair, "I", "a")
 
+    def assert_too_deep(self, capsys, *argv):
+        assert run(capsys, *argv) == (2, "", "usage error: input nested too deeply\n")
+
+    def test_deeply_nested_term(self, capsys):
+        self.assert_too_deep(capsys, "parse", "(" * 3000 + "x" + ")" * 3000)
+
+    def test_deeply_nested_element(self, capsys, coded_file):
+        element = "({" * 3000 + "0" + "},0)" * 3000
+        self.assert_too_deep(capsys, "member", "--pair", coded_file, "I", element)
+        self.assert_too_deep(capsys, "witness", "--pair", coded_file, "I", element)
+
 
 class TestCheck:
     def test_equation_failure_exits_one(self, capsys, coded_file):

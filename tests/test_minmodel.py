@@ -3,11 +3,16 @@ from random import Random
 
 import pytest
 
-from gml.completion import elements_up_to
+from gml.completion import (
+    CompletionCoding,
+    PairElement,
+    apply_coding,
+    base,
+    elements_up_to,
+    pair_of,
+)
 from gml.minmodel import (
-    AtomCode,
-    PairCode,
-    UniversalCoding,
+    PRIME_CODED,
     component_of,
     element_code,
     element_decode,
@@ -20,7 +25,6 @@ from gml.minmodel import (
     relocation_morphism,
     restriction_property_check,
     search_counterexample,
-    universal_coding,
 )
 from gml.pairs import PartialPair, generate_subgraphmodel, validate
 from gml.terms import FALSE, IDENTITY, OMEGA, TRUE, parse
@@ -35,6 +39,9 @@ class TestPrimes:
         assert prime_index(13) == 6
         assert prime_index(9) is None
         assert prime_index(1) is None
+
+    def test_ten_thousandth_prime(self):
+        assert kth_prime(10_000) == 104_729
 
 
 class TestNumeration:
@@ -128,26 +135,19 @@ class TestCarrierMembership:
 
 class TestUniversalCoding:
     def test_coded_key_collapses(self):
-        a5 = AtomCode(5)
-        assert universal_coding({a5}, a5) == a5
+        a5 = base(5)
+        assert apply_coding(PRIME_CODED, {a5}, a5) == a5
 
     def test_uncoded_key_pairs(self):
-        a5 = AtomCode(5)
-        assert universal_coding(frozenset(), a5) == PairCode(frozenset(), a5)
+        a5 = base(5)
+        assert apply_coding(PRIME_CODED, frozenset(), a5) == pair_of(frozenset(), a5)
 
     def test_mixed_components_never_collapse(self):
-        out = universal_coding({AtomCode(2)}, AtomCode(5))
-        assert isinstance(out, PairCode)
+        out = apply_coding(PRIME_CODED, {base(2)}, base(5))
+        assert isinstance(out, PairElement)
 
     def test_agrees_with_component_completion(self):
-        from gml.completion import BaseElement, apply_coding
-
-        def embed(e):
-            if isinstance(e, BaseElement):
-                return AtomCode(e.atom)
-            return PairCode(frozenset(map(embed, e.args)), embed(e.res))
-
-        handle = UniversalCoding()
+        handle = CompletionCoding(PRIME_CODED)
         for k in (1, 2, 3, 5):
             comp = relocate(k)
             assert handle.extends(comp)
@@ -155,20 +155,18 @@ class TestUniversalCoding:
             for m in range(3):
                 for args in itertools.combinations(universe, m):
                     for res in universe:
-                        through_completion = embed(apply_coding(comp, frozenset(args), res))
-                        directly = universal_coding(
-                            frozenset(map(embed, args)), embed(res)
-                        )
-                        assert through_completion == directly
+                        through_completion = apply_coding(comp, frozenset(args), res)
+                        directly = apply_coding(PRIME_CODED, frozenset(args), res)
+                        assert through_completion is directly
 
     def test_injectivity_sampled(self):
         rng = Random(51)
-        atoms = [AtomCode(n) for n in (2, 3, 5, 49, 121)]
+        atoms = [base(n) for n in (2, 3, 5, 49, 121)]
         pool = list(atoms)
         for _ in range(200):
             args = frozenset(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
             res = rng.choice(pool)
-            pool.append(universal_coding(args, res))
+            pool.append(apply_coding(PRIME_CODED, args, res))
         seen = {}
         keys = []
         for _ in range(10_000):
@@ -176,12 +174,12 @@ class TestUniversalCoding:
             res = rng.choice(pool)
             keys.append((args, res))
         for key in keys:
-            value = universal_coding(*key)
+            value = apply_coding(PRIME_CODED, *key)
             assert seen.setdefault(value, key) == key
 
     def test_handle_rejects_foreign_atoms(self):
         with pytest.raises(ValueError):
-            UniversalCoding().atom(6)
+            CompletionCoding(PRIME_CODED).atom(6)
 
 
 class TestElementCodec:
@@ -189,14 +187,14 @@ class TestElementCodec:
         # set codes are bitmasks over member codes, so sampling stays shallow:
         # one nesting level keeps codes within ordinary bignum range
         rng = Random(52)
-        atoms = [AtomCode(n) for n in (2, 3, 5, 49)]
+        atoms = [base(n) for n in (2, 3, 5, 49)]
         codes = {}
         for _ in range(10_000):
             if rng.random() < 0.3:
                 e = rng.choice(atoms)
             else:
                 args = frozenset(rng.sample(atoms, rng.randint(0, 3)))
-                e = PairCode(args, rng.choice(atoms))
+                e = pair_of(args, rng.choice(atoms))
             code = element_code(e)
             assert element_decode(code) == e
             assert codes.setdefault(code, e) == e
@@ -204,8 +202,8 @@ class TestElementCodec:
         assert len(distinct) == len(set(codes.values()))
 
     def test_atom_codes_even(self):
-        assert element_code(AtomCode(2)) == 4
-        assert element_decode(4) == AtomCode(2)
+        assert element_code(base(2)) == 4
+        assert element_decode(4) == base(2)
         with pytest.raises(ValueError):
             element_decode(12)  # 6 is not in the carrier
 
@@ -250,24 +248,19 @@ class TestRestrictionProperty:
 
 
 def test_canonical_morphism_embeds_components():
-    from gml.completion import BaseElement, canonical_morphism
+    from gml.completion import canonical_morphism
 
-    def embed(e):
-        if isinstance(e, BaseElement):
-            return AtomCode(e.atom)
-        return PairCode(frozenset(map(embed, e.args)), embed(e.res))
-
-    handle = UniversalCoding()
+    handle = CompletionCoding(PRIME_CODED)
     for k in (1, 3, 5):
         comp = relocate(k)
         for e in elements_up_to(comp, 2 if len(comp.atoms) == 1 else 1):
-            assert canonical_morphism(comp, handle, e) == embed(e)
+            assert canonical_morphism(comp, handle, e) is e
 
 
 def test_closure_over_universal_coding():
-    handle = UniversalCoding()
+    handle = CompletionCoding(PRIME_CODED)
     result = generate_subgraphmodel(
-        handle, [AtomCode(2)], 1, sort_key=lambda e: e.sort_key()
+        handle, [base(2)], 1, sort_key=lambda e: e.sort_key()
     )
     assert not result.saturated
     assert len(result.elements) == 3

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gml.completion import CompletionCoding, base
+from gml.minmodel import PRIME_CODED
 from gml.pairs import (
     Morphism,
     PairCoding,
@@ -20,7 +21,7 @@ from gml.pairs import (
     union,
     validate,
 )
-from oracles import random_pair, random_subpair
+from oracles import closure_pair_by_key_scan, random_pair, random_subpair
 
 
 class TestValidate:
@@ -208,6 +209,33 @@ class TestGenerateSubgraphmodel:
     def test_induced_pair_validates(self, p1):
         result = generate_subgraphmodel(CompletionCoding(p1), [base(0)], 1, sort_key=lambda e: e.sort_key())
         assert validate(result.pair).ok
+
+    def test_matches_key_scan_oracle(self, p1):
+        # from {0} the chain reaches 1, 2, 3 in turn; atom 4 stays outside
+        chain = PartialPair(
+            range(5),
+            {
+                (frozenset(), 0): 1,
+                (frozenset({0}), 1): 2,
+                (frozenset({1, 2}), 2): 3,
+                (frozenset({3}), 1): 0,
+                (frozenset({4}), 4): 4,
+            },
+        )
+        by_structure = lambda e: e.sort_key()
+        cases = [
+            (PairCoding(chain), [0], 5, None),
+            (PairCoding(chain), [0], 2, None),
+            *(
+                (PairCoding(p), sorted(p.atoms)[:2], 3, None)
+                for p in map(random_pair, map(Random, range(20)))
+            ),
+            (CompletionCoding(p1), [base(0)], 2, by_structure),
+            (CompletionCoding(PRIME_CODED), [base(5)], 2, by_structure),
+        ]
+        for handle, seed, budget, key in cases:
+            result = generate_subgraphmodel(handle, seed, budget, sort_key=key)
+            assert result.pair == closure_pair_by_key_scan(handle, result.elements)
 
 
 class TestFileFormat:
