@@ -4,25 +4,30 @@ prime-coded pair.
 Finite partial pairs with carrier inside the naturals are put in bijection
 with the naturals: pairs are grouped by carrier bitmask (ascending), and the
 codings over one carrier are ordered by size and then lexicographically over
-their sorted entry lists.  The k-th pair is relocated onto powers of the k-th
-prime, which makes all component carriers pairwise disjoint.  The union of
-the relocated pairs is one decidable partial pair, PRIME_CODED: membership
-in its carrier is decided by factoring, and a key is looked up in the
-component its atoms live in.  The model is the free completion of that pair,
-built by the same completion code as the completions of finite pairs, and it
-interprets every closed term as in each component separately.  An
-inequation refutable in any completion of a finite pair is therefore
-refutable in some component, which the search here scans for.
+their sorted entry lists.  The numbering is computed in closed form, by
+counting the codings that share a prefix, so no list of codings is kept.  The
+k-th pair is relocated onto powers of the k-th prime, which makes all
+component carriers pairwise disjoint.  The union of the relocated pairs is
+one decidable partial pair, PRIME_CODED: membership in its carrier is decided
+by factoring, and a key is looked up in the component its atoms live in.  The
+model is the free completion of that pair, built by the same completion code
+as the completions of finite pairs, and it interprets every closed term as in
+each component separately.  An inequation refutable in any completion of a
+finite pair is therefore refutable in some component, which the search here
+scans for.
 
-Primes come from a small incremental sieve (1-indexed: prime(1) = 2; index 0
-belongs to the empty pair, which has no atoms and needs no prime).
+Primes come from a sieve of Eratosthenes that doubles its range as needed
+and keeps at most DEFAULT_CEILING primes; a component whose prime lies past
+them raises CeilingExceeded (1-indexed: prime(1) = 2; index 0 belongs to the
+empty pair, which has no atoms and needs no prime).
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-from math import comb
+from bisect import bisect_left
+from math import comb, isqrt, perm
 from types import SimpleNamespace
 from typing import Iterable, Optional
 
@@ -42,32 +47,35 @@ from .terms import LambdaTerm, _cantor_pair, _cantor_unpair, is_closed
 
 logger = logging.getLogger(__name__)
 
-Entry = tuple[tuple[frozenset[int], int], int]  # ((args, res), val)
-
 
 # ---------------------------------------------------------------------------
 # Primes
 
 
-_PRIMES: list[int] = [2, 3]
+_PRIMES: list[int] = [2, 3]  # every prime up to _PRIMES[-1], at most DEFAULT_CEILING of them
 
 
 def _extend_primes() -> None:
-    candidate = _PRIMES[-1] + 2
-    while True:
-        for p in _PRIMES:
-            if p * p > candidate:
-                _PRIMES.append(candidate)
-                return
-            if candidate % p == 0:
-                break
-        candidate += 2
+    """Sieve of Eratosthenes over twice the range sieved so far."""
+    if len(_PRIMES) >= DEFAULT_CEILING:
+        raise CeilingExceeded(f"primes above {_PRIMES[-1]} are past the ceiling of {DEFAULT_CEILING} primes")
+    limit = 2 << _PRIMES[-1].bit_length()
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    start = _PRIMES[-1] + 1
+    fresh = itertools.compress(range(start, limit), memoryview(sieve)[start:])
+    _PRIMES.extend(itertools.islice(fresh, DEFAULT_CEILING - len(_PRIMES)))
 
 
 def kth_prime(k: int) -> int:
     """The k-th prime, 1-indexed: kth_prime(1) = 2."""
     if k < 1:
         raise ValueError("prime indices start at 1")
+    if k > DEFAULT_CEILING:
+        raise CeilingExceeded(f"prime number {k} is past the ceiling of {DEFAULT_CEILING} primes")
     while len(_PRIMES) < k:
         _extend_primes()
     return _PRIMES[k - 1]
@@ -79,14 +87,8 @@ def prime_index(p: int) -> Optional[int]:
         return None
     while _PRIMES[-1] < p:
         _extend_primes()
-    lo, hi = 0, len(_PRIMES)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _PRIMES[mid] < p:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo + 1 if lo < len(_PRIMES) and _PRIMES[lo] == p else None
+    i = bisect_left(_PRIMES, p)
+    return i + 1 if _PRIMES[i] == p else None
 
 
 def _prime_power(n: int) -> Optional[tuple[int, int]]:
@@ -110,6 +112,16 @@ def _prime_power(n: int) -> Optional[tuple[int, int]]:
 
 # ---------------------------------------------------------------------------
 # Numeration of finite partial pairs
+#
+# Over a carrier of b atoms there are K = 2^b * b keys.  Key number q has its
+# args at the position mask q // b and its result at position q % b; positions
+# follow atom order, so key numbers follow (args mask, res).  A coding of m
+# entries is a strictly increasing run of key numbers, each with its own
+# value, and codings of one size are ordered lexicographically over their
+# (key, value) entries.  Once entry i (0-based) has key q, there remain
+# comb(K-q-1, m-i-1) choices of later keys times perm(b-i-1, m-i-1) ways to
+# give them unused values, so rank and unrank are sums of such counts (the
+# combinatorial number system; Knuth, TAOCP Vol. 4A, 7.2.1.3).
 
 
 def _carrier_of_mask(mask: int) -> tuple[int, ...]:
@@ -132,36 +144,10 @@ def _mask_of_carrier(atoms: Iterable[int]) -> int:
     return mask
 
 
-def _entry_key(entry: Entry) -> tuple[int, int, int]:
-    (args, res), val = entry
-    return (_mask_of_carrier(args), res, val)
-
-
-def _entry_universe(carrier: tuple[int, ...]) -> list[Entry]:
-    entries: list[Entry] = []
-    for m in range(len(carrier) + 1):
-        for args in itertools.combinations(carrier, m):
-            for res in carrier:
-                for val in carrier:
-                    entries.append(((frozenset(args), res), val))
-    entries.sort(key=_entry_key)
-    return entries
-
-
-def _is_coding(combo: tuple[Entry, ...]) -> bool:
-    keys = {key for key, _ in combo}
-    vals = {val for _, val in combo}
-    return len(keys) == len(combo) and len(vals) == len(combo)
-
-
 def _codings_of_size(b: int, m: int) -> int:
     """How many codings with m entries a b-atom carrier admits: pick m
     distinct keys among the 2^b * b candidates and assign m distinct values."""
-    domain = (2**b) * b
-    perms = 1
-    for i in range(m):
-        perms *= b - i
-    return comb(domain, m) * perms
+    return comb((2**b) * b, m) * perm(b, m)
 
 
 def pair_count_for_size(b: int) -> int:
@@ -169,61 +155,61 @@ def pair_count_for_size(b: int) -> int:
     return sum(_codings_of_size(b, m) for m in range(b + 1))
 
 
-class _CodingEnumeration:
-    """Lazily materialized list of the valid codings over one carrier, in
-    size-then-lexicographic order over sorted entry tuples."""
-
-    def __init__(self, carrier: tuple[int, ...]):
-        self.carrier = carrier
-        self._found: list[tuple[Entry, ...]] = []
-        self._source = self._generate()
-
-    def _generate(self):
-        entries = _entry_universe(self.carrier)
-        for m in range(len(self.carrier) + 1):
-            for combo in itertools.combinations(entries, m):
-                if _is_coding(combo):
-                    yield combo
-
-    def at(self, j: int) -> tuple[Entry, ...]:
-        while len(self._found) <= j:
-            try:
-                self._found.append(next(self._source))
-            except StopIteration:
-                raise ValueError("coding index out of range") from None
-        return self._found[j]
-
-    def index(self, coding: dict) -> int:
-        m = len(coding)
-        if m > len(self.carrier):
-            raise ValueError("not a valid coding: more entries than atoms")
-        target = tuple(sorted(((key, val) for key, val in coding.items()), key=_entry_key))
-        j = sum(_codings_of_size(len(self.carrier), s) for s in range(m))
-        while True:
-            combo = self.at(j)
-            if combo == target:
-                return j
-            if len(combo) > m:
-                raise ValueError("coding not reachable over this carrier")
-            j += 1
-
-
-_CODINGS_BY_CARRIER: dict[tuple[int, ...], _CodingEnumeration] = {}
-
-
-def _codings_over(carrier: tuple[int, ...]) -> _CodingEnumeration:
-    got = _CODINGS_BY_CARRIER.get(carrier)
-    if got is None:
-        got = _CODINGS_BY_CARRIER.setdefault(carrier, _CodingEnumeration(carrier))
-    return got
-
-
 def _unrank_coding(carrier: tuple[int, ...], j: int) -> dict:
-    return {key: val for key, val in _codings_over(carrier).at(j)}
+    """The j-th coding over the sorted carrier."""
+    b = len(carrier)
+    for m in range(b + 1):
+        if j < _codings_of_size(b, m):
+            break
+        j -= _codings_of_size(b, m)
+    else:
+        raise ValueError("coding index out of range")
+    keys = (2**b) * b
+    free = list(carrier)  # values not yet used, ascending
+    coding = {}
+    q = 0
+    for i in range(m):
+        fills = perm(b - i - 1, m - i - 1)
+        while True:
+            later = comb(keys - q - 1, m - i - 1) * fills  # completions per value at key q
+            if j < len(free) * later:
+                break
+            j -= len(free) * later
+            q += 1
+        v, j = divmod(j, later)
+        args_mask, res = divmod(q, b)
+        args = frozenset(x for pos, x in enumerate(carrier) if args_mask >> pos & 1)
+        coding[(args, carrier[res])] = free.pop(v)
+        q += 1
+    return coding
 
 
 def _rank_coding(carrier: tuple[int, ...], coding: dict) -> int:
-    return _codings_over(carrier).index(coding)
+    """Index of a coding among those over the sorted carrier."""
+    b, m = len(carrier), len(coding)
+    if m > b:
+        raise ValueError("not a valid coding: more entries than atoms")
+    position = {x: pos for pos, x in enumerate(carrier)}
+    entries = []
+    for (args, res), val in coding.items():
+        if not all(x in position for x in (*args, res, val)):
+            raise ValueError("coding mentions atoms outside the carrier")
+        args_mask = sum(1 << position[x] for x in args)
+        entries.append((args_mask * b + position[res], position[val]))
+    if len({v for _, v in entries}) < m:
+        raise ValueError("not a valid coding: values are not distinct")
+    keys = (2**b) * b
+    free = list(range(b))  # positions of values not yet used
+    j = sum(_codings_of_size(b, s) for s in range(m))
+    first = 0  # least key number the next entry may take
+    for i, (q, v) in enumerate(sorted(entries)):
+        fills = perm(b - i - 1, m - i - 1)
+        # sum of comb(keys-r-1, m-i-1) over first <= r < q (hockey stick)
+        skipped = comb(keys - first, m - i) - comb(keys - q, m - i)
+        j += (len(free) * skipped + free.index(v) * comb(keys - q - 1, m - i - 1)) * fills
+        free.remove(v)
+        first = q + 1
+    return j
 
 
 def _count_below_with_popcount(limit: int, b: int) -> int:
@@ -239,38 +225,27 @@ def _count_below_with_popcount(limit: int, b: int) -> int:
     return count
 
 
-_PAIR_CACHE: dict[int, PartialPair] = {}
-
-
 def enumerate_pair(k: int) -> PartialPair:
     """The k-th finite partial pair; inverse of encode_pair."""
     if k < 0:
         raise ValueError("pair indices are naturals")
-    cached = _PAIR_CACHE.get(k)
-    if cached is not None:
-        return cached
-    n = k
     for mask in itertools.count():
-        carrier = _carrier_of_mask(mask)
-        block = pair_count_for_size(len(carrier))
-        if n < block:
-            out = PartialPair(carrier, _unrank_coding(carrier, n))
-            _PAIR_CACHE[k] = out
-            return out
-        n -= block
+        block = pair_count_for_size(mask.bit_count())
+        if k < block:
+            carrier = _carrier_of_mask(mask)
+            return PartialPair(carrier, _unrank_coding(carrier, k))
+        k -= block
     raise AssertionError
 
 
 def encode_pair(p: PartialPair) -> int:
     """Index of a finite partial pair in the numeration."""
     mask = _mask_of_carrier(p.atoms)
-    b = len(p.atoms)
     before = sum(
         pair_count_for_size(weight) * _count_below_with_popcount(mask, weight)
         for weight in range(mask.bit_length() + 1)
     )
-    carrier = tuple(sorted(p.atoms))
-    return before + _rank_coding(carrier, dict(p.coding))
+    return before + _rank_coding(tuple(sorted(p.atoms)), p.coding)
 
 
 # ---------------------------------------------------------------------------

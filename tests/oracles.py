@@ -2,12 +2,12 @@
 
 Everything here is written directly from the defining clauses, with no code
 shared with the package internals: the interpreter quantifies over full
-powersets, the completion oracle builds levels as raw nested tuples, and the
-closed-term enumerator generates nameless trees size by size.  Two
-exceptions: the witness oracle walks the materialized restriction with the
-package's own finite interpreter (both are checked against the naive oracles
-above), and the closure oracle scans keys through the coding handle it is
-given.
+powersets, the completion oracle builds levels as raw nested tuples, the
+coding generator filters every combination of entries, and the closed-term
+enumerator generates nameless trees size by size.  Two exceptions: the
+witness oracle walks the materialized restriction with the package's own
+finite interpreter (both are checked against the naive oracles above), and
+the closure oracle scans keys through the coding handle it is given.
 """
 
 from __future__ import annotations
@@ -129,6 +129,28 @@ def closure_pair_by_key_scan(coding, elements: tuple) -> PartialPair:
                 if value is not None and value in index:
                     entries[(frozenset(index[a] for a in args), index[res])] = index[value]
     return PartialPair(range(len(elements)), entries)
+
+
+# ---------------------------------------------------------------------------
+# The codings over one carrier in numeration order, by generate-and-filter:
+# every entry ((args, res), val) sorted by (args bitmask, res, val), then
+# every combination of m entries, smallest m first, whose keys and values are
+# all distinct.
+
+
+def codings_in_order(carrier: tuple[int, ...]):
+    entries = sorted(
+        (((frozenset(args), res), val)
+         for m in range(len(carrier) + 1)
+         for args in itertools.combinations(carrier, m)
+         for res in carrier
+         for val in carrier),
+        key=lambda e: (sum(1 << x for x in e[0][0]), e[0][1], e[1]),
+    )
+    for m in range(len(carrier) + 1):
+        for combo in itertools.combinations(entries, m):
+            if len({key for key, _ in combo}) == m and len({val for _, val in combo}) == m:
+                yield dict(combo)
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,12 @@ class TestMinmodel:
         assert code == 0
         assert doc == {"atoms": ["5"], "coding": [{"args": ["5"], "res": "5", "val": "5"}]}
 
+    def test_pair_past_prime_ceiling_refused(self, capsys):
+        code, out, err = run(capsys, "minmodel", "pair", "100000000")
+        lines = err.splitlines()
+        assert code == 1 and not out
+        assert len(lines) == 1 and lines[0].startswith("bound too large:")
+
 
 class TestEnumTerms:
     def test_listing(self, capsys):

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from gml.completion import (
+    CeilingExceeded,
     CompletionCoding,
     PairElement,
     apply_coding,
@@ -13,6 +14,8 @@ from gml.completion import (
 )
 from gml.minmodel import (
     PRIME_CODED,
+    _rank_coding,
+    _unrank_coding,
     component_of,
     element_code,
     element_decode,
@@ -20,6 +23,7 @@ from gml.minmodel import (
     enumerate_pair,
     is_in_P,
     kth_prime,
+    pair_count_for_size,
     prime_index,
     relocate,
     relocation_morphism,
@@ -28,6 +32,8 @@ from gml.minmodel import (
 )
 from gml.pairs import PartialPair, generate_subgraphmodel, validate
 from gml.terms import FALSE, IDENTITY, OMEGA, TRUE, parse
+
+from oracles import codings_in_order
 
 
 class TestPrimes:
@@ -42,6 +48,14 @@ class TestPrimes:
 
     def test_ten_thousandth_prime(self):
         assert kth_prime(10_000) == 104_729
+
+    def test_millionth_prime_is_the_last(self):
+        assert prime_index(15_485_863) == 10**6
+        assert kth_prime(10**6) == 15_485_863
+        with pytest.raises(CeilingExceeded):
+            kth_prime(10**6 + 1)
+        with pytest.raises(CeilingExceeded):
+            prime_index(15_485_867)  # the next prime
 
 
 class TestNumeration:
@@ -67,6 +81,42 @@ class TestNumeration:
             p = enumerate_pair(k)
             assert p not in seen
             seen.add(p)
+
+    def test_agrees_with_reference_generator(self):
+        for carrier in ((), (0,), (0, 1), (0, 1, 2), (0, 2, 3)):
+            count = 0
+            for j, coding in enumerate(codings_in_order(carrier)):
+                assert _unrank_coding(carrier, j) == coding
+                assert _rank_coding(carrier, coding) == j
+                count += 1
+            assert count == pair_count_for_size(len(carrier))
+            with pytest.raises(ValueError):
+                _unrank_coding(carrier, count)
+
+    def test_agrees_with_reference_generator_four_atoms(self):
+        carrier = (0, 1, 2, 3)
+        for j, coding in zip(range(3000), codings_in_order(carrier)):
+            assert _unrank_coding(carrier, j) == coding
+            assert _rank_coding(carrier, coding) == j
+
+    def test_roundtrip_far_indices(self):
+        for k in (10**8, 10**12, 10**20):
+            assert encode_pair(enumerate_pair(k)) == k
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            PartialPair({0, 1}, {(frozenset(), 0): 0, (frozenset({1}), 0): 0}),
+            PartialPair({0, 1}, {(frozenset(), 0): 2}),
+            PartialPair({0, 1}, {(frozenset({0, 2}), 1): 1}),
+            PartialPair({0}, {(frozenset(), 0): 0, (frozenset({0}), 0): 0}),
+            PartialPair({-1, 0}),
+        ],
+        ids=["not-injective", "value-outside", "args-outside", "too-many-entries", "negative-atom"],
+    )
+    def test_invalid_pairs_rejected(self, pair):
+        with pytest.raises(ValueError):
+            encode_pair(pair)
 
     def test_encode_arbitrary_carrier(self):
         for p in (

@@ -1,16 +1,24 @@
 """The benchmark harness in perfbench/ reaches into the package by name: the
 traced run patches every `module.attr` in spans.BOUNDARIES, and the answer
 checker builds elements as minmodel.AtomCode/PairCode.  A renamed or deleted
-name would crash every benchmark run, so the names are checked here."""
+name would crash every benchmark run, so the names are checked here.  Short
+runs of the benchmark's worker, with its answer checker, catch a change in
+output bytes or a broken numeration round trip before a full benchmark run."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import gml
 import gml.cli  # noqa: F401  (the tracer patches names on gml.cli too)
 from gml import minmodel
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -31,3 +39,16 @@ def test_checker_element_names_round_trip():
     pair = minmodel.PairCode(frozenset({atom}), atom)
     for e in (atom, pair):
         assert minmodel.element_decode(minmodel.element_code(e)) is e
+
+
+@pytest.mark.parametrize("workload, count", [("numeration", 150), ("search", 60)])
+def test_benchmark_answers_check(tmp_path, workload, count):
+    out = tmp_path / "run.json"
+    expected = ROOT / "perfbench" / "expected" / f"{workload}.txt"
+    argv = ["--root", ROOT, "--workload", workload, "--seed", 1, "--count", count,
+            "--expected", expected, "--dir", tmp_path / "pairs", "--out", out]
+    worker = [sys.executable, ROOT / "perfbench" / "worker.py"]
+    subprocess.run([str(a) for a in worker + argv], check=True, timeout=300)
+    doc = json.loads(out.read_text())
+    assert len(doc["queries"]) == count
+    assert [q for q in doc["queries"] if q[1] == "error"] == [], doc["errors"]
