@@ -8,7 +8,10 @@ through exact structural rules and answers membership queries recursively.
   * variables look up the environment;
   * an abstraction enumerates coded keys plus the uncoded keys one rank
     down (this is the only place a level is materialized, ceiling-guarded),
-    while membership queries just invert the total coding;
+    while membership queries just invert the total coding.  Each argument
+    set over the lower level takes one enumeration of the body cut to that
+    rank, which holds exactly the lower-level results the body gives for
+    it; that enumeration reaches no level above the one materialized;
   * an applied abstraction reduces: because interpretation is monotone in
     the environment and every key over the previous level is available in
     the restriction, the redex equals the body evaluated under the full
@@ -24,6 +27,10 @@ the test suite at small ranks.  When no rule applies within the element
 ceiling the evaluator refuses with ApproximationInfeasible rather than
 approximate: enumeration results are exact, and non-membership claims are
 always tagged with the rank bound they were checked at.
+
+Queries are memoized per evaluator, keyed by a term number and the serials
+of the values bound to the term's free variables.  Structurally equal terms
+share a number, so they share entries; no key holds a term.
 
 Certificates come from the same derivation.  extract_witness_subpair walks
 the term with the memoized membership and enumeration queries and keeps the
@@ -54,12 +61,12 @@ from .completion import (
     element_str,
     element_valid,
     elements_up_to,
-    pair_of,
+    pair_of_sorted,
     restriction_atom,
 )
 from .pairs import PartialPair, validate
 from .semantics import Environment, interpret
-from .terms import Abs, App, LambdaTerm, Var, free_vars, is_closed, print_term
+from .terms import Abs, App, LambdaTerm, Var, is_closed, print_term
 
 # No longer called here, but perfbench/spans.py patches both names on this
 # module to trace calls into the completion and pair layers.
@@ -141,9 +148,10 @@ class Evaluator:
         self.coded_by_res: dict[int, list[tuple[frozenset[int], int]]] = {}
         for (a, alpha), v in pair.coding.items():
             self.coded_by_res.setdefault(alpha, []).append((a, v))
+        self._nodes: dict[int, tuple[int, tuple[str, ...], LambdaTerm]] = {}
+        self._numbers: dict[tuple, int] = {}
         self._contains_memo: dict = {}
         self._enum_memo: dict = {}
-        self._fv_cache: dict = {}
         self._explicit_cache: dict[frozenset, ExplicitValue] = {}
         self._lazy_cache: dict = {}
 
@@ -156,30 +164,51 @@ class Evaluator:
             got = self._explicit_cache.setdefault(elements, ExplicitValue(elements))
         return got
 
-    def _fv(self, t: LambdaTerm) -> frozenset[str]:
-        got = self._fv_cache.get(id(t))
-        if got is None:
-            got = free_vars(t)
-            self._fv_cache[id(t)] = got
+    def _node(self, t: LambdaTerm) -> tuple[int, tuple[str, ...], LambdaTerm]:
+        """t's term number and sorted free variable names.
+
+        Structurally equal terms get the same number, built from the numbers
+        of their children.  The entry is found by id(t) and holds t, so the
+        id cannot be reused by another term while the evaluator lives.
+        """
+        got = self._nodes.get(id(t))
+        if got is not None:
+            return got
+        if isinstance(t, Var):
+            shape, names = ("v", t.name), (t.name,)
+        elif isinstance(t, Abs):
+            body = self._node(t.body)
+            shape = ("l", t.binder, body[0])
+            names = tuple(name for name in body[1] if name != t.binder)
+        else:
+            fun, arg = self._node(t.fun), self._node(t.arg)
+            shape = ("a", fun[0], arg[0])
+            names = tuple(sorted({*fun[1], *arg[1]}))
+        number = self._numbers.setdefault(shape, len(self._numbers))
+        got = self._nodes[id(t)] = (number, names, t)
         return got
 
-    def _env_key(self, t: LambdaTerm, env: dict) -> tuple:
-        return tuple(
-            (name, env[name].serial if name in env else -1)
-            for name in sorted(self._fv(t))
-        )
+    def _key(self, t: LambdaTerm, env: dict, last) -> tuple:
+        """Memo key: t's number, the serials of its free variables' values
+        (-1 when unbound), then `last`."""
+        number, names, _ = self._nodes.get(id(t)) or self._node(t)  # hit inlined: hot path
+        if not names:
+            return (number, last)
+        return (number, *[env[name].serial if name in env else -1 for name in names], last)
 
     def _level(self, j: int) -> tuple[CompletionElement, ...]:
+        """The elements of rank <= j in sort_key order, so that argument
+        tuples drawn from it in order are already sorted."""
         elems = elements_up_to(self.pair, j, self.ceiling)
         keys = (2 ** len(elems)) * len(elems)
         if keys > self.ceiling:
             raise ApproximationInfeasible(
                 f"abstraction over level {j} needs {keys} keys, ceiling is {self.ceiling}"
             )
-        return elems
+        return tuple(sorted(elems, key=lambda e: e.sort_key()))
 
     def _lazy(self, term: LambdaTerm, env: dict, trim: int) -> "LazyValue":
-        key = (term, self._env_key(term, env), trim)
+        key = self._key(term, env, trim)
         got = self._lazy_cache.get(key)
         if got is None:
             got = self._lazy_cache.setdefault(key, LazyValue(self, term, env, trim))
@@ -190,7 +219,7 @@ class Evaluator:
     def enumerate(self, t: LambdaTerm, env: dict, trim: int) -> frozenset:
         """interp(t, B_k, env) cut to rank <= trim, as an explicit set."""
         trim = min(trim, self.k)
-        key = (t, self._env_key(t, env), trim)
+        key = self._key(t, env, trim)
         got = self._enum_memo.get(key)
         if got is not None:
             return got
@@ -218,12 +247,11 @@ class Evaluator:
                         args_set = frozenset(args)
                         bound = self.explicit(args_set)
                         inner = {**env, t.binder: bound}
-                        for alpha in prev:
+                        for alpha in self.enumerate(t.body, inner, trim - 1):
                             key = _atom_key(args_set, alpha)
                             if key is not None and key in self.pair.coding:
                                 continue  # coded keys collapse; handled above
-                            if self.contains(t.body, inner, alpha):
-                                out.add(pair_of(args_set, alpha))
+                            out.add(pair_of_sorted(args, alpha))
             return frozenset(out)
 
         # application
@@ -250,7 +278,7 @@ class Evaluator:
         """Whether e lies in interp(t, B_k, env)."""
         if e.rank > self.k:
             return False
-        key = (t, self._env_key(t, env), e)
+        key = self._key(t, env, e)
         got = self._contains_memo.get(key)
         if got is not None:
             return got

@@ -9,6 +9,7 @@ a membership not found), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -76,7 +77,9 @@ def _split_claim(text: str) -> tuple[str, str, str]:
     raise UsageError('expected an (in)equation like "M = N" or "M <= N"')
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     top = argparse.ArgumentParser(prog="gml", description=__doc__)
     top.add_argument("--json", action="store_true", help="strict JSON on stdout")
     sub = top.add_subparsers(dest="command", required=True)

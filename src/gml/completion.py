@@ -110,8 +110,12 @@ def base(atom: int) -> BaseElement:
 
 
 def pair_of(args: Iterable[CompletionElement], res: CompletionElement) -> PairElement:
-    args_sorted = tuple(sorted(set(args), key=lambda e: e.sort_key()))
-    key = (tuple(id(e) for e in args_sorted), id(res))
+    return pair_of_sorted(tuple(sorted(set(args), key=lambda e: e.sort_key())), res)
+
+
+def pair_of_sorted(args_sorted: tuple[CompletionElement, ...], res: CompletionElement) -> PairElement:
+    """pair_of for arguments that are already distinct and in sort_key order."""
+    key = (args_sorted, res)  # elements are interned, so they compare by identity
     got = _PAIR_INTERN.get(key)
     if got is None:
         got = _PAIR_INTERN.setdefault(key, PairElement(args_sorted, res))

@@ -4,10 +4,11 @@ Everything here is written directly from the defining clauses, with no code
 shared with the package internals: the interpreter quantifies over full
 powersets, the completion oracle builds levels as raw nested tuples, the
 coding generator filters every combination of entries, and the closed-term
-enumerator generates nameless trees size by size.  Two exceptions: the
+enumerator generates nameless trees size by size.  Three exceptions: the
 witness oracle walks the materialized restriction with the package's own
-finite interpreter (both are checked against the naive oracles above), and
-the closure oracle scans keys through the coding handle it is given.
+finite interpreter (both are checked against the naive oracles above), the
+closure oracle scans keys through the coding handle it is given, and the
+abstraction oracle asks the package's evaluator one membership at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +17,16 @@ import itertools
 from functools import lru_cache
 from random import Random
 
-from gml.completion import restrict
+from gml.approximation import Evaluator
+from gml.completion import (
+    DEFAULT_CEILING,
+    CeilingExceeded,
+    PairElement,
+    apply_coding,
+    base,
+    elements_up_to,
+    restrict,
+)
 from gml.pairs import PartialPair, union
 from gml.semantics import Environment, interpret
 from gml.terms import Abs, App, LambdaTerm, Var, from_nameless
@@ -112,6 +122,37 @@ def restriction_witness(t: LambdaTerm, pair: PartialPair, e, k: int) -> PartialP
 
     found = ex(t, Environment(), target)
     return PartialPair(found.atoms, found.coding, labels={a: b.label(a) for a in found.atoms})
+
+
+# ---------------------------------------------------------------------------
+# The rank-k approximation of a closed term by membership queries alone.  At
+# an abstraction this is the rule the evaluator first enumerated with: for
+# every argument set over the level one rank down, one membership query per
+# element of that level, refused when that level has more keys than the
+# ceiling.  An application's members lie in the level one rank down (rank 0
+# at k = 0): every key in the rank-k restriction has its result there.
+
+
+def abstraction_by_membership(t: LambdaTerm, pair: PartialPair, k: int) -> frozenset:
+    ev = Evaluator(pair, k)
+    if not isinstance(t, Abs):
+        return frozenset(e for e in elements_up_to(pair, max(k - 1, 0)) if ev.contains(t, {}, e))
+    out = set()
+    for (a, alpha), v in pair.coding.items():
+        if ev.contains(t.body, {t.binder: ev.explicit(map(base, a))}, base(alpha)):
+            out.add(base(v))
+    if k >= 1:
+        prev = elements_up_to(pair, k - 1)
+        if 2 ** len(prev) * len(prev) > DEFAULT_CEILING:
+            raise CeilingExceeded(f"abstraction over level {k - 1} is too large")
+        for m in range(len(prev) + 1):
+            for args in itertools.combinations(prev, m):
+                inner = {t.binder: ev.explicit(args)}
+                for alpha in prev:
+                    e = apply_coding(pair, args, alpha)
+                    if isinstance(e, PairElement) and ev.contains(t.body, inner, alpha):
+                        out.add(e)
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from gml.approximation import (
     member,
 )
 from gml.completion import (
+    CeilingExceeded,
     base,
     lift_automorphism,
     pair_of,
@@ -21,8 +22,8 @@ from gml.completion import (
 )
 from gml.pairs import PartialPair, automorphisms, is_subpair, union, validate
 from gml.semantics import Environment, interpret
-from gml.terms import FALSE, IDENTITY, OMEGA, TRUE, Var, parse
-from oracles import closed_terms_up_to, random_pair, restriction_witness
+from gml.terms import FALSE, IDENTITY, OMEGA, TRUE, Abs, App, Var, parse
+from oracles import abstraction_by_membership, closed_terms_up_to, random_pair, restriction_witness
 
 
 def approx_oracle(t, p, k):
@@ -116,6 +117,50 @@ class TestApproxInterpret:
                             r.of_atom[a] for a in interpret(t, r.pair, env_atoms)
                         )
                         assert ours == oracle, (text, k, sorted(map(str, chosen)))
+
+    def test_abstraction_rule_matches_membership(self):
+        """One body enumeration per argument set gives the same sets, and the
+        same refusals, as one membership query per key."""
+        rng = Random(46)
+
+        def pair_over(n):
+            while True:
+                p = random_pair(rng, max_atoms=n, max_entries=3)
+                if len(p.atoms) == n:
+                    return p
+
+        def outcome(run):
+            try:
+                return run()
+            except CeilingExceeded:
+                return "refused"
+
+        closed = closed_terms_up_to(8)
+        terms = closed[:30] + [t for t in closed if isinstance(t, App)][:20]
+        one_atom = [PartialPair({0})] + [PartialPair({0}, {(a, 0): 0}) for a in (frozenset(), frozenset({0}))]
+        pairs = one_atom + [pair_over(2) for _ in range(2)] + [pair_over(3) for _ in range(2)]
+        refused = 0
+        for p in pairs:
+            for t in terms:
+                for k in (1, 2):
+                    ours = outcome(lambda: approx_interpret(t, p, k=k))
+                    assert ours == outcome(lambda: abstraction_by_membership(t, p, k)), (t, p, k)
+                    refused += ours == "refused"
+        assert refused > 0
+
+    def test_memo_keys_survive_term_id_reuse(self):
+        """Equal terms built afresh, with throwaway terms between them, get
+        the answers of a fresh evaluator."""
+        p = PartialPair([0, 1], {})
+        ev = Evaluator(p, 1)
+        wrong = 0
+        for i in range(2000):
+            ev.enumerate(App(Abs("z", Var("z")), Abs("w", Var("w"))), {}, 1)
+            t = App(Abs("z", Var("z")), Var("x"))
+            got = ev.enumerate(t, {"x": ev.explicit({base(i % 2)})}, 1)
+            fresh = Evaluator(p, 1)
+            wrong += got != fresh.enumerate(t, {"x": fresh.explicit({base(i % 2)})}, 1)
+        assert wrong == 0
 
     def test_environment_rank_precondition(self, free1):
         env = Environment({"x": {pair_of([], base(0))}})

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gml
 from gml.cli import main
 from gml.pairs import PartialPair
 
@@ -281,3 +286,18 @@ class TestOutputContract:
 
     def test_unknown_command_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, coded_file):
+        """Calls share one parser; no flag or parsed value carries over."""
+        env = {**os.environ, "PYTHONPATH": str(Path(gml.__file__).parents[1])}
+        for argv in (
+            ["--json", "check", "--pair", coded_file, "T <= F"],
+            ["check", "--pair", coded_file, "T <= F"],
+            ["check", "--pair", coded_file, "--kM", "two", "I <= I"],
+            ["parse", "\\x.(x) x"],
+        ):
+            code, out, _ = run(capsys, *argv)
+            alone = subprocess.run(
+                [sys.executable, "-m", "gml.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+            )
+            assert (code, out) == (alone.returncode, alone.stdout), argv
