@@ -35,12 +35,14 @@ share a number, so they share entries; no key holds a term.
 Certificates come from the same derivation.  extract_witness_subpair walks
 the term with the memoized membership and enumeration queries and keeps the
 least supporting key at each node: the unique coding preimage at an
-abstraction, the least key in restriction atom order at an application.  Its
-atoms are numbered as in the rank-k restriction, counted in closed form over
-the lower levels, so the restriction is never built; the small subpair is
-then re-verified by the independent finite interpreter, semantics.interpret.
-Abstraction witnesses over three atoms at rank 2, whose restriction would
-hold billions of elements, answer this way.
+abstraction, the least key in restriction atom order at an application.  At
+a redex the uncoded keys are searched in that order, pruned by monotonicity,
+and the first one found is the least, so the abstraction is never
+enumerated.  Its atoms are numbered as in the rank-k restriction, counted in
+closed form over the lower levels, so the restriction is never built; the
+small subpair is then re-verified by the independent finite interpreter,
+semantics.interpret.  Abstraction and redex witnesses over three atoms at
+rank 2, whose restriction would hold billions of elements, answer this way.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .completion import (
     element_str,
     element_valid,
     elements_up_to,
+    pair_of,
     pair_of_sorted,
     restriction_atom,
 )
@@ -311,18 +314,77 @@ class Evaluator:
     def supporting_keys(self, t: App, env: dict, e: CompletionElement):
         """The keys (args, value) putting e in interp(t): value in the
         function side, args inside the argument side.  Coded keys come first,
-        then the pair elements of the function side."""
+        then the uncoded keys, whose value is the pair element (args, e).
+
+        At a redex (\\x.B) N the uncoded keys are the (S, e) with S a subset
+        of A, the elements of rank <= k-1 that N contains, and e in B under
+        x = S.  They come in witness order (S sorted by rank and structure,
+        compared lexicographically, a prefix first) from a depth-first search
+        over A that visits a set before its extensions, so the abstraction is
+        never enumerated.  Interpretation is monotone in the environment:
+        once B under x = chosen + A[i:] misses e, no later set in the loop
+        can hold, and the loop stops.  The search passes over a set that
+        holds only when it is a coded key, which is all-atom, so reaching the
+        first key takes about |A| * 2^b membership queries over b atoms.  The
+        abstraction rule's key-count guard is therefore not needed here.
+        The level is still built under the element ceiling, and the search
+        refuses once its probes have bound more elements than the ceiling,
+        as a least key with thousands of arguments would need.
+
+        Other function sides yield the pair elements they enumerate, in no
+        particular order.  contains() never takes the redex branch: it
+        reduces a redex first, and at k = 0 the rank test excludes it.
+        """
         if isinstance(e, BaseElement):
             for a, v in self.coded_by_res.get(e.atom, ()):
                 if self.contains(t.fun, env, base(v)) and all(
                     self.contains(t.arg, env, base(x)) for x in a
                 ):
                     yield frozenset(map(base, a)), base(v)
-        if e.rank <= self.k - 1:
-            for w in self.enumerate(t.fun, env, self.k):
-                if isinstance(w, PairElement) and w.res is e:
-                    if all(self.contains(t.arg, env, x) for x in w.args):
-                        yield w.args, w
+        if e.rank > self.k - 1:
+            return
+        if isinstance(t.fun, Abs):
+            yield from self._redex_keys(t.fun, t.arg, env, e)
+            return
+        for w in self.enumerate(t.fun, env, self.k):
+            if isinstance(w, PairElement) and w.res is e:
+                if all(self.contains(t.arg, env, x) for x in w.args):
+                    yield w.args, w
+
+    def _redex_keys(self, fun: Abs, arg: LambdaTerm, env: dict, e: CompletionElement):
+        # elements_up_to lists elements in (rank, structural) order already
+        cands = tuple(
+            x for x in elements_up_to(self.pair, self.k - 1, self.ceiling) if self.contains(arg, env, x)
+        )
+        work = 0
+
+        def holds(args: tuple) -> bool:
+            nonlocal work
+            work += len(args) + 1
+            if work > self.ceiling:
+                raise ApproximationInfeasible(
+                    f"redex key search over {len(cands)} candidate arguments "
+                    f"probes more than {self.ceiling} elements"
+                )
+            return self.contains(fun.body, {**env, fun.binder: self.explicit(args)}, e)
+
+        def keys_at(args: tuple):
+            if holds(args):
+                key = _atom_key(frozenset(args), e)
+                if key is None or key not in self.pair.coding:
+                    w = pair_of(args, e)
+                    yield w.args, w
+
+        yield from keys_at(())
+        # each entry is a set already visited and the position its loop resumes at
+        stack = [((), 0)]
+        while stack:
+            chosen, i = stack.pop()
+            if i == len(cands) or not holds(chosen + cands[i:]):
+                continue
+            child = chosen + (cands[i],)
+            stack += [(chosen, i + 1), (child, i + 1)]
+            yield from keys_at(child)
 
     # -- the self-application collapse --------------------------------------------
     #
@@ -407,6 +469,8 @@ def member(
 
     The environment is trimmed to rank <= k at each probe level k.
     """
+    if max_rank < 0:
+        raise ValueError("rank bound must be non-negative")
     if not element_valid(p, e):
         raise ValueError(f"element {element_str(e, p)} is not valid over the pair")
     for probe in range(max_rank + 1):
@@ -462,9 +526,15 @@ def extract_witness_subpair(
             elements.update(args)
             walk(node.body, {**env_v, node.binder: ev.explicit(args)}, res)
             return
-        # restriction atoms are numbered in (rank, structural) order
+        # restriction atoms are numbered in (rank, structural) order; a
+        # redex's uncoded keys come in that order, so its first is its least
+        keys = []
+        for kv in ev.supporting_keys(node, env_v, alpha):
+            keys.append(kv)
+            if isinstance(node.fun, Abs) and isinstance(kv[1], PairElement):
+                break
         args, value = min(
-            ev.supporting_keys(node, env_v, alpha),
+            keys,
             key=lambda kv: sorted((x.rank, x.sort_key()) for x in kv[0]),
             default=(None, None),
         )

@@ -398,6 +398,8 @@ def search_counterexample(
     enough index and rank budget.  Components whose check exceeds the element
     ceiling are skipped with a logged notice.
     """
+    if max_index < 0:
+        raise ValueError("index bound must be non-negative")
     if not is_closed(lhs) or not is_closed(rhs):
         raise ValueError("counterexample search expects closed terms")
     for k in range(max_index + 1):

@@ -4,11 +4,12 @@ Everything here is written directly from the defining clauses, with no code
 shared with the package internals: the interpreter quantifies over full
 powersets, the completion oracle builds levels as raw nested tuples, the
 coding generator filters every combination of entries, and the closed-term
-enumerator generates nameless trees size by size.  Three exceptions: the
+enumerator generates nameless trees size by size.  Four exceptions: the
 witness oracle walks the materialized restriction with the package's own
 finite interpreter (both are checked against the naive oracles above), the
-closure oracle scans keys through the coding handle it is given, and the
-abstraction oracle asks the package's evaluator one membership at a time.
+closure oracle scans keys through the coding handle it is given, the
+abstraction oracle asks the package's evaluator one membership at a time,
+and the key oracle enumerates an application's function side with it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from random import Random
 from gml.approximation import Evaluator
 from gml.completion import (
     DEFAULT_CEILING,
+    BaseElement,
     CeilingExceeded,
     PairElement,
     apply_coding,
@@ -153,6 +155,27 @@ def abstraction_by_membership(t: LambdaTerm, pair: PartialPair, k: int) -> froze
                     if isinstance(e, PairElement) and ev.contains(t.body, inner, alpha):
                         out.add(e)
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# The keys supporting e in an application, by enumerating its function side
+# whole: the coded keys, then the pair elements (S, e) of the function side
+# with S inside the argument side, sorted in witness order (S's elements in
+# (rank, structural) order, compared lexicographically, a prefix first).
+
+
+def supporting_keys_by_enumeration(ev: Evaluator, t: App, env: dict, e):
+    if isinstance(e, BaseElement):
+        for a, v in ev.coded_by_res.get(e.atom, ()):
+            if ev.contains(t.fun, env, base(v)) and all(ev.contains(t.arg, env, base(x)) for x in a):
+                yield frozenset(map(base, a)), base(v)
+    if e.rank <= ev.k - 1:
+        keys = [
+            (w.args, w)
+            for w in ev.enumerate(t.fun, env, ev.k)
+            if isinstance(w, PairElement) and w.res is e and all(ev.contains(t.arg, env, x) for x in w.args)
+        ]
+        yield from sorted(keys, key=lambda kv: sorted((x.rank, x.sort_key()) for x in kv[0]))
 
 
 # ---------------------------------------------------------------------------

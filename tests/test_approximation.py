@@ -15,6 +15,7 @@ from gml.approximation import (
 from gml.completion import (
     CeilingExceeded,
     base,
+    elements_up_to,
     lift_automorphism,
     pair_of,
     restrict,
@@ -23,7 +24,14 @@ from gml.completion import (
 from gml.pairs import PartialPair, automorphisms, is_subpair, union, validate
 from gml.semantics import Environment, interpret
 from gml.terms import FALSE, IDENTITY, OMEGA, TRUE, Abs, App, Var, parse
-from oracles import abstraction_by_membership, closed_terms_up_to, random_pair, restriction_witness
+from oracles import (
+    abstraction_by_membership,
+    closed_terms_up_to,
+    random_pair,
+    random_term,
+    restriction_witness,
+    supporting_keys_by_enumeration,
+)
 
 
 def approx_oracle(t, p, k):
@@ -147,6 +155,29 @@ class TestApproxInterpret:
                     assert ours == outcome(lambda: abstraction_by_membership(t, p, k)), (t, p, k)
                     refused += ours == "refused"
         assert refused > 0
+
+    def test_membership_monotone_in_environment(self):
+        """Binding a variable to a larger set never loses a member; the
+        ordered redex search prunes on this."""
+        rng = Random(47)
+        checked = 0
+        for _ in range(150):
+            p = random_pair(rng, max_atoms=2)
+            body = random_term(rng, 7)
+            k = rng.choice((1, 2))
+            lower, upper = elements_up_to(p, k - 1), elements_up_to(p, k)
+            ev = Evaluator(p, k)
+            for _ in range(4):
+                big = frozenset(x for x in lower if rng.random() < 0.5)
+                small = frozenset(x for x in big if rng.random() < 0.5)
+                for e in rng.sample(upper, min(len(upper), 12)):
+                    try:
+                        if ev.contains(body, {"a": ev.explicit(small)}, e):
+                            assert ev.contains(body, {"a": ev.explicit(big)}, e), (body, p, small, big, e)
+                            checked += 1
+                    except CeilingExceeded:
+                        pass
+        assert checked >= 100
 
     def test_memo_keys_survive_term_id_reuse(self):
         """Equal terms built afresh, with throwaway terms between them, get
@@ -311,6 +342,76 @@ class TestWitnessFromEvaluator:
         assert w.coding == {(frozenset({i}), i): o}
         assert w.labels == {i: "({a},a)", o: "({({a},a)},({a},a))"}
         assert o in interpret(IDENTITY, w)
+
+    def test_three_atom_rank_two_redex(self):
+        free3 = PartialPair({0, 1, 2}, labels={0: "a", 1: "b", 2: "c"})
+        t = parse("(\\x.x) (\\y.y)")
+        e = pair_of([base(0)], base(0))
+        assert member(t, free3, e, 2).rank == 2
+        w = extract_witness_subpair(t, free3, e, 2)
+        i, o = restriction_atom(free3, e), restriction_atom(free3, pair_of([e], e))
+        assert w.atoms == {0, i, o}
+        assert w.coding == {(frozenset({0}), 0): i, (frozenset({i}), i): o}
+        assert w.labels == {0: "a", i: "({a},a)", o: "({({a},a)},({a},a))"}
+        assert i in interpret(t, w)
+
+    def test_redex_search_refuses_past_ceiling(self):
+        """A least key that needs thousands of arguments refuses quickly."""
+        free2 = PartialPair({0, 1})
+        inner = pair_of([base(1)], base(1))
+        e = pair_of([inner], inner)
+        t = parse("(\\x.x) (\\y.y)")
+        assert member(t, free2, e, 3).rank == 3
+        with pytest.raises(ApproximationInfeasible, match="redex key search"):
+            extract_witness_subpair(t, free2, e, 3)
+
+    def test_redex_keys_match_enumeration(self, monkeypatch):
+        """At every redex the walk meets, the ordered search yields exactly
+        the keys the function side's enumeration gives, in witness order, and
+        the walk picks the same keys with either rule."""
+        terms = [
+            parse(s)
+            for s in (
+                "(\\x.x) (\\y.y)",
+                "(\\x.\\y.y x) (\\z.z)",
+                "(\\x.x) ((\\y.y) (\\z.z))",
+                "\\x.(\\y.\\z.y) x x",
+                "(\\x.x x) (\\x.x x)",
+                "(\\x.x x) (\\y.y)",
+                "(\\x.\\y.x) (\\z.z)",
+                "\\x.(\\y.y y) x",
+            )
+        ]
+        pairs = [
+            PartialPair({0, 1}),
+            PartialPair({0, 1}, {(frozenset({0}), 0): 1}),
+            PartialPair({0, 1}, {(frozenset({0}), 0): 0, (frozenset({1}), 1): 1}),
+            # coded keys that are the least candidates of their element
+            PartialPair({0, 1}, {(frozenset(), 0): 0, (frozenset({0, 1}), 1): 1}),
+            PartialPair({0, 1}, {(frozenset(), 1): 0, (frozenset({0}), 0): 1}),
+        ]
+        ordered = Evaluator.supporting_keys
+
+        def compared(ev, t, env, e):
+            keys = list(ordered(ev, t, env, e))
+            if isinstance(t.fun, Abs):
+                assert keys == list(supporting_keys_by_enumeration(ev, t, env, e)), (t, e)
+            return iter(keys)
+
+        rng = Random(48)
+        cases = []
+        monkeypatch.setattr(Evaluator, "supporting_keys", compared)
+        for p in pairs:
+            for t in terms:
+                found = sorted(approx_interpret(t, p, k=2), key=lambda e: e.sort_key())
+                for e in found[:3] + rng.sample(found[3:], min(len(found[3:]), 3)):
+                    rank = member(t, p, e, 2).rank
+                    cases.append((t, p, e, rank, extract_witness_subpair(t, p, e, rank)))
+        monkeypatch.setattr(Evaluator, "supporting_keys", supporting_keys_by_enumeration)
+        for t, p, e, rank, ours in cases:
+            oracle = extract_witness_subpair(t, p, e, rank)
+            assert (ours.atoms, ours.coding, ours.labels) == (oracle.atoms, oracle.coding, oracle.labels), (t, p, e)
+        assert len(cases) >= 100
 
     def test_invalid_element_rejected(self, p1):
         with pytest.raises(ValueError):

@@ -125,6 +125,19 @@ class TestThreeAtomWitness:
             "coding": [{"args": ["({a},a)"], "res": "({a},a)", "val": "({({a},a)},({a},a))"}],
         }
 
+    def test_rank_two_redex_answers(self, capsys, pair_file):
+        free3 = pair_file(PartialPair({0, 1, 2}, labels={0: "a", 1: "b", 2: "c"}), "free3.json")
+        code, doc = run_json(capsys, "witness", "--pair", free3, "--rank", "2", "(\\x.x) (\\y.y)", "({a},a)")
+        assert code == 0
+        assert doc["found"] and doc["rank"] == 2
+        assert doc["witness_subpair"] == {
+            "atoms": ["a", "({a},a)", "({({a},a)},({a},a))"],
+            "coding": [
+                {"args": ["a"], "res": "a", "val": "({a},a)"},
+                {"args": ["({a},a)"], "res": "({a},a)", "val": "({({a},a)},({a},a))"},
+            ],
+        }
+
 
 class TestMalformedInput:
     def assert_usage_error(self, capsys, *argv):
@@ -165,6 +178,13 @@ class TestMalformedInput:
         self.assert_usage_error(capsys, "interp", "--pair", pair, "I")
         self.assert_usage_error(capsys, "complete", "--pair", pair, "--rank", "1")
         self.assert_usage_error(capsys, "member", "--pair", pair, "I", "a")
+
+    def test_negative_rank(self, capsys, free_file):
+        for command in ("member", "witness"):
+            self.assert_usage_error(capsys, command, "--pair", free_file, "--rank", "-1", "\\x.x", "0")
+
+    def test_negative_max_index(self, capsys):
+        self.assert_usage_error(capsys, "minmodel", "search", "--max-index", "-5", "\\x.x <= \\x.x x")
 
     def assert_too_deep(self, capsys, *argv):
         assert run(capsys, *argv) == (2, "", "usage error: input nested too deeply\n")
