@@ -41,7 +41,7 @@ def test_checker_element_names_round_trip():
         assert minmodel.element_decode(minmodel.element_code(e)) is e
 
 
-@pytest.mark.parametrize("workload, count", [("numeration", 150), ("search", 120), ("certify", 200)])
+@pytest.mark.parametrize("workload, count", [("numeration", 150), ("search", 60), ("search", 120), ("certify", 200)])
 def test_benchmark_answers_check(tmp_path, workload, count):
     out = tmp_path / "run.json"
     expected = ROOT / "perfbench" / "expected" / f"{workload}.txt"
