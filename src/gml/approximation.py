@@ -28,9 +28,12 @@ ceiling the evaluator refuses with ApproximationInfeasible rather than
 approximate: enumeration results are exact, and non-membership claims are
 always tagged with the rank bound they were checked at.
 
-Queries are memoized per evaluator, keyed by a term number and the serials
-of the values bound to the term's free variables.  Structurally equal terms
-share a number, so they share entries; no key holds a term.
+Environment values are explicit frozensets or LazyValues, which stand for
+a trimmed interpretation set and answer `in` and iteration alike.  Queries
+are memoized per evaluator, keyed by a term number and the values bound to
+the term's free variables: frozensets compare by content and lazy values by
+identity.  Structurally equal terms share a number, so they share entries;
+no key holds a term.
 
 Certificates come from the same derivation.  extract_witness_subpair walks
 the term with the memoized membership and enumeration queries and keeps the
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .completion import (
     CeilingExceeded,
@@ -93,47 +96,25 @@ def _is_self_apply(t: LambdaTerm) -> bool:
     )
 
 
-_SERIALS = itertools.count()
-
-
-class ExplicitValue:
-    """An environment value given by an explicit finite element set."""
-
-    __slots__ = ("elements", "serial")
-
-    def __init__(self, elements: frozenset):
-        self.elements = elements
-        self.serial = next(_SERIALS)
-
-    def contains(self, e: CompletionElement) -> bool:
-        return e in self.elements
-
-    def enumerate(self) -> frozenset:
-        return self.elements
-
-
 class LazyValue:
-    """An environment value standing for a trimmed interpretation set."""
+    """An environment value standing for a trimmed interpretation set.
 
-    __slots__ = ("evaluator", "term", "env", "trim", "serial", "_cache")
+    Like an explicit value, a frozenset, it answers `in` and iteration; it
+    compares and hashes by identity, so Evaluator._lazy makes one per key."""
+
+    __slots__ = ("evaluator", "term", "env", "trim")
 
     def __init__(self, evaluator: "Evaluator", term: LambdaTerm, env: dict, trim: int):
         self.evaluator = evaluator
         self.term = term
         self.env = env
         self.trim = trim
-        self.serial = next(_SERIALS)
-        self._cache: Optional[frozenset] = None
 
-    def contains(self, e: CompletionElement) -> bool:
-        if e.rank > self.trim:
-            return False
-        return self.evaluator.contains(self.term, self.env, e)
+    def __contains__(self, e: CompletionElement) -> bool:
+        return e.rank <= self.trim and self.evaluator.contains(self.term, self.env, e)
 
-    def enumerate(self) -> frozenset:
-        if self._cache is None:
-            self._cache = self.evaluator.enumerate(self.term, self.env, self.trim)
-        return self._cache
+    def __iter__(self):
+        return iter(self.evaluator.enumerate(self.term, self.env, self.trim))  # memoized there
 
 
 class Evaluator:
@@ -155,17 +136,9 @@ class Evaluator:
         self._numbers: dict[tuple, int] = {}
         self._contains_memo: dict = {}
         self._enum_memo: dict = {}
-        self._explicit_cache: dict[frozenset, ExplicitValue] = {}
         self._lazy_cache: dict = {}
 
     # -- plumbing ------------------------------------------------------------
-
-    def explicit(self, elements: Iterable[CompletionElement]) -> ExplicitValue:
-        elements = frozenset(elements)
-        got = self._explicit_cache.get(elements)
-        if got is None:
-            got = self._explicit_cache.setdefault(elements, ExplicitValue(elements))
-        return got
 
     def _node(self, t: LambdaTerm) -> tuple[int, tuple[str, ...], LambdaTerm]:
         """t's term number and sorted free variable names.
@@ -192,12 +165,12 @@ class Evaluator:
         return got
 
     def _key(self, t: LambdaTerm, env: dict, last) -> tuple:
-        """Memo key: t's number, the serials of its free variables' values
-        (-1 when unbound), then `last`."""
+        """Memo key: t's number, the values bound to its free variables
+        (None when unbound), then `last`."""
         number, names, _ = self._nodes.get(id(t)) or self._node(t)  # hit inlined: hot path
         if not names:
             return (number, last)
-        return (number, *[env[name].serial if name in env else -1 for name in names], last)
+        return (number, *[env.get(name) for name in names], last)
 
     def _level(self, j: int) -> tuple[CompletionElement, ...]:
         """The elements of rank <= j in sort_key order, so that argument
@@ -232,24 +205,19 @@ class Evaluator:
 
     def _enumerate(self, t: LambdaTerm, env: dict, trim: int) -> frozenset:
         if isinstance(t, Var):
-            value = env.get(t.name)
-            if value is None:
-                return frozenset()
-            return frozenset(e for e in value.enumerate() if e.rank <= trim)
+            return frozenset(e for e in env.get(t.name, ()) if e.rank <= trim)
 
         if isinstance(t, Abs):
             out = set()
             for (a, alpha), v in self.pair.coding.items():
-                bound = self.explicit(frozenset(map(base, a)))
-                if self.contains(t.body, {**env, t.binder: bound}, base(alpha)):
+                if self.contains(t.body, {**env, t.binder: frozenset(map(base, a))}, base(alpha)):
                     out.add(base(v))
             if trim >= 1:
                 prev = self._level(trim - 1)
                 for m in range(len(prev) + 1):
                     for args in itertools.combinations(prev, m):
                         args_set = frozenset(args)
-                        bound = self.explicit(args_set)
-                        inner = {**env, t.binder: bound}
+                        inner = {**env, t.binder: args_set}
                         for alpha in self.enumerate(t.body, inner, trim - 1):
                             key = _atom_key(args_set, alpha)
                             if key is not None and key in self.pair.coding:
@@ -291,15 +259,14 @@ class Evaluator:
 
     def _contains(self, t: LambdaTerm, env: dict, e: CompletionElement) -> bool:
         if isinstance(t, Var):
-            value = env.get(t.name)
-            return value.contains(e) if value is not None else False
+            return e in env.get(t.name, ())
 
         if isinstance(t, Abs):
             key = coding_preimage(self.pair, e)
             if key is None:
                 return False
             args, res = key
-            return self.contains(t.body, {**env, t.binder: self.explicit(args)}, res)
+            return self.contains(t.body, {**env, t.binder: args}, res)
 
         # application
         if _is_self_apply(t.fun) and _is_self_apply(t.arg):
@@ -366,7 +333,7 @@ class Evaluator:
                     f"redex key search over {len(cands)} candidate arguments "
                     f"probes more than {self.ceiling} elements"
                 )
-            return self.contains(fun.body, {**env, fun.binder: self.explicit(args)}, e)
+            return self.contains(fun.body, {**env, fun.binder: frozenset(args)}, e)
 
         def keys_at(args: tuple):
             if holds(args):
@@ -405,26 +372,24 @@ class Evaluator:
 # Public operations
 
 
-def _validated_env(p: PartialPair, env: Environment, k: int) -> None:
+def _validated_env(p: PartialPair, env: Environment, k: int | None) -> None:
+    """Every bound value is a valid element over p, of rank at most k unless
+    k is None (member trims the environment at each probe instead)."""
     for name, values in env.items():
         for e in values:
             if not isinstance(e, CompletionElement):
                 raise TypeError(f"environment for {name!r} must hold completion elements")
             if not element_valid(p, e):
                 raise ValueError(f"environment element {element_str(e, p)} is not valid over the pair")
-            if e.rank > k:
+            if k is not None and e.rank > k:
                 raise ValueError(
                     f"environment element {element_str(e, p)} has rank {e.rank} > bound {k}"
                 )
 
 
-def _env_values(ev: Evaluator, env: Environment, trim: int | None = None) -> dict:
-    out = {}
-    for name, values in env.items():
-        if trim is not None:
-            values = frozenset(e for e in values if e.rank <= trim)
-        out[name] = ev.explicit(values)
-    return out
+def _env_values(env: Environment, trim: int) -> dict:
+    """The evaluator's environment: each value cut to rank <= trim."""
+    return {name: frozenset(e for e in values if e.rank <= trim) for name, values in env.items()}
 
 
 def approx_interpret(
@@ -441,7 +406,7 @@ def approx_interpret(
     """
     _validated_env(p, env, k)
     ev = Evaluator(p, k, ceiling)
-    return ev.enumerate(t, _env_values(ev, env), k)
+    return ev.enumerate(t, _env_values(env, k), k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -467,17 +432,20 @@ def member(
     """Least rank at which e enters the approximation of t, if any up to
     max_rank.  Found answers are exact; a NotFoundUpTo is no refutation.
 
-    The environment is trimmed to rank <= k at each probe level k.
+    The environment is checked as approx_interpret checks it, except that
+    ranks above a probe are allowed: it is trimmed to rank <= k at each
+    probe level k.
     """
     if max_rank < 0:
         raise ValueError("rank bound must be non-negative")
     if not element_valid(p, e):
         raise ValueError(f"element {element_str(e, p)} is not valid over the pair")
+    _validated_env(p, env, None)
     for probe in range(max_rank + 1):
         if e.rank > probe:
             continue
         ev = Evaluator(p, probe, ceiling)
-        if ev.contains(t, _env_values(ev, env, trim=probe), e):
+        if ev.contains(t, _env_values(env, probe), e):
             return MemberResult(True, probe, max_rank)
     return MemberResult(False, None, max_rank)
 
@@ -506,7 +474,7 @@ def extract_witness_subpair(
         raise ValueError(f"element {element_str(e, p)} is not valid over the pair")
     _validated_env(p, env, k)
     ev = Evaluator(p, k, ceiling)
-    values = _env_values(ev, env)
+    values = _env_values(env, k)
     if not ev.contains(t, values, e):
         raise ValueError("element not derivable within the rank bound; run member() first")
 
@@ -524,7 +492,7 @@ def extract_witness_subpair(
             args, res = key
             coding[key] = alpha
             elements.update(args)
-            walk(node.body, {**env_v, node.binder: ev.explicit(args)}, res)
+            walk(node.body, {**env_v, node.binder: args}, res)
             return
         # restriction atoms are numbered in (rank, structural) order; a
         # redex's uncoded keys come in that order, so its first is its least

@@ -13,7 +13,8 @@ Elements are interned through structural hashing, so equality is identity
 and sets of elements behave canonically.  The interning table is a simple
 content-addressed dict and is safe under CPython's atomic dict operations.
 Level sizes grow doubly exponentially; enumeration past a configurable
-element ceiling raises CeilingExceeded.
+element ceiling raises CeilingExceeded.  Levels are built afresh on every
+call and belong to the caller: the module caches no level.
 """
 
 from __future__ import annotations
@@ -40,8 +41,17 @@ class CompletionElement:
 
     __slots__ = ("rank", "_key")
 
+    def __setattr__(self, name, value):
+        raise AttributeError("elements are immutable")
+
     def sort_key(self) -> tuple:
-        raise NotImplementedError
+        return self._key
+
+    def __str__(self) -> str:
+        return element_str(self)
+
+    def __lt__(self, other: "CompletionElement") -> bool:
+        return self._key < other._key
 
 
 class BaseElement(CompletionElement):
@@ -52,20 +62,8 @@ class BaseElement(CompletionElement):
         object.__setattr__(self, "rank", 0)
         object.__setattr__(self, "_key", (0, atom))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("elements are immutable")
-
-    def sort_key(self) -> tuple:
-        return self._key
-
     def __repr__(self) -> str:
         return f"base({self.atom})"
-
-    def __str__(self) -> str:
-        return element_str(self)
-
-    def __lt__(self, other: "CompletionElement") -> bool:
-        return self._key < other._key
 
 
 class PairElement(CompletionElement):
@@ -82,20 +80,8 @@ class PairElement(CompletionElement):
             self, "_key", (1, tuple(e._key for e in args_sorted), res._key)
         )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("elements are immutable")
-
-    def sort_key(self) -> tuple:
-        return self._key
-
     def __repr__(self) -> str:
         return f"pair_of([{', '.join(map(repr, self.args_sorted))}], {self.res!r})"
-
-    def __str__(self) -> str:
-        return element_str(self)
-
-    def __lt__(self, other: "CompletionElement") -> bool:
-        return self._key < other._key
 
 
 _BASE_INTERN: dict[int, BaseElement] = {}
@@ -186,44 +172,29 @@ def coding_preimage(p: PartialPair, e: CompletionElement):
 # Rank-bounded enumeration
 
 
-_LEVELS_CACHE: dict[tuple[PartialPair, int], tuple[CompletionElement, ...]] = {}
-
-
-def predicted_level_size(p: PartialPair, current_size: int) -> int:
-    """Size of the next level given the current one: every (subset, element)
-    key either collapses to a coded atom or is a pair element, and the carrier
-    atoms come along unchanged."""
-    return len(p.atoms) + (2**current_size) * current_size - len(p.coding)
-
-
 def elements_up_to(p: PartialPair, k: int, ceiling: int = DEFAULT_CEILING) -> tuple[CompletionElement, ...]:
     """Exactly the elements of rank at most k, in (rank, structural) order."""
     if k < 0:
         raise ValueError("rank bound must be non-negative")
-    cached = _LEVELS_CACHE.get((p, k))
-    if cached is not None:
-        return cached
-    if k == 0:
-        out = tuple(sorted(map(base, p.atoms), key=lambda e: e.sort_key()))
-        _LEVELS_CACHE[(p, 0)] = out
-        return out
-    prev = elements_up_to(p, k - 1, ceiling)
-    predicted = predicted_level_size(p, len(prev))
-    if predicted > ceiling:
-        logger.warning("completion level %d would hold %d elements (ceiling %d)", k, predicted, ceiling)
-        raise CeilingExceeded(f"level {k} would hold {predicted} elements, ceiling is {ceiling}")
-    current = set(prev)
-    fresh = []
-    for m in range(len(prev) + 1):
-        for args in itertools.combinations(prev, m):
-            for res in prev:
-                e = apply_coding(p, frozenset(args), res)
-                if e not in current and isinstance(e, PairElement):
-                    fresh.append(e)
-                    current.add(e)
-    fresh.sort(key=lambda e: e.sort_key())
-    out = prev + tuple(fresh)
-    _LEVELS_CACHE[(p, k)] = out
+    out = tuple(sorted(map(base, p.atoms), key=lambda e: e.sort_key()))
+    for level in range(1, k + 1):
+        # every (subset, element) key over the level below either collapses
+        # to a coded atom or is a pair element; the atoms come along
+        predicted = len(p.atoms) + (2 ** len(out)) * len(out) - len(p.coding)
+        if predicted > ceiling:
+            logger.warning("completion level %d would hold %d elements (ceiling %d)", level, predicted, ceiling)
+            raise CeilingExceeded(f"level {level} would hold {predicted} elements, ceiling is {ceiling}")
+        current = set(out)
+        fresh = []
+        for m in range(len(out) + 1):
+            for args in itertools.combinations(out, m):
+                for res in out:
+                    e = apply_coding(p, frozenset(args), res)
+                    if e not in current and isinstance(e, PairElement):
+                        fresh.append(e)
+                        current.add(e)
+        fresh.sort(key=lambda e: e.sort_key())
+        out += tuple(fresh)
     return out
 
 
@@ -309,7 +280,8 @@ def restriction_atom(p: PartialPair, e: CompletionElement, ceiling: int = DEFAUL
     below = elements_up_to(p, e.rank - 1, ceiling)
     fresh = _keys_below(below, args_key, res_key)
     if e.rank >= 2:
-        fresh -= _keys_below(elements_up_to(p, e.rank - 2, ceiling), args_key, res_key)
+        # E_{r-2} is the rank prefix of E_{r-1}
+        fresh -= _keys_below((x for x in below if x.rank <= e.rank - 2), args_key, res_key)
     else:
         fresh -= sum(
             1

@@ -141,7 +141,7 @@ def abstraction_by_membership(t: LambdaTerm, pair: PartialPair, k: int) -> froze
         return frozenset(e for e in elements_up_to(pair, max(k - 1, 0)) if ev.contains(t, {}, e))
     out = set()
     for (a, alpha), v in pair.coding.items():
-        if ev.contains(t.body, {t.binder: ev.explicit(map(base, a))}, base(alpha)):
+        if ev.contains(t.body, {t.binder: frozenset(map(base, a))}, base(alpha)):
             out.add(base(v))
     if k >= 1:
         prev = elements_up_to(pair, k - 1)
@@ -149,7 +149,7 @@ def abstraction_by_membership(t: LambdaTerm, pair: PartialPair, k: int) -> froze
             raise CeilingExceeded(f"abstraction over level {k - 1} is too large")
         for m in range(len(prev) + 1):
             for args in itertools.combinations(prev, m):
-                inner = {t.binder: ev.explicit(args)}
+                inner = {t.binder: frozenset(args)}
                 for alpha in prev:
                     e = apply_coding(pair, args, alpha)
                     if isinstance(e, PairElement) and ev.contains(t.body, inner, alpha):

@@ -172,8 +172,8 @@ class TestApproxInterpret:
                 small = frozenset(x for x in big if rng.random() < 0.5)
                 for e in rng.sample(upper, min(len(upper), 12)):
                     try:
-                        if ev.contains(body, {"a": ev.explicit(small)}, e):
-                            assert ev.contains(body, {"a": ev.explicit(big)}, e), (body, p, small, big, e)
+                        if ev.contains(body, {"a": frozenset(small)}, e):
+                            assert ev.contains(body, {"a": frozenset(big)}, e), (body, p, small, big, e)
                             checked += 1
                     except CeilingExceeded:
                         pass
@@ -181,16 +181,49 @@ class TestApproxInterpret:
 
     def test_memo_keys_survive_term_id_reuse(self):
         """Equal terms built afresh, with throwaway terms between them, get
-        the answers of a fresh evaluator."""
+        the answers of a fresh evaluator.  So do equal sets built apart, sets
+        of other contents and sizes bound to the same variable, and the lazy
+        values a redex binds when its argument has a free variable."""
         p = PartialPair([0, 1], {})
         ev = Evaluator(p, 1)
         wrong = 0
         for i in range(2000):
             ev.enumerate(App(Abs("z", Var("z")), Abs("w", Var("w"))), {}, 1)
             t = App(Abs("z", Var("z")), Var("x"))
-            got = ev.enumerate(t, {"x": ev.explicit({base(i % 2)})}, 1)
+            got = ev.enumerate(t, {"x": frozenset({base(i % 2)})}, 1)
             fresh = Evaluator(p, 1)
-            wrong += got != fresh.enumerate(t, {"x": fresh.explicit({base(i % 2)})}, 1)
+            wrong += got != fresh.enumerate(t, {"x": frozenset({base(i % 2)})}, 1)
+        assert wrong == 0
+
+        values = [
+            frozenset({base(0)}),
+            frozenset([base(0)]),
+            frozenset({base(1)}),
+            frozenset({base(0), base(1)}),
+            frozenset(),
+            frozenset({pair_of([], base(0)), pair_of([base(1)], base(0)), base(1)}),
+        ]
+        assert values[0] == values[1] and values[0] is not values[1]
+        terms = [
+            Var("x"),
+            App(Var("x"), Var("x")),
+            App(Abs("z", Var("z")), Var("x")),
+            # z is bound to a lazy value, and u to one over z's
+            App(Abs("z", App(Abs("u", Var("u")), Var("z"))), Var("x")),
+            # a lazy value enumerated as a function side
+            App(Abs("z", App(Var("z"), Var("x"))), App(Var("x"), Var("x"))),
+        ]
+        universe = elements_up_to(p, 1)
+        for k in (1, 2):
+            ev = Evaluator(p, k)
+            for _ in range(2):
+                for t in terms:
+                    for xs in values:
+                        fresh = Evaluator(p, k)
+                        wrong += ev.enumerate(t, {"x": xs}, k) != fresh.enumerate(t, {"x": xs}, k)
+                        wrong += any(
+                            ev.contains(t, {"x": xs}, e) != fresh.contains(t, {"x": xs}, e) for e in universe
+                        )
         assert wrong == 0
 
     def test_environment_rank_precondition(self, free1):
@@ -234,6 +267,20 @@ class TestMember:
     def test_invalid_element_rejected(self, p1):
         with pytest.raises(ValueError):
             member(IDENTITY, p1, pair_of([base(0)], base(0)), 2)
+
+    def test_environment_checked(self, p1):
+        """Non-elements and invalid elements are refused as approx_interpret
+        refuses them; ranks above a probe are trimmed, not refused."""
+        with pytest.raises(TypeError):
+            member(Var("x"), p1, base(0), 2, Environment({"x": {5}}))
+        for bad in (pair_of([base(0)], base(0)), base(7)):  # a collapsed key, an atom outside
+            with pytest.raises(ValueError):
+                member(Var("x"), p1, base(0), 2, Environment({"x": {bad}}))
+        high = pair_of([pair_of([], base(0))], base(0))
+        assert high.rank == 2
+        assert member(Var("x"), p1, base(0), 1, Environment({"x": {base(0), high}})) == member(
+            Var("x"), p1, base(0), 1, Environment({"x": {base(0)}})
+        )
 
 
 class TestExtractWitness:

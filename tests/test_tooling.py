@@ -3,7 +3,9 @@ traced run patches every `module.attr` in spans.BOUNDARIES, and the answer
 checker builds elements as minmodel.AtomCode/PairCode.  A renamed or deleted
 name would crash every benchmark run, so the names are checked here.  Short
 runs of the benchmark's worker, with its answer checker, catch a change in
-output bytes or a broken numeration round trip before a full benchmark run."""
+output bytes or a broken numeration round trip before a full benchmark run;
+a traced run checks that the tracer's in-place wrapping of the evaluator
+still fits it."""
 
 import importlib.util
 import json
@@ -41,14 +43,28 @@ def test_checker_element_names_round_trip():
         assert minmodel.element_decode(minmodel.element_code(e)) is e
 
 
-@pytest.mark.parametrize("workload, count", [("numeration", 150), ("search", 60), ("search", 120), ("certify", 200)])
-def test_benchmark_answers_check(tmp_path, workload, count):
+def run_worker(tmp_path, workload, count, *extra) -> dict:
+    """A worker run on the seed-1 stream, checked against the committed answers."""
     out = tmp_path / "run.json"
     expected = ROOT / "perfbench" / "expected" / f"{workload}.txt"
     argv = ["--root", ROOT, "--workload", workload, "--seed", 1, "--count", count,
-            "--expected", expected, "--dir", tmp_path / "pairs", "--out", out]
+            "--expected", expected, "--dir", tmp_path / "pairs", "--out", out, *extra]
     worker = [sys.executable, ROOT / "perfbench" / "worker.py"]
     subprocess.run([str(a) for a in worker + argv], check=True, timeout=300)
     doc = json.loads(out.read_text())
     assert len(doc["queries"]) == count
     assert [q for q in doc["queries"] if q[1] == "error"] == [], doc["errors"]
+    return doc
+
+
+@pytest.mark.parametrize("workload, count", [("numeration", 150), ("search", 60), ("search", 120), ("certify", 200)])
+def test_benchmark_answers_check(tmp_path, workload, count):
+    run_worker(tmp_path, workload, count)
+
+
+def test_traced_run_counts_evaluator_calls(tmp_path):
+    """The traced run also wraps Evaluator.__init__, contains and enumerate
+    in place; the answers still check and the counters move."""
+    layers = run_worker(tmp_path, "certify", 40, "--trace", tmp_path / "spans.jsonl")["layers"]
+    assert layers["approximation.evaluators"]["value"] > 0
+    assert layers["approximation.contains.calls"]["value"] > 0
