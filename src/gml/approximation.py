@@ -7,11 +7,13 @@ through exact structural rules and answers membership queries recursively.
 
   * variables look up the environment;
   * an abstraction enumerates coded keys plus the uncoded keys one rank
-    down (this is the only place a level is materialized, ceiling-guarded),
-    while membership queries just invert the total coding.  Each argument
-    set over the lower level takes one enumeration of the body cut to that
-    rank, which holds exactly the lower-level results the body gives for
-    it; that enumeration reaches no level above the one materialized;
+    down (this is the only place a level is materialized, ceiling-guarded:
+    the level's size is counted in closed form first, and a level with more
+    keys than the ceiling is refused unbuilt), while membership queries just
+    invert the total coding.  Each argument set over the lower level takes
+    one enumeration of the body cut to that rank, which holds exactly the
+    lower-level results the body gives for it; that enumeration reaches no
+    level above the one materialized;
   * an applied abstraction reduces: because interpretation is monotone in
     the environment and every key over the previous level is available in
     the restriction, the redex equals the body evaluated under the full
@@ -34,6 +36,16 @@ are memoized per evaluator, keyed by a term number and the values bound to
 the term's free variables: frozensets compare by content and lazy values by
 identity.  Structurally equal terms share a number, so they share entries;
 no key holds a term.
+
+An inequation M <= N is refuted by the least element of M's approximation
+that N's lacks, so check_inequation reads M's side in witness order
+(sort_key order) and stops at the first element N's evaluator rejects.  At
+an abstraction that order is lazy: the coded atoms, then the argument sets
+over the sorted lower level depth first, lexicographically with a prefix
+first, each with its results sorted; the same walk, pruned, finds a redex's
+least supporting key.  A refuted abstraction thus costs the argument sets up
+to its witness, not all of them, while a holding inclusion still scans the
+whole side.
 
 Certificates come from the same derivation.  extract_witness_subpair walks
 the term with the memoized membership and enumeration queries and keeps the
@@ -66,6 +78,7 @@ from .completion import (
     element_str,
     element_valid,
     elements_up_to,
+    level_size,
     pair_of,
     pair_of_sorted,
     restriction_atom,
@@ -94,6 +107,23 @@ def _is_self_apply(t: LambdaTerm) -> bool:
         and t.body.fun == Var(t.binder)
         and t.body.arg == Var(t.binder)
     )
+
+
+def _subsets(items: tuple, viable=None):
+    """The subsets of items, as tuples in items' order, depth first: a set
+    comes right before its extensions, which is lexicographic order with a
+    proper prefix first.  When viable(chosen + items[i:]) is false the walk
+    passes over every set that extends chosen by elements of items[i:]."""
+    yield ()
+    # each entry is a set already visited and the position its loop resumes at
+    stack = [((), 0)]
+    while stack:
+        chosen, i = stack.pop()
+        if i == len(items) or (viable is not None and not viable(chosen + items[i:])):
+            continue
+        child = chosen + (items[i],)
+        stack += [(chosen, i + 1), (child, i + 1)]
+        yield child
 
 
 class LazyValue:
@@ -137,6 +167,7 @@ class Evaluator:
         self._contains_memo: dict = {}
         self._enum_memo: dict = {}
         self._lazy_cache: dict = {}
+        self._levels: dict[int, tuple[CompletionElement, ...]] = {}
 
     # -- plumbing ------------------------------------------------------------
 
@@ -174,14 +205,25 @@ class Evaluator:
 
     def _level(self, j: int) -> tuple[CompletionElement, ...]:
         """The elements of rank <= j in sort_key order, so that argument
-        tuples drawn from it in order are already sorted."""
-        elems = elements_up_to(self.pair, j, self.ceiling)
-        keys = (2 ** len(elems)) * len(elems)
-        if keys > self.ceiling:
+        tuples drawn from it in order are already sorted.
+
+        The level sizes are counted in closed form first, so a level whose
+        keys exceed the ceiling is refused before it is built.  A level that
+        passes has fewer than log2(ceiling) elements and is kept for the
+        evaluator's lifetime."""
+        got = self._levels.get(j)
+        if got is not None:
+            return got
+        n = len(self.pair.atoms)
+        for level in range(1, j + 1):
+            n = level_size(self.pair, n, level, self.ceiling)
+        if 2**n * n > self.ceiling:
             raise ApproximationInfeasible(
-                f"abstraction over level {j} needs {keys} keys, ceiling is {self.ceiling}"
+                f"abstraction over level {j} needs 2^{n}·{n} keys, ceiling is {self.ceiling}"
             )
-        return tuple(sorted(elems, key=lambda e: e.sort_key()))
+        elems = elements_up_to(self.pair, j, self.ceiling)
+        got = self._levels[j] = tuple(sorted(elems, key=CompletionElement.sort_key))
+        return got
 
     def _lazy(self, term: LambdaTerm, env: dict, trim: int) -> "LazyValue":
         key = self._key(term, env, trim)
@@ -208,21 +250,12 @@ class Evaluator:
             return frozenset(e for e in env.get(t.name, ()) if e.rank <= trim)
 
         if isinstance(t, Abs):
-            out = set()
-            for (a, alpha), v in self.pair.coding.items():
-                if self.contains(t.body, {**env, t.binder: frozenset(map(base, a))}, base(alpha)):
-                    out.add(base(v))
+            out = self._coded_members(t, env)
             if trim >= 1:
+                # any order of argument sets will do here, so take the quickest walk
                 prev = self._level(trim - 1)
-                for m in range(len(prev) + 1):
-                    for args in itertools.combinations(prev, m):
-                        args_set = frozenset(args)
-                        inner = {**env, t.binder: args_set}
-                        for alpha in self.enumerate(t.body, inner, trim - 1):
-                            key = _atom_key(args_set, alpha)
-                            if key is not None and key in self.pair.coding:
-                                continue  # coded keys collapse; handled above
-                            out.add(pair_of_sorted(args, alpha))
+                subsets = (args for m in range(len(prev) + 1) for args in itertools.combinations(prev, m))
+                out.update(self._pairs_over(t, env, subsets, trim))
             return frozenset(out)
 
         # application
@@ -242,6 +275,51 @@ class Evaluator:
             if res.rank <= trim and all(self.contains(t.arg, env, x) for x in args):
                 out.add(res)
         return frozenset(out)
+
+    def _coded_members(self, t: Abs, env: dict) -> set:
+        """The atoms in interp(t): the values of the coded keys whose result
+        the body gives under their argument set."""
+        return {
+            base(v)
+            for (a, alpha), v in self.pair.coding.items()
+            if self.contains(t.body, {**env, t.binder: frozenset(map(base, a))}, base(alpha))
+        }
+
+    def _pairs_over(self, t: Abs, env: dict, arg_tuples, trim: int):
+        """The pair elements of interp(t) cut to rank <= trim whose argument
+        tuple is one of arg_tuples, sorted tuples over the level one rank
+        down: for each, one enumeration of the body cut to that rank gives
+        their results."""
+        for args in arg_tuples:
+            args_set = frozenset(args)
+            inner = {**env, t.binder: args_set}
+            for alpha in self.enumerate(t.body, inner, trim - 1):
+                key = _atom_key(args_set, alpha)
+                if key is None or key not in self.pair.coding:  # coded keys collapse to atoms
+                    yield pair_of_sorted(args, alpha)
+
+    def ordered(self, t: LambdaTerm, env: dict, trim: int):
+        """interp(t, B_k, env) cut to rank <= trim, in sort_key order.
+
+        At an abstraction the set is never built: after the coded atoms, the
+        argument tuples over the sorted level one rank down come in the order
+        sort_key compares them in (lexicographic, a prefix first), and each
+        tuple's pair elements follow sorted by result.  The coded atoms and
+        the level are computed before the first element is yielded.  At
+        trim = k that level is the largest any query of this evaluator builds,
+        so a scan stopped early refuses exactly where enumerate() would.
+        Other terms are enumerated whole and sorted.
+        """
+        trim = min(trim, self.k)
+        if not isinstance(t, Abs):
+            yield from sorted(self.enumerate(t, env, trim), key=CompletionElement.sort_key)
+            return
+        coded = self._coded_members(t, env)
+        prev = self._level(trim - 1) if trim >= 1 else None
+        yield from sorted(coded, key=CompletionElement.sort_key)
+        if prev is not None:
+            for args in _subsets(prev):
+                yield from sorted(self._pairs_over(t, env, (args,), trim), key=CompletionElement.sort_key)
 
     # -- membership -------------------------------------------------------------
 
@@ -335,23 +413,12 @@ class Evaluator:
                 )
             return self.contains(fun.body, {**env, fun.binder: frozenset(args)}, e)
 
-        def keys_at(args: tuple):
+        for args in _subsets(cands, holds):
             if holds(args):
                 key = _atom_key(frozenset(args), e)
                 if key is None or key not in self.pair.coding:
                     w = pair_of(args, e)
                     yield w.args, w
-
-        yield from keys_at(())
-        # each entry is a set already visited and the position its loop resumes at
-        stack = [((), 0)]
-        while stack:
-            chosen, i = stack.pop()
-            if i == len(cands) or not holds(chosen + cands[i:]):
-                continue
-            child = chosen + (cands[i],)
-            stack += [(chosen, i + 1), (child, i + 1)]
-            yield from keys_at(child)
 
     # -- the self-application collapse --------------------------------------------
     #
@@ -586,17 +653,22 @@ def check_inequation(
     """Scan the rank-k_lhs approximation of lhs for an element missing from
     the rank-k_rhs approximation of rhs.
 
-    Returns the canonically least witness (structural order) with its
-    membership rank and a re-verified witness subpair, or holds-up-to when
-    the bounded inclusion goes through.
+    The left side comes in witness order (structural, sort_key order) from
+    Evaluator.ordered, which reads an abstraction lazily, argument set by
+    argument set, and the scan stops at the first element the right side's
+    evaluator rejects.  That element is the canonically least witness; it is
+    returned with its membership rank and a re-verified witness subpair.
+    Holds-up-to means the bounded inclusion went through, after a scan of the
+    whole left side.  Refusals come where a scan of the whole, sorted left
+    side would meet them: the left side's guards run before its first element.
     """
     if not is_closed(lhs) or not is_closed(rhs):
         raise ValueError("inequation checking expects closed terms")
     if k_rhs < k_lhs:
         raise ValueError("the right bound must be at least the left bound")
-    lhs_set = approx_interpret(lhs, p, Environment(), k_lhs, ceiling)
+    candidates = Evaluator(p, k_lhs, ceiling).ordered(lhs, {}, k_lhs)
     ev = Evaluator(p, k_rhs, ceiling)
-    for candidate in sorted(lhs_set, key=lambda e: e.sort_key()):
+    for candidate in candidates:
         if not ev.contains(rhs, {}, candidate):
             found = member(lhs, p, candidate, k_lhs, ceiling=ceiling)
             subpair = extract_witness_subpair(lhs, p, candidate, found.rank, ceiling=ceiling)

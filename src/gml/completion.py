@@ -172,18 +172,27 @@ def coding_preimage(p: PartialPair, e: CompletionElement):
 # Rank-bounded enumeration
 
 
+def level_size(p: PartialPair, below: int, level: int, ceiling: int) -> int:
+    """|E_level|, given |E_(level-1)| = below, refused when above the ceiling.
+
+    Every (subset, element) key over the level below either collapses to a
+    coded atom or is a pair element, and the atoms come along, so the count
+    is exact and no level needs building to know it.
+    """
+    size = len(p.atoms) + (2**below) * below - len(p.coding)
+    if size > ceiling:
+        logger.warning("completion level %d would hold %d elements (ceiling %d)", level, size, ceiling)
+        raise CeilingExceeded(f"level {level} would hold {size} elements, ceiling is {ceiling}")
+    return size
+
+
 def elements_up_to(p: PartialPair, k: int, ceiling: int = DEFAULT_CEILING) -> tuple[CompletionElement, ...]:
     """Exactly the elements of rank at most k, in (rank, structural) order."""
     if k < 0:
         raise ValueError("rank bound must be non-negative")
     out = tuple(sorted(map(base, p.atoms), key=lambda e: e.sort_key()))
     for level in range(1, k + 1):
-        # every (subset, element) key over the level below either collapses
-        # to a coded atom or is a pair element; the atoms come along
-        predicted = len(p.atoms) + (2 ** len(out)) * len(out) - len(p.coding)
-        if predicted > ceiling:
-            logger.warning("completion level %d would hold %d elements (ceiling %d)", level, predicted, ceiling)
-            raise CeilingExceeded(f"level {level} would hold {predicted} elements, ceiling is {ceiling}")
+        level_size(p, len(out), level, ceiling)
         current = set(out)
         fresh = []
         for m in range(len(out) + 1):

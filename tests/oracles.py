@@ -4,12 +4,13 @@ Everything here is written directly from the defining clauses, with no code
 shared with the package internals: the interpreter quantifies over full
 powersets, the completion oracle builds levels as raw nested tuples, the
 coding generator filters every combination of entries, and the closed-term
-enumerator generates nameless trees size by size.  Four exceptions: the
+enumerator generates nameless trees size by size.  Five exceptions: the
 witness oracle walks the materialized restriction with the package's own
 finite interpreter (both are checked against the naive oracles above), the
 closure oracle scans keys through the coding handle it is given, the
 abstraction oracle asks the package's evaluator one membership at a time,
-and the key oracle enumerates an application's function side with it.
+the key oracle enumerates an application's function side with it, and the
+inequation oracle scans the package's whole left-side set.
 """
 
 from __future__ import annotations
@@ -18,7 +19,15 @@ import itertools
 from functools import lru_cache
 from random import Random
 
-from gml.approximation import Evaluator
+from gml.approximation import (
+    DEFAULT_MEMBER_BOUND,
+    DEFAULT_SLACK,
+    Evaluator,
+    Verdict,
+    approx_interpret,
+    extract_witness_subpair,
+    member,
+)
 from gml.completion import (
     DEFAULT_CEILING,
     BaseElement,
@@ -31,7 +40,7 @@ from gml.completion import (
 )
 from gml.pairs import PartialPair, union
 from gml.semantics import Environment, interpret
-from gml.terms import Abs, App, LambdaTerm, Var, from_nameless
+from gml.terms import Abs, App, LambdaTerm, Var, from_nameless, is_closed
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +185,39 @@ def supporting_keys_by_enumeration(ev: Evaluator, t: App, env: dict, e):
             if isinstance(w, PairElement) and w.res is e and all(ev.contains(t.arg, env, x) for x in w.args)
         ]
         yield from sorted(keys, key=lambda kv: sorted((x.rank, x.sort_key()) for x in kv[0]))
+
+
+# ---------------------------------------------------------------------------
+# An inequation checked over the whole left side: the rank-k_lhs
+# approximation of lhs enumerated, sorted in structural order, and scanned
+# for the first element the rank-k_rhs evaluator of rhs rejects.  That is
+# the least witness; its membership rank and witness subpair come from the
+# package.  A refusal anywhere in the left side comes before any verdict.
+
+
+def check_inequation_by_full_scan(
+    lhs: LambdaTerm,
+    rhs: LambdaTerm,
+    p: PartialPair,
+    k_lhs: int = DEFAULT_MEMBER_BOUND,
+    k_rhs: int = DEFAULT_MEMBER_BOUND + DEFAULT_SLACK,
+    ceiling: int = DEFAULT_CEILING,
+) -> Verdict:
+    if not is_closed(lhs) or not is_closed(rhs):
+        raise ValueError("inequation checking expects closed terms")
+    if k_rhs < k_lhs:
+        raise ValueError("the right bound must be at least the left bound")
+    lhs_set = approx_interpret(lhs, p, Environment(), k_lhs, ceiling)
+    ev = Evaluator(p, k_rhs, ceiling)
+    for candidate in sorted(lhs_set, key=lambda e: e.sort_key()):
+        if not ev.contains(rhs, {}, candidate):
+            found = member(lhs, p, candidate, k_lhs, ceiling=ceiling)
+            subpair = extract_witness_subpair(lhs, p, candidate, found.rank, ceiling=ceiling)
+            return Verdict(
+                "fails_with_evidence", lhs, rhs, k_lhs, k_rhs,
+                witness=candidate, member_rank=found.rank, witness_subpair=subpair,
+            )
+    return Verdict("holds_up_to", lhs, rhs, k_lhs, k_rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+from gml import approximation
 from gml.approximation import (
     ApproximationInfeasible,
     BOUNDED_REFUTATION_NOTE,
@@ -12,9 +13,12 @@ from gml.approximation import (
     extract_witness_subpair,
     member,
 )
+from gml.cli import main
 from gml.completion import (
     CeilingExceeded,
+    CompletionElement,
     base,
+    element_valid,
     elements_up_to,
     lift_automorphism,
     pair_of,
@@ -26,6 +30,7 @@ from gml.semantics import Environment, interpret
 from gml.terms import FALSE, IDENTITY, OMEGA, TRUE, Abs, App, Var, parse
 from oracles import (
     abstraction_by_membership,
+    check_inequation_by_full_scan,
     closed_terms_up_to,
     random_pair,
     random_term,
@@ -537,6 +542,116 @@ class TestCheckEquation:
     def test_same_term_holds(self, p1):
         fwd, bwd = check_equation(OMEGA, OMEGA, p1, 2, 4)
         assert not fwd.failed and not bwd.failed
+
+
+def _outcome(run):
+    """run()'s value, or the type and message of the refusal it raises."""
+    try:
+        return run()
+    except CeilingExceeded as exc:
+        return type(exc), str(exc)
+
+
+def _seeded_pairs(seed: int, atoms: int, count: int) -> list[PartialPair]:
+    """count seeded pairs on exactly this many atoms, each with some coding."""
+    rng = Random(seed)
+    out = []
+    while len(out) < count:
+        p = random_pair(rng, atoms, 3)
+        if len(p.atoms) == atoms and p.coding:
+            out.append(p)
+    return out
+
+
+ONE_ATOM_PAIRS = [
+    PartialPair({0}),
+    PartialPair({0}, {(frozenset(), 0): 0}),
+    PartialPair({0}, {(frozenset({0}), 0): 0}),
+]
+
+
+class TestWitnessOrderScan:
+    def test_ordered_matches_sorted_enumeration(self):
+        """The left side comes in sort_key order, lazily at an abstraction:
+        element for element the sorted enumeration, and a refusal where the
+        enumeration refuses.  Every element is valid, so no coded key slips
+        through as a pair.  On two atoms at rank 2 the terms past size 6 are
+        a seeded sample, which keeps the test to seconds."""
+        terms = closed_terms_up_to(8)
+        small = closed_terms_up_to(6)
+        sample = small + Random(81).sample(terms[len(small):], 40)
+        cases = [(p, k, terms) for p in ONE_ATOM_PAIRS for k in (0, 1, 2)]
+        cases += [(p, k, sample if k == 2 else terms) for p in _seeded_pairs(8, 2, 2) for k in (0, 1, 2)]
+        count = 0
+        for p, k, pool in cases:
+            for t in pool:
+                got = _outcome(lambda: list(Evaluator(p, k).ordered(t, {}, k)))
+                want = _outcome(
+                    lambda: sorted(Evaluator(p, k).enumerate(t, {}, k), key=CompletionElement.sort_key)
+                )
+                assert got == want, (t, p, k)
+                assert all(element_valid(p, e) for e in got), (t, p, k)
+                count += len(got)
+        assert count > 100_000
+
+    def test_verdicts_match_full_scan(self):
+        """check_inequation and check_equation give the verdict JSON the
+        whole-left-side scan gives, witness and subpair included, or its
+        refusal."""
+        rng = Random(82)
+        terms = closed_terms_up_to(6)
+        pairs = ONE_ATOM_PAIRS + [PartialPair({0, 1})] + _seeded_pairs(9, 2, 3)
+        kinds = []
+        for _ in range(80):
+            p = rng.choice(pairs)
+            lhs, rhs = rng.sample(terms, 2)
+            forward = _outcome(lambda: check_inequation(lhs, rhs, p).to_json(p))
+            assert forward == _outcome(lambda: check_inequation_by_full_scan(lhs, rhs, p).to_json(p)), (lhs, rhs, p)
+            got = _outcome(lambda: [v.to_json(p) for v in check_equation(lhs, rhs, p, 1, 3)])
+            want = _outcome(
+                lambda: [
+                    check_inequation_by_full_scan(a, b, p, 1, 3).to_json(p) for a, b in ((lhs, rhs), (rhs, lhs))
+                ]
+            )
+            assert got == want, (lhs, rhs, p)
+            kinds.append(forward["kind"] if isinstance(forward, dict) else "refused")
+        assert {"fails_with_evidence", "holds_up_to"} <= set(kinds)
+
+    def test_refusals_match_full_scan(self):
+        """Every small abstraction refuses on three atoms at rank 2, with the
+        full scan's exception type and message: the coded atoms and the
+        level's guard come before the first candidate.  A refusal on the
+        right side comes at the same candidate as in the full scan."""
+        abstractions = [t for t in closed_terms_up_to(6) if isinstance(t, Abs)]
+        for p in [PartialPair({0, 1, 2})] + _seeded_pairs(10, 3, 2):
+            for t in abstractions:
+                got = _outcome(lambda: check_inequation(t, IDENTITY, p))
+                assert got == _outcome(lambda: check_inequation_by_full_scan(t, IDENTITY, p)), (t, p)
+                assert got[0] is ApproximationInfeasible, (t, p)
+        rhs = parse("(\\x.x x) (\\y.y)")
+        free2 = PartialPair({0, 1})
+        got = _outcome(lambda: check_inequation(IDENTITY, rhs, free2))
+        assert got == _outcome(lambda: check_inequation_by_full_scan(IDENTITY, rhs, free2))
+        assert got[0] is ApproximationInfeasible
+
+    def test_abstraction_guard_refuses_before_building(self, monkeypatch, capsys, pair_file):
+        """Level 2 over two free atoms holds 10,242 elements: the guard counts
+        them in closed form and refuses without building the level, in a
+        short message that states the key count as a power."""
+        asked = []
+        build = approximation.elements_up_to
+
+        def recorded(p, k, ceiling):
+            asked.append(k)
+            return build(p, k, ceiling)
+
+        monkeypatch.setattr(approximation, "elements_up_to", recorded)
+        code = main(["--json", "check", "--pair", pair_file(PartialPair({0, 1})), "\\x.x <= (\\x.x x) (\\y.y)"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "bound too large: abstraction over level 2 needs 2^10242·10242 keys, ceiling is 1000000\n"
+        assert len(err) < 200
+        assert asked and max(asked) <= 1
 
 
 class TestOrbitInvariance:

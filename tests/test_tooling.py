@@ -57,7 +57,10 @@ def run_worker(tmp_path, workload, count, *extra) -> dict:
     return doc
 
 
-@pytest.mark.parametrize("workload, count", [("numeration", 150), ("search", 60), ("search", 120), ("certify", 200)])
+@pytest.mark.parametrize(
+    "workload, count",
+    [("numeration", 150), ("search", 60), ("search", 120), ("certify", 200), ("certify", 2400)],
+)
 def test_benchmark_answers_check(tmp_path, workload, count):
     run_worker(tmp_path, workload, count)
 
