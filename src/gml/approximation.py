@@ -167,7 +167,6 @@ class Evaluator:
         self._contains_memo: dict = {}
         self._enum_memo: dict = {}
         self._lazy_cache: dict = {}
-        self._levels: dict[int, tuple[CompletionElement, ...]] = {}
 
     # -- plumbing ------------------------------------------------------------
 
@@ -208,12 +207,7 @@ class Evaluator:
         tuples drawn from it in order are already sorted.
 
         The level sizes are counted in closed form first, so a level whose
-        keys exceed the ceiling is refused before it is built.  A level that
-        passes has fewer than log2(ceiling) elements and is kept for the
-        evaluator's lifetime."""
-        got = self._levels.get(j)
-        if got is not None:
-            return got
+        keys exceed the ceiling is refused before it is built."""
         n = len(self.pair.atoms)
         for level in range(1, j + 1):
             n = level_size(self.pair, n, level, self.ceiling)
@@ -222,8 +216,7 @@ class Evaluator:
                 f"abstraction over level {j} needs 2^{n}·{n} keys, ceiling is {self.ceiling}"
             )
         elems = elements_up_to(self.pair, j, self.ceiling)
-        got = self._levels[j] = tuple(sorted(elems, key=CompletionElement.sort_key))
-        return got
+        return tuple(sorted(elems, key=CompletionElement.sort_key))
 
     def _lazy(self, term: LambdaTerm, env: dict, trim: int) -> "LazyValue":
         key = self._key(term, env, trim)
@@ -254,8 +247,9 @@ class Evaluator:
             if trim >= 1:
                 # any order of argument sets will do here, so take the quickest walk
                 prev = self._level(trim - 1)
-                subsets = (args for m in range(len(prev) + 1) for args in itertools.combinations(prev, m))
-                out.update(self._pairs_over(t, env, subsets, trim))
+                for m in range(len(prev) + 1):
+                    for args in itertools.combinations(prev, m):
+                        out.update(self._pairs_over(t, env, args, trim))
             return frozenset(out)
 
         # application
@@ -285,18 +279,16 @@ class Evaluator:
             if self.contains(t.body, {**env, t.binder: frozenset(map(base, a))}, base(alpha))
         }
 
-    def _pairs_over(self, t: Abs, env: dict, arg_tuples, trim: int):
-        """The pair elements of interp(t) cut to rank <= trim whose argument
-        tuple is one of arg_tuples, sorted tuples over the level one rank
-        down: for each, one enumeration of the body cut to that rank gives
-        their results."""
-        for args in arg_tuples:
-            args_set = frozenset(args)
-            inner = {**env, t.binder: args_set}
-            for alpha in self.enumerate(t.body, inner, trim - 1):
-                key = _atom_key(args_set, alpha)
-                if key is None or key not in self.pair.coding:  # coded keys collapse to atoms
-                    yield pair_of_sorted(args, alpha)
+    def _pairs_over(self, t: Abs, env: dict, args: tuple, trim: int):
+        """The pair elements of interp(t) cut to rank <= trim with argument
+        tuple args, a sorted tuple over the level one rank down: one
+        enumeration of the body cut to that rank gives their results."""
+        args_set = frozenset(args)
+        inner = {**env, t.binder: args_set}
+        for alpha in self.enumerate(t.body, inner, trim - 1):
+            key = _atom_key(args_set, alpha)
+            if key is None or key not in self.pair.coding:  # coded keys collapse to atoms
+                yield pair_of_sorted(args, alpha)
 
     def ordered(self, t: LambdaTerm, env: dict, trim: int):
         """interp(t, B_k, env) cut to rank <= trim, in sort_key order.
@@ -319,7 +311,7 @@ class Evaluator:
         yield from sorted(coded, key=CompletionElement.sort_key)
         if prev is not None:
             for args in _subsets(prev):
-                yield from sorted(self._pairs_over(t, env, (args,), trim), key=CompletionElement.sort_key)
+                yield from sorted(self._pairs_over(t, env, args, trim), key=CompletionElement.sort_key)
 
     # -- membership -------------------------------------------------------------
 
