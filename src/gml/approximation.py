@@ -75,10 +75,10 @@ from .completion import (
     _atom_key,
     base,
     coding_preimage,
+    count_up_to,
     element_str,
     element_valid,
     elements_up_to,
-    level_size,
     pair_of,
     pair_of_sorted,
     restriction_atom,
@@ -208,9 +208,7 @@ class Evaluator:
 
         The level sizes are counted in closed form first, so a level whose
         keys exceed the ceiling is refused before it is built."""
-        n = len(self.pair.atoms)
-        for level in range(1, j + 1):
-            n = level_size(self.pair, n, level, self.ceiling)
+        n = count_up_to(self.pair, j, self.ceiling)
         if 2**n * n > self.ceiling:
             raise ApproximationInfeasible(
                 f"abstraction over level {j} needs 2^{n}·{n} keys, ceiling is {self.ceiling}"

@@ -20,7 +20,14 @@ from .approximation import (
     extract_witness_subpair,
     member,
 )
-from .completion import CeilingExceeded, element_str, elements_up_to, parse_element
+from .completion import (
+    DEFAULT_CEILING,
+    CeilingExceeded,
+    count_up_to,
+    element_str,
+    elements_up_to,
+    parse_element,
+)
 from .pairs import PartialPair, automorphisms, orbits, union, validate
 from .semantics import Environment, interpret
 from .terms import (
@@ -178,9 +185,9 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
 
     if cmd == "complete":
         pair = _load_valid_pair(args.pair)
-        elems = elements_up_to(pair, args.rank)
         if args.count:
-            return ({"count": len(elems)}, 0)
+            return ({"count": count_up_to(pair, args.rank)}, 0)
+        elems = elements_up_to(pair, args.rank)
         return ({"elements": [element_str(e, pair) for e in elems]}, 0)
 
     if cmd == "member":
@@ -222,6 +229,8 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
         )
 
     if cmd == "enum-terms":
+        if args.limit > DEFAULT_CEILING:
+            raise CeilingExceeded(f"{args.limit} terms asked for, ceiling is {DEFAULT_CEILING}")
         terms = enumerate_closed_terms(args.limit)
         return ({"terms": [print_term(t) for t in terms]}, 0)
 

@@ -172,27 +172,36 @@ def coding_preimage(p: PartialPair, e: CompletionElement):
 # Rank-bounded enumeration
 
 
-def level_size(p: PartialPair, below: int, level: int, ceiling: int) -> int:
-    """|E_level|, given |E_(level-1)| = below, refused when above the ceiling.
+def count_up_to(p: PartialPair, k: int, ceiling: int = DEFAULT_CEILING) -> int:
+    """|E_k|, counted in closed form level by level, so that a level above
+    the ceiling is refused before any level is built.
 
-    Every (subset, element) key over the level below either collapses to a
-    coded atom or is a pair element, and the atoms come along, so the count
-    is exact and no level needs building to know it.
+    Every (subset, element) key over E_(n-1) either collapses to a coded
+    atom or is a pair element, and the atoms come along, so |E_n| is
+    |A| + 2^m·m - c with m = |E_(n-1)| and c the coded keys whose atoms all
+    lie in the carrier (only those keys ever arise; in a valid pair that is
+    every coded key).  A refusal states the size in that form rather than
+    as a number thousands of digits long.
     """
-    size = len(p.atoms) + (2**below) * below - len(p.coding)
-    if size > ceiling:
-        logger.warning("completion level %d would hold %d elements (ceiling %d)", level, size, ceiling)
-        raise CeilingExceeded(f"level {level} would hold {size} elements, ceiling is {ceiling}")
+    if k < 0:
+        raise ValueError("rank bound must be non-negative")
+    collapsing = sum(1 for args, res in p.coding if res in p.atoms and args <= p.atoms)
+    extra = len(p.atoms) - collapsing
+    size = len(p.atoms)
+    for level in range(1, k + 1):
+        below, size = size, (2**size) * size + extra
+        if size > ceiling:
+            held = f"2^{below}·{below}" + (f"{extra:+d}" if extra else "")
+            logger.warning("completion level %d would hold %s elements (ceiling %d)", level, held, ceiling)
+            raise CeilingExceeded(f"level {level} would hold {held} elements, ceiling is {ceiling}")
     return size
 
 
 def elements_up_to(p: PartialPair, k: int, ceiling: int = DEFAULT_CEILING) -> tuple[CompletionElement, ...]:
     """Exactly the elements of rank at most k, in (rank, structural) order."""
-    if k < 0:
-        raise ValueError("rank bound must be non-negative")
+    count_up_to(p, k, ceiling)
     out = tuple(sorted(map(base, p.atoms), key=lambda e: e.sort_key()))
-    for level in range(1, k + 1):
-        level_size(p, len(out), level, ceiling)
+    for _ in range(k):
         current = set(out)
         fresh = []
         for m in range(len(out) + 1):

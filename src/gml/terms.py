@@ -294,51 +294,48 @@ def to_nameless(t: LambdaTerm) -> tuple:
 
 
 def from_nameless(nt: tuple) -> LambdaTerm:
-    def free_of(nt: tuple, depth: int, acc: set[str]) -> None:
+    """The named term of a nameless tree.  Free variables keep their
+    identifiers, and the binder at depth d takes the d-th identifier that is
+    not free in the term, so no binder captures a free variable or shadows an
+    enclosing binder."""
+    free: set[int] = set()
+
+    def free_of(nt: tuple, depth: int) -> None:
         tag = nt[0]
         if tag == "v":
             if nt[1] >= depth:
-                acc.add(ident_of_nat(nt[1] - depth))
+                free.add(nt[1] - depth)
         elif tag == "l":
-            free_of(nt[1], depth + 1, acc)
+            free_of(nt[1], depth + 1)
         else:
-            free_of(nt[1], depth, acc)
-            free_of(nt[2], depth, acc)
+            free_of(nt[1], depth)
+            free_of(nt[2], depth)
 
-    free: set[str] = set()
-    free_of(nt, 0, free)
+    free_of(nt, 0)
+    binders: list[str] = []
+    candidates = itertools.count()
 
-    def go(nt: tuple, names: list[str]) -> LambdaTerm:
+    def go(nt: tuple, depth: int) -> LambdaTerm:
         tag = nt[0]
         if tag == "v":
             n = nt[1]
-            if n < len(names):
-                return Var(names[len(names) - 1 - n])
-            return Var(ident_of_nat(n - len(names)))
+            if n < depth:
+                return Var(binders[depth - 1 - n])
+            return Var(ident_of_nat(n - depth))
         if tag == "l":
-            taken = free | set(names)
-            for i in itertools.count():
-                name = ident_of_nat(i)
-                if name not in taken:
-                    break
-            return Abs(name, go(nt[1], names + [name]))
-        return App(go(nt[1], names), go(nt[2], names))
+            while len(binders) <= depth:
+                i = next(candidates)
+                if i not in free:
+                    binders.append(ident_of_nat(i))
+            return Abs(binders[depth], go(nt[1], depth + 1))
+        return App(go(nt[1], depth), go(nt[2], depth))
 
-    return go(nt, [])
+    return go(nt, 0)
 
 
 def alpha_eq(a: LambdaTerm, b: LambdaTerm) -> bool:
     """Alpha convertibility; free names are compared literally."""
     return to_nameless(a) == to_nameless(b)
-
-
-def is_closed_nameless(nt: tuple, depth: int = 0) -> bool:
-    tag = nt[0]
-    if tag == "v":
-        return nt[1] < depth
-    if tag == "l":
-        return is_closed_nameless(nt[1], depth + 1)
-    return is_closed_nameless(nt[1], depth) and is_closed_nameless(nt[2], depth)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +488,36 @@ def enumerate_closed_terms(limit: int) -> list[LambdaTerm]:
 
 
 def iter_closed_terms() -> Iterator[LambdaTerm]:
+    """Closed terms in code order, each decided and built in one pass.
+
+    `term_at(code, depth)` is the term of `code` under `depth` binders, or
+    None as soon as a variable turns out free.  In a closed term the binder
+    at depth d is ident_of_nat(d), as from_nameless names it, so the term
+    depends on (code, depth) alone.  Application children, whose codes are
+    about the square root of their parent's, are memoized under that pair
+    for as long as the iterator lives, and the terms share them.
+    """
+    memo: dict[tuple[int, int], LambdaTerm | None] = {}
+
+    def term_at(code: int, depth: int) -> LambdaTerm | None:
+        q, r = divmod(code, 3)
+        if r == 0:
+            return Var(ident_of_nat(depth - 1 - q)) if q < depth else None
+        if r == 1:
+            body = term_at(q, depth + 1)
+            return None if body is None else Abs(ident_of_nat(depth), body)
+        i, j = _cantor_unpair(q)
+        fun = child(i, depth)
+        arg = None if fun is None else child(j, depth)
+        return None if arg is None else App(fun, arg)
+
+    def child(code: int, depth: int) -> LambdaTerm | None:
+        key = (code, depth)
+        if key not in memo:
+            memo[key] = term_at(code, depth)
+        return memo[key]
+
     for n in itertools.count():
-        nt = _decode_nameless(n)
-        if is_closed_nameless(nt):
-            yield from_nameless(nt)
+        t = term_at(n, 0)
+        if t is not None:
+            yield t

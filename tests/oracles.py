@@ -3,8 +3,10 @@
 Everything here is written directly from the defining clauses, with no code
 shared with the package internals: the interpreter quantifies over full
 powersets, the completion oracle builds levels as raw nested tuples, the
-coding generator filters every combination of entries, and the closed-term
-enumerator generates nameless trees size by size.  Five exceptions: the
+coding generator filters every combination of entries, the closed-term
+enumerator generates nameless trees size by size, and the codec oracles
+decode every natural whole, name binders by rescanning the identifiers, and
+filter by closedness afterwards.  Five exceptions: the
 witness oracle walks the materialized restriction with the package's own
 finite interpreter (both are checked against the naive oracles above), the
 closure oracle scans keys through the coding handle it is given, the
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import isqrt
 from random import Random
 
 from gml.approximation import (
@@ -40,7 +43,7 @@ from gml.completion import (
 )
 from gml.pairs import PartialPair, union
 from gml.semantics import Environment, interpret
-from gml.terms import Abs, App, LambdaTerm, Var, from_nameless, is_closed
+from gml.terms import Abs, App, LambdaTerm, Var, ident_of_nat, is_closed
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +283,67 @@ def _closed_nameless(size: int, depth: int) -> tuple:
 def closed_terms_up_to(max_size: int) -> list[LambdaTerm]:
     out = []
     for size in range(1, max_size + 1):
-        out.extend(from_nameless(nt) for nt in _closed_nameless(size, 0))
+        out.extend(named_by_rescan(nt) for nt in _closed_nameless(size, 0))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Goedel codec by its definition: decode a natural to the whole nameless tree
+# (Var(n) = 3n, Abs(b) = 3b + 1, App(f, a) = 3 cantor(f, a) + 2), name it, and
+# list closed terms by decoding every natural and keeping the closed ones.
+
+
+def decode_nameless(n: int) -> tuple:
+    q, r = divmod(n, 3)
+    if r == 0:
+        return ("v", q)
+    if r == 1:
+        return ("l", decode_nameless(q))
+    w = (isqrt(8 * q + 1) - 1) // 2
+    j = q - w * (w + 1) // 2
+    return ("a", decode_nameless(w - j), decode_nameless(j))
+
+
+def named_by_rescan(nt: tuple) -> LambdaTerm:
+    """Each binder takes the least identifier that is neither free in the
+    whole term nor bound by an enclosing binder."""
+    free = set()
+
+    def free_of(nt: tuple, depth: int) -> None:
+        if nt[0] == "v":
+            if nt[1] >= depth:
+                free.add(ident_of_nat(nt[1] - depth))
+        elif nt[0] == "l":
+            free_of(nt[1], depth + 1)
+        else:
+            free_of(nt[1], depth)
+            free_of(nt[2], depth)
+
+    free_of(nt, 0)
+
+    def go(nt: tuple, names: list[str]) -> LambdaTerm:
+        if nt[0] == "v":
+            n = nt[1]
+            return Var(names[-1 - n] if n < len(names) else ident_of_nat(n - len(names)))
+        if nt[0] == "l":
+            taken = free | set(names)
+            name = next(x for x in map(ident_of_nat, itertools.count()) if x not in taken)
+            return Abs(name, go(nt[1], names + [name]))
+        return App(go(nt[1], names), go(nt[2], names))
+
+    return go(nt, [])
+
+
+def closed_terms_by_filter(limit: int) -> list[LambdaTerm]:
+    """The first `limit` closed terms in code order: decode every natural
+    and keep the terms with no free variable."""
+    out = []
+    for n in itertools.count():
+        if len(out) == limit:
+            return out
+        t = named_by_rescan(decode_nameless(n))
+        if is_closed(t):
+            out.append(t)
 
 
 # ---------------------------------------------------------------------------

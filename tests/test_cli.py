@@ -94,6 +94,16 @@ class TestComplete:
         assert code == 1
         assert "bound too large" in err and not out
 
+    def test_refusal_states_the_level_size_as_a_power(self, capsys, pair_file, free2):
+        """Every level is counted before any is built, and the refused level's
+        size is written as 2^m·m plus the uncoded atoms, not in full."""
+        code, out, err = run(capsys, "--json", "complete", "--pair", pair_file(free2), "--rank", "3", "--count")
+        assert code == 1 and not out
+        assert err.splitlines()[-1] == (
+            "bound too large: level 3 would hold 2^10242·10242+2 elements, ceiling is 1000000"
+        )
+        assert len(err.encode()) < 200
+
 
 class TestMemberWitness:
     def test_member_found(self, capsys, free_file):
@@ -284,6 +294,16 @@ class TestEnumTerms:
         assert code == 0
         assert doc["terms"][0] == "\\a.a"
         assert len(doc["terms"]) == 4
+
+    def test_limit_past_ceiling_is_refused(self, capsys):
+        code, out, err = run(capsys, "enum-terms", "100000000")
+        assert code == 1 and not out
+        assert err == "bound too large: 100000000 terms asked for, ceiling is 1000000\n"
+
+    def test_negative_limit_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "enum-terms", "--", "-1")
+        assert code == 2 and not out
+        assert err == "usage error: limit must be non-negative\n"
 
 
 class TestOutputContract:

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from gml import completion
 from gml.completion import (
     CeilingExceeded,
     CompletionCoding,
@@ -10,6 +11,7 @@ from gml.completion import (
     base,
     canonical_morphism,
     coding_preimage,
+    count_up_to,
     element_str,
     element_valid,
     elements_up_to,
@@ -112,6 +114,25 @@ class TestElementsUpTo:
     def test_ceiling(self, free2):
         with pytest.raises(CeilingExceeded):
             elements_up_to(free2, 3, ceiling=10**6)
+
+    def test_count_matches_the_built_levels(self, p1):
+        rng = Random(32)
+        stray = PartialPair({0}, {(frozenset({5}), 5): 0})  # invalid: its one key never arises
+        for p in [p1, stray] + [random_pair(rng, max_atoms=2, max_entries=2) for _ in range(20)]:
+            for k in range(3 if len(p.atoms) == 1 else 2):
+                assert count_up_to(p, k) == len(elements_up_to(p, k))
+
+    def test_refuses_before_building_any_level(self, p1, free2, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("a level was built")
+
+        monkeypatch.setattr(completion, "apply_coding", unbuilt)
+        with pytest.raises(CeilingExceeded) as refused:
+            elements_up_to(free2, 3)
+        assert str(refused.value) == "level 3 would hold 2^10242·10242+2 elements, ceiling is 1000000"
+        with pytest.raises(CeilingExceeded) as refused:
+            count_up_to(p1, 2, ceiling=5)
+        assert str(refused.value) == "level 2 would hold 2^2·2 elements, ceiling is 5"
 
     def test_validity(self, p1):
         for e in elements_up_to(p1, 2):

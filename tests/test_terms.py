@@ -26,7 +26,7 @@ from gml.terms import (
     print_term,
     size,
 )
-from oracles import random_term
+from oracles import closed_terms_by_filter, decode_nameless, named_by_rescan, random_term
 
 
 class TestParse:
@@ -144,6 +144,10 @@ class TestGodelCodec:
         for n in range(1000):
             assert godel_encode(godel_decode(n)) == n
 
+    def test_decode_names_binders_as_the_rescan_does(self):
+        for n in range(20000):
+            assert godel_decode(n) == named_by_rescan(decode_nameless(n)), n
+
     def test_decode_zero_is_first_variable(self):
         assert godel_decode(0) == Var("a")
         assert godel_decode(1) == Abs("a", Var("a"))
@@ -192,6 +196,21 @@ class TestEnumerateClosed:
         terms = enumerate_closed_terms(100)
         codes = {godel_encode(t) for t in terms}
         assert len(codes) == 100
+
+    def test_matches_decode_then_filter(self):
+        ours, theirs = enumerate_closed_terms(3000), closed_terms_by_filter(3000)
+        assert ours == theirs
+        assert [print_term(t) for t in ours] == [print_term(t) for t in theirs]
+        codes = [godel_encode(t) for t in ours]
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+
+    def test_listings_share_subterms(self):
+        terms = enumerate_closed_terms(400)
+        apps = [t for t in terms if isinstance(t, App)]
+        by_value = {}
+        for t in apps:
+            for part in (t.fun, t.arg):
+                assert by_value.setdefault(part, part) is part
 
 
 def test_size_counts_nodes():
