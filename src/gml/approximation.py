@@ -42,10 +42,12 @@ that N's lacks, so check_inequation reads M's side in witness order
 (sort_key order) and stops at the first element N's evaluator rejects.  At
 an abstraction that order is lazy: the coded atoms, then the argument sets
 over the sorted lower level depth first, lexicographically with a prefix
-first, each with its results sorted; the same walk, pruned, finds a redex's
-least supporting key.  A refuted abstraction thus costs the argument sets up
-to its witness, not all of them, while a holding inclusion still scans the
-whole side.
+first, each with its results sorted.  That one walk (Evaluator._abstraction)
+serves both readings of an abstraction: enumeration takes the union of its
+groups, the ordered scan sorts each group as it comes; the same subset walk,
+pruned, finds a redex's least supporting key.  A refuted abstraction thus
+costs the argument sets up to its witness, not all of them, while a holding
+inclusion still scans the whole side.
 
 Certificates come from the same derivation.  extract_witness_subpair walks
 the term with the memoized membership and enumeration queries and keeps the
@@ -62,7 +64,6 @@ rank 2, whose restriction would hold billions of elements, answer this way.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -241,14 +242,7 @@ class Evaluator:
             return frozenset(e for e in env.get(t.name, ()) if e.rank <= trim)
 
         if isinstance(t, Abs):
-            out = self._coded_members(t, env)
-            if trim >= 1:
-                # any order of argument sets will do here, so take the quickest walk
-                prev = self._level(trim - 1)
-                for m in range(len(prev) + 1):
-                    for args in itertools.combinations(prev, m):
-                        out.update(self._pairs_over(t, env, args, trim))
-            return frozenset(out)
+            return frozenset(e for group in self._abstraction(t, env, trim) for e in group)
 
         # application
         if _is_self_apply(t.fun) and _is_self_apply(t.arg):
@@ -268,48 +262,46 @@ class Evaluator:
                 out.add(res)
         return frozenset(out)
 
-    def _coded_members(self, t: Abs, env: dict) -> set:
-        """The atoms in interp(t): the values of the coded keys whose result
-        the body gives under their argument set."""
-        return {
+    def _abstraction(self, t: Abs, env: dict, trim: int):
+        """interp(t) cut to rank <= trim, in groups: first the coded atoms,
+        the values of the coded keys whose result the body gives under their
+        argument set; then, for each argument tuple over the sorted level one
+        rank down in _subsets order, the pair elements with those arguments.
+        One enumeration of the body cut to that rank gives a tuple's results.
+
+        The coded atoms and the level are computed before the first group is
+        yielded.  At trim = k that level is the largest any query of this
+        evaluator builds, so a walk stopped early refuses exactly where a
+        whole one would."""
+        coded = {
             base(v)
             for (a, alpha), v in self.pair.coding.items()
             if self.contains(t.body, {**env, t.binder: frozenset(map(base, a))}, base(alpha))
         }
-
-    def _pairs_over(self, t: Abs, env: dict, args: tuple, trim: int):
-        """The pair elements of interp(t) cut to rank <= trim with argument
-        tuple args, a sorted tuple over the level one rank down: one
-        enumeration of the body cut to that rank gives their results."""
-        args_set = frozenset(args)
-        inner = {**env, t.binder: args_set}
-        for alpha in self.enumerate(t.body, inner, trim - 1):
-            key = _atom_key(args_set, alpha)
-            if key is None or key not in self.pair.coding:  # coded keys collapse to atoms
-                yield pair_of_sorted(args, alpha)
+        arg_tuples = _subsets(self._level(trim - 1)) if trim >= 1 else ()
+        yield coded
+        for args in arg_tuples:
+            args_set = frozenset(args)
+            inner = {**env, t.binder: args_set}
+            group = []
+            for alpha in self.enumerate(t.body, inner, trim - 1):
+                key = _atom_key(args_set, alpha)
+                if key is None or key not in self.pair.coding:  # coded keys collapse to atoms
+                    group.append(pair_of_sorted(args, alpha))
+            yield group
 
     def ordered(self, t: LambdaTerm, env: dict, trim: int):
         """interp(t, B_k, env) cut to rank <= trim, in sort_key order.
 
-        At an abstraction the set is never built: after the coded atoms, the
-        argument tuples over the sorted level one rank down come in the order
-        sort_key compares them in (lexicographic, a prefix first), and each
-        tuple's pair elements follow sorted by result.  The coded atoms and
-        the level are computed before the first element is yielded.  At
-        trim = k that level is the largest any query of this evaluator builds,
-        so a scan stopped early refuses exactly where enumerate() would.
-        Other terms are enumerated whole and sorted.
+        At an abstraction the set is never built: its groups come in the
+        order sort_key compares them in (the coded atoms, then the argument
+        tuples lexicographically, a prefix first), each group sorted by
+        result.  Other terms are one group, enumerated whole.
         """
         trim = min(trim, self.k)
-        if not isinstance(t, Abs):
-            yield from sorted(self.enumerate(t, env, trim), key=CompletionElement.sort_key)
-            return
-        coded = self._coded_members(t, env)
-        prev = self._level(trim - 1) if trim >= 1 else None
-        yield from sorted(coded, key=CompletionElement.sort_key)
-        if prev is not None:
-            for args in _subsets(prev):
-                yield from sorted(self._pairs_over(t, env, args, trim), key=CompletionElement.sort_key)
+        groups = self._abstraction(t, env, trim) if isinstance(t, Abs) else [self.enumerate(t, env, trim)]
+        for group in groups:
+            yield from sorted(group, key=CompletionElement.sort_key)
 
     # -- membership -------------------------------------------------------------
 
@@ -599,7 +591,7 @@ BOUNDED_REFUTATION_NOTE = (
 class Verdict:
     """Outcome of a bounded check of lhs <= rhs (interpretation inclusion)."""
 
-    kind: str  # "holds_up_to" | "fails_with_evidence" | "unknown"
+    kind: str  # "holds_up_to" | "fails_with_evidence"
     lhs: LambdaTerm
     rhs: LambdaTerm
     lhs_bound: int

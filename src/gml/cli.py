@@ -150,8 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     mm_sub = mm.add_subparsers(dest="mm_command", required=True)
     q = mm_sub.add_parser("search", help="scan components for an inequation counterexample")
     q.add_argument("--max-index", type=int, default=50, metavar="K")
-    q.add_argument("--kM", type=int, default=2, metavar="K")
-    q.add_argument("--kN", type=int, default=4, metavar="K")
+    common(q, bounds=True)
     q.add_argument("claim")
     q = mm_sub.add_parser("pair", help="export the k-th relocated component")
     q.add_argument("index", type=int)
@@ -297,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:  # term and element syntax are parsed recursively
         print("usage error: input nested too deeply", file=sys.stderr)
         return 2
-    except (ParseError, ValueError, FileNotFoundError) as exc:
+    except (ParseError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     _emit(doc, args.json)

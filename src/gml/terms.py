@@ -4,7 +4,9 @@ Terms are immutable trees of Var / Abs / App.  Alpha equivalence is decided
 through a canonical nameless form (de Bruijn indices for bound variables,
 a fixed enumeration of the identifier language for free ones), and the same
 nameless form underlies a total bijection between natural numbers and
-alpha-classes of terms.
+alpha-classes of terms.  Encoding goes through the nameless tree; decoding
+reads a code straight into a named term, with the builder that also lists
+the closed terms in code order.
 
 Everything here is pure; values are safe to share between threads.
 """
@@ -15,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 
 # ---------------------------------------------------------------------------
@@ -293,46 +295,6 @@ def to_nameless(t: LambdaTerm) -> tuple:
     return go(t, {}, 0)
 
 
-def from_nameless(nt: tuple) -> LambdaTerm:
-    """The named term of a nameless tree.  Free variables keep their
-    identifiers, and the binder at depth d takes the d-th identifier that is
-    not free in the term, so no binder captures a free variable or shadows an
-    enclosing binder."""
-    free: set[int] = set()
-
-    def free_of(nt: tuple, depth: int) -> None:
-        tag = nt[0]
-        if tag == "v":
-            if nt[1] >= depth:
-                free.add(nt[1] - depth)
-        elif tag == "l":
-            free_of(nt[1], depth + 1)
-        else:
-            free_of(nt[1], depth)
-            free_of(nt[2], depth)
-
-    free_of(nt, 0)
-    binders: list[str] = []
-    candidates = itertools.count()
-
-    def go(nt: tuple, depth: int) -> LambdaTerm:
-        tag = nt[0]
-        if tag == "v":
-            n = nt[1]
-            if n < depth:
-                return Var(binders[depth - 1 - n])
-            return Var(ident_of_nat(n - depth))
-        if tag == "l":
-            while len(binders) <= depth:
-                i = next(candidates)
-                if i not in free:
-                    binders.append(ident_of_nat(i))
-            return Abs(binders[depth], go(nt[1], depth + 1))
-        return App(go(nt[1], depth), go(nt[2], depth))
-
-    return go(nt, 0)
-
-
 def alpha_eq(a: LambdaTerm, b: LambdaTerm) -> bool:
     """Alpha convertibility; free names are compared literally."""
     return to_nameless(a) == to_nameless(b)
@@ -458,26 +420,42 @@ def _encode_nameless(nt: tuple) -> int:
     return 3 * _cantor_pair(_encode_nameless(nt[1]), _encode_nameless(nt[2])) + 2
 
 
-def _decode_nameless(n: int) -> tuple:
-    if n < 0:
-        raise ValueError("codes are non-negative")
-    r = n % 3
-    if r == 0:
-        return ("v", n // 3)
-    if r == 1:
-        return ("l", _decode_nameless(n // 3))
-    i, j = _cantor_unpair((n - 2) // 3)
-    return ("a", _decode_nameless(i), _decode_nameless(j))
-
-
 def godel_encode(t: LambdaTerm) -> int:
     """Code of the alpha-class of t."""
     return _encode_nameless(to_nameless(t))
 
 
 def godel_decode(n: int) -> LambdaTerm:
-    """The term (canonical representative) with code n; total on naturals."""
-    return from_nameless(_decode_nameless(n))
+    """The term (canonical representative) with code n; total on naturals.
+
+    Free variables keep their identifiers, and the binder at depth d takes
+    the d-th identifier not free in the term, so no binder captures a free
+    variable or shadows an enclosing binder."""
+    if n < 0:
+        raise ValueError("codes are non-negative")
+    free = set()
+    stack = [(n, 0)]
+    while stack:
+        code, depth = stack.pop()
+        q, r = divmod(code, 3)
+        if r == 0:
+            if q >= depth:
+                free.add(q - depth)
+        elif r == 1:
+            stack.append((q, depth + 1))
+        else:
+            stack += [(part, depth) for part in _cantor_unpair(q)]
+    skipped = sorted(free)
+
+    def binder(d: int) -> str:
+        # the d-th natural outside `free`: step past each free one at or below it
+        for f in skipped:
+            if f > d:
+                break
+            d += 1
+        return ident_of_nat(d)
+
+    return _builder(binder, keep_free=True)(n, 0)
 
 
 def enumerate_closed_terms(limit: int) -> list[LambdaTerm]:
@@ -490,22 +468,37 @@ def enumerate_closed_terms(limit: int) -> list[LambdaTerm]:
 def iter_closed_terms() -> Iterator[LambdaTerm]:
     """Closed terms in code order, each decided and built in one pass.
 
-    `term_at(code, depth)` is the term of `code` under `depth` binders, or
-    None as soon as a variable turns out free.  In a closed term the binder
-    at depth d is ident_of_nat(d), as from_nameless names it, so the term
-    depends on (code, depth) alone.  Application children, whose codes are
-    about the square root of their parent's, are memoized under that pair
-    for as long as the iterator lives, and the terms share them.
+    A closed term has no free identifier to avoid, so its binder at depth d
+    is ident_of_nat(d), as godel_decode names it, and the builder gives up
+    on a code at its first free variable.
+    """
+    term_at = _builder(ident_of_nat, keep_free=False)
+    for n in itertools.count():
+        t = term_at(n, 0)
+        if t is not None:
+            yield t
+
+
+def _builder(binder: Callable[[int], str], keep_free: bool):
+    """term_at(code, depth): the term of `code` under `depth` binders, the
+    binder at depth d named binder(d).  With keep_free a free variable keeps
+    its identifier; without it, a free variable makes the result None.
+
+    The term depends on (code, depth) alone, so application children, whose
+    codes are about the square root of their parent's, are memoized under
+    that pair for as long as the builder lives, and the terms share them.
     """
     memo: dict[tuple[int, int], LambdaTerm | None] = {}
 
     def term_at(code: int, depth: int) -> LambdaTerm | None:
         q, r = divmod(code, 3)
         if r == 0:
-            return Var(ident_of_nat(depth - 1 - q)) if q < depth else None
+            if q < depth:
+                return Var(binder(depth - 1 - q))
+            return Var(ident_of_nat(q - depth)) if keep_free else None
         if r == 1:
             body = term_at(q, depth + 1)
-            return None if body is None else Abs(ident_of_nat(depth), body)
+            return None if body is None else Abs(binder(depth), body)
         i, j = _cantor_unpair(q)
         fun = child(i, depth)
         arg = None if fun is None else child(j, depth)
@@ -517,7 +510,4 @@ def iter_closed_terms() -> Iterator[LambdaTerm]:
             memo[key] = term_at(code, depth)
         return memo[key]
 
-    for n in itertools.count():
-        t = term_at(n, 0)
-        if t is not None:
-            yield t
+    return term_at

@@ -189,6 +189,10 @@ class TestMalformedInput:
         self.assert_usage_error(capsys, "complete", "--pair", pair, "--rank", "1")
         self.assert_usage_error(capsys, "member", "--pair", pair, "I", "a")
 
+    def test_directory_for_a_pair_file(self, capsys, tmp_path):
+        self.assert_usage_error(capsys, "interp", "--pair", str(tmp_path), "x")
+        self.assert_usage_error(capsys, "pair", "union", str(tmp_path), str(tmp_path))
+
     def test_negative_rank(self, capsys, free_file):
         for command in ("member", "witness"):
             self.assert_usage_error(capsys, command, "--pair", free_file, "--rank", "-1", "\\x.x", "0")

@@ -148,6 +148,10 @@ class TestGodelCodec:
         for n in range(20000):
             assert godel_decode(n) == named_by_rescan(decode_nameless(n)), n
 
+    def test_decode_refuses_negative_codes(self):
+        with pytest.raises(ValueError):
+            godel_decode(-1)
+
     def test_decode_zero_is_first_variable(self):
         assert godel_decode(0) == Var("a")
         assert godel_decode(1) == Abs("a", Var("a"))

@@ -5,8 +5,9 @@ name would crash every benchmark run, so the names are checked here.  Short
 runs of the benchmark's worker, with its answer checker, catch a change in
 output bytes or a broken numeration round trip before a full benchmark run;
 a traced run checks that the tracer's in-place wrapping of the evaluator
-still fits it."""
+still fits it.  A lint-style check keeps the package's imports in use."""
 
+import ast
 import importlib.util
 import json
 import subprocess
@@ -21,6 +22,7 @@ from gml import minmodel
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
+PACKAGE = ROOT / "src" / "gml"
 
 
 def load_spans():
@@ -71,3 +73,33 @@ def test_traced_run_counts_evaluator_calls(tmp_path):
     layers = run_worker(tmp_path, "certify", 40, "--trace", tmp_path / "spans.jsonl")["layers"]
     assert layers["approximation.evaluators"]["value"] > 0
     assert layers["approximation.contains.calls"]["value"] > 0
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports at module level and never reads, except on
+    import statements marked `# noqa: F401` and `from __future__` imports."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("noqa:" in line and "F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
+def test_no_unused_module_imports(path):
+    assert unused_imports((PACKAGE / path).read_text()) == []
+
+
+def test_unused_import_check_sees_a_left_over_import():
+    source = "import itertools\nfrom .completion import restrict  # noqa: E402,F401\nimport math\nmath.sqrt(2)\n"
+    assert unused_imports(source) == ["itertools (line 1)"]
