@@ -14,7 +14,10 @@ model is the free completion of that pair, built by the same completion code
 as the completions of finite pairs, and it interprets every closed term as in
 each component separately.  An inequation refutable in any completion of a
 finite pair is therefore refutable in some component, which the search here
-scans for.
+scans for.  Isomorphic components interpret every closed term alike, so the
+scan checks one component per isomorphism class, the least-index member,
+whenever that member answered; the members of a class whose least member
+was refused are each still checked.
 
 Primes come from a sieve of Eratosthenes that doubles its range as needed
 and keeps at most DEFAULT_CEILING primes; a component whose prime lies past
@@ -198,11 +201,18 @@ def _rank_coding(carrier: tuple[int, ...], coding: dict) -> int:
         entries.append((args_mask * b + position[res], position[val]))
     if len({v for _, v in entries}) < m:
         raise ValueError("not a valid coding: values are not distinct")
+    return _rank_entries(b, sorted(entries))
+
+
+def _rank_entries(b: int, entries: list[tuple[int, int]]) -> int:
+    """Index of the coding with these sorted (key number, value position)
+    entries among those over a b-atom carrier."""
+    m = len(entries)
     keys = (2**b) * b
     free = list(range(b))  # positions of values not yet used
     j = sum(_codings_of_size(b, s) for s in range(m))
     first = 0  # least key number the next entry may take
-    for i, (q, v) in enumerate(sorted(entries)):
+    for i, (q, v) in enumerate(entries):
         fills = perm(b - i - 1, m - i - 1)
         # sum of comb(keys-r-1, m-i-1) over first <= r < q (hockey stick)
         skipped = comb(keys - first, m - i) - comb(keys - q, m - i)
@@ -246,6 +256,34 @@ def encode_pair(p: PartialPair) -> int:
         for weight in range(mask.bit_length() + 1)
     )
     return before + _rank_coding(tuple(sorted(p.atoms)), p.coding)
+
+
+# ---------------------------------------------------------------------------
+# Isomorphism classes
+#
+# Every pair on b atoms is isomorphic to pairs on the carrier {0..b-1}, whose
+# block comes before every other b-atom block.  Permuting the atoms keeps the
+# number of entries, and codings of one size are ordered lexicographically
+# over their sorted (key number, value) entries, so the least member of a
+# class is the relabelling onto {0..b-1} whose entry list is least.
+
+
+def class_representative(p: PartialPair) -> int:
+    """The least index among the pairs isomorphic to p."""
+    carrier = sorted(p.atoms)
+    b = len(carrier)
+    position = {x: i for i, x in enumerate(carrier)}
+    entries = [
+        ([position[x] for x in args], position[res], position[val])
+        for (args, res), val in p.coding.items()
+    ]
+    least = min(
+        sorted([(sum([1 << s[x] for x in args]) * b + s[res], s[val]) for args, res, val in entries])
+        for s in itertools.permutations(range(b))
+    )
+    # the carriers before {0..b-1} are the masks below 2^b - 1: comb(b, w) of weight w < b
+    before = sum(comb(b, w) * pair_count_for_size(w) for w in range(b))
+    return before + _rank_entries(b, least)
 
 
 # ---------------------------------------------------------------------------
@@ -397,21 +435,53 @@ def search_counterexample(
     so this scan refutes everything the minimum order theory refutes, given
     enough index and rank budget.  Components whose check exceeds the element
     ceiling are skipped with a logged notice.
+
+    Isomorphic components interpret every closed term alike, so component k
+    is passed over when the least-index member of its class
+    (class_representative) was checked earlier in this scan and failed or
+    held.  The least failing component is always such a member, so the
+    result is that of a scan of every component.  A refused member does not
+    stand for its class, since a refusal may depend on the order in which
+    elements are scanned: the other members of its class are each checked
+    at their own index.  A block on a b-atom carrier other than {0..b-1} is
+    passed over whole once every component on {0..b-1} answered, and no
+    class is computed for b while none of those has answered.
     """
     if max_index < 0:
         raise ValueError("index bound must be non-negative")
     if not is_closed(lhs) or not is_closed(rhs):
         raise ValueError("counterexample search expects closed terms")
-    for k in range(max_index + 1):
-        component = enumerate_pair(k)
-        try:
-            verdict = check_inequation(lhs, rhs, component, k_lhs, k_rhs, ceiling)
-        except CeilingExceeded as exc:
-            logger.warning("component %d skipped: %s", k, exc)
-            continue
-        if verdict.failed:
-            return (k, verdict)
-    return None
+    answered: set[int] = set()  # sizes b with an answered component on {0..b-1}
+    refused: dict[int, set[int]] = {}  # b -> indices of refused components on {0..b-1}
+    start = 0
+    for mask in itertools.count():
+        if start > max_index:
+            return None
+        b = mask.bit_count()
+        size = pair_count_for_size(b)
+        block = range(start, min(start + size, max_index + 1))
+        start += size
+        initial = mask == (1 << b) - 1
+        if not initial and not refused.get(b):
+            continue  # the block on {0..b-1} came first and answered for every class
+        for k in block:
+            component = enumerate_pair(k)
+            if b in answered:
+                representative = class_representative(component)
+                if representative != k and representative not in refused.get(b, ()):
+                    continue
+            try:
+                verdict = check_inequation(lhs, rhs, component, k_lhs, k_rhs, ceiling)
+            except CeilingExceeded as exc:
+                logger.warning("component %d skipped: %s", k, exc)
+                if initial:
+                    refused.setdefault(b, set()).add(k)
+                continue
+            if verdict.failed:
+                return (k, verdict)
+            if initial:
+                answered.add(b)
+    raise AssertionError
 
 
 def restriction_property_check(

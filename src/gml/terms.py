@@ -281,16 +281,18 @@ def to_nameless(t: LambdaTerm) -> tuple:
             if t.name in env:
                 return ("v", depth - 1 - env[t.name])
             return ("v", depth + nat_of_ident(t.name))
-        if isinstance(t, Abs):
-            saved = env.get(t.binder)
+        if isinstance(t, App):
+            return ("a", go(t.fun, env, depth), go(t.arg, env, depth))
+        env = dict(env)  # an abstraction chain is walked in a loop, not recursed into
+        top = depth
+        while isinstance(t, Abs):
             env[t.binder] = depth
-            body = go(t.body, env, depth + 1)
-            if saved is None:
-                del env[t.binder]
-            else:
-                env[t.binder] = saved
-            return ("l", body)
-        return ("a", go(t.fun, env, depth), go(t.arg, env, depth))
+            depth += 1
+            t = t.body
+        out = go(t, env, depth)
+        for _ in range(depth - top):
+            out = ("l", out)
+        return out
 
     return go(t, {}, 0)
 
@@ -415,9 +417,16 @@ def _encode_nameless(nt: tuple) -> int:
     tag = nt[0]
     if tag == "v":
         return 3 * nt[1]
-    if tag == "l":
-        return 3 * _encode_nameless(nt[1]) + 1
-    return 3 * _cantor_pair(_encode_nameless(nt[1]), _encode_nameless(nt[2])) + 2
+    if tag == "a":
+        return 3 * _cantor_pair(_encode_nameless(nt[1]), _encode_nameless(nt[2])) + 2
+    binders = 0
+    while nt[0] == "l":  # an abstraction chain is walked in a loop, not recursed into
+        binders += 1
+        nt = nt[1]
+    code = _encode_nameless(nt)
+    for _ in range(binders):
+        code = 3 * code + 1
+    return code
 
 
 def godel_encode(t: LambdaTerm) -> int:
@@ -491,18 +500,29 @@ def _builder(binder: Callable[[int], str], keep_free: bool):
     memo: dict[tuple[int, int], LambdaTerm | None] = {}
 
     def term_at(code: int, depth: int) -> LambdaTerm | None:
+        top = depth
         q, r = divmod(code, 3)
+        while r == 1:  # an abstraction chain is walked in a loop, not recursed into
+            depth += 1
+            q, r = divmod(q, 3)
         if r == 0:
             if q < depth:
-                return Var(binder(depth - 1 - q))
-            return Var(ident_of_nat(q - depth)) if keep_free else None
-        if r == 1:
-            body = term_at(q, depth + 1)
-            return None if body is None else Abs(binder(depth), body)
-        i, j = _cantor_unpair(q)
-        fun = child(i, depth)
-        arg = None if fun is None else child(j, depth)
-        return None if arg is None else App(fun, arg)
+                t = Var(binder(depth - 1 - q))
+            elif keep_free:
+                t = Var(ident_of_nat(q - depth))
+            else:
+                return None
+        else:
+            i, j = _cantor_unpair(q)
+            fun = child(i, depth)
+            arg = None if fun is None else child(j, depth)
+            if arg is None:
+                return None
+            t = App(fun, arg)
+        while depth > top:
+            depth -= 1
+            t = Abs(binder(depth), t)
+        return t
 
     def child(code: int, depth: int) -> LambdaTerm | None:
         key = (code, depth)

@@ -6,13 +6,16 @@ powersets, the completion oracle builds levels as raw nested tuples, the
 coding generator filters every combination of entries, the closed-term
 enumerator generates nameless trees size by size, and the codec oracles
 decode every natural whole, name binders by rescanning the identifiers, and
-filter by closedness afterwards.  Five exceptions: the
+filter by closedness afterwards.  Seven exceptions: the
 witness oracle walks the materialized restriction with the package's own
 finite interpreter (both are checked against the naive oracles above), the
 closure oracle scans keys through the coding handle it is given, the
 abstraction oracle asks the package's evaluator one membership at a time,
-the key oracle enumerates an application's function side with it, and the
-inequation oracle scans the package's whole left-side set.
+the key oracle enumerates an application's function side with it, the
+inequation oracle scans the package's whole left-side set, the search
+oracle checks every component with the package's numeration and inequation
+check, and the isomorphism oracle tries every bijection of two carriers
+with the package's Morphism.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from functools import lru_cache
 from math import isqrt
 from random import Random
 
+from gml import minmodel
 from gml.approximation import (
     DEFAULT_MEMBER_BOUND,
     DEFAULT_SLACK,
@@ -41,7 +45,7 @@ from gml.completion import (
     elements_up_to,
     restrict,
 )
-from gml.pairs import PartialPair, union
+from gml.pairs import Morphism, PartialPair, union
 from gml.semantics import Environment, interpret
 from gml.terms import Abs, App, LambdaTerm, Var, ident_of_nat, is_closed
 
@@ -221,6 +225,54 @@ def check_inequation_by_full_scan(
                 witness=candidate, member_rank=found.rank, witness_subpair=subpair,
             )
     return Verdict("holds_up_to", lhs, rhs, k_lhs, k_rhs)
+
+
+# ---------------------------------------------------------------------------
+# The componentwise search over every index: components 0..max_index checked
+# in turn, refusals logged and passed over, the first failure returned.  The
+# numeration and the check are looked up on the package module, so a test
+# that patches them there patches both searches.
+
+
+def search_by_full_scan(
+    lhs: LambdaTerm,
+    rhs: LambdaTerm,
+    max_index: int,
+    k_lhs: int = 2,
+    k_rhs: int = 4,
+    ceiling: int = DEFAULT_CEILING,
+):
+    for k in range(max_index + 1):
+        component = minmodel.enumerate_pair(k)
+        try:
+            verdict = minmodel.check_inequation(lhs, rhs, component, k_lhs, k_rhs, ceiling)
+        except CeilingExceeded as exc:
+            minmodel.logger.warning("component %d skipped: %s", k, exc)
+            continue
+        if verdict.failed:
+            return (k, verdict)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Isomorphism by trying every bijection between two carriers, and the least
+# index of an isomorphic pair by trying every smaller index.
+
+
+def isomorphism(p: PartialPair, q: PartialPair) -> Morphism | None:
+    if len(p.atoms) != len(q.atoms):
+        return None
+    source = sorted(p.atoms)
+    for image in itertools.permutations(sorted(q.atoms)):
+        m = Morphism(p, q, dict(zip(source, image)))
+        if m.is_isomorphism():
+            return m
+    return None
+
+
+def least_isomorphic_index(k: int) -> int:
+    p = minmodel.enumerate_pair(k)
+    return next(j for j in range(k + 1) if isomorphism(minmodel.enumerate_pair(j), p) is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import itertools
+from collections import Counter
 from random import Random
 
 import pytest
 
+from gml import minmodel
+from gml.cli import main
 from gml.completion import (
     CeilingExceeded,
     CompletionCoding,
@@ -16,6 +19,7 @@ from gml.minmodel import (
     PRIME_CODED,
     _rank_coding,
     _unrank_coding,
+    class_representative,
     component_of,
     element_code,
     element_decode,
@@ -31,9 +35,15 @@ from gml.minmodel import (
     search_counterexample,
 )
 from gml.pairs import PartialPair, generate_subgraphmodel, validate
-from gml.terms import FALSE, IDENTITY, OMEGA, TRUE, parse
+from gml.terms import FALSE, IDENTITY, OMEGA, TRUE, parse, print_term
 
-from oracles import codings_in_order
+from oracles import (
+    closed_terms_up_to,
+    codings_in_order,
+    isomorphism,
+    least_isomorphic_index,
+    search_by_full_scan,
+)
 
 
 class TestPrimes:
@@ -278,6 +288,124 @@ class TestSearch:
     def test_open_terms_rejected(self):
         with pytest.raises(ValueError):
             search_counterexample(parse("x"), IDENTITY, 5)
+
+
+def _checked_components(monkeypatch, refuse: frozenset = frozenset()) -> list[int]:
+    """Patch the search's inequation check to record the index of every
+    component it is asked about, refusing those in `refuse`."""
+    checked = []
+    real = minmodel.check_inequation
+
+    def recording(lhs, rhs, p, *bounds):
+        k = encode_pair(p)
+        checked.append(k)
+        if k in refuse:
+            raise CeilingExceeded("refused by the test")
+        return real(lhs, rhs, p, *bounds)
+
+    monkeypatch.setattr(minmodel, "check_inequation", recording)
+    return checked
+
+
+class TestIsomorphClasses:
+    def test_representatives_below_the_three_atom_block(self):
+        repeats = [k for k in range(229) if class_representative(enumerate_pair(k)) != k]
+        assert 229 - len(repeats) == 45
+        assert [k for k in repeats if k <= 60] == [4, 5, 6, 10, 11, *range(16, 20), 22, 23, *range(38, 50)]
+
+    def test_representatives_on_three_atoms(self):
+        count = sum(class_representative(enumerate_pair(k)) == k for k in range(229, 14_102))
+        assert count == 2_373
+
+    def test_agrees_with_least_isomorphic_index(self):
+        for k in [*range(229), *Random(3).sample(range(229, 700), 40)]:
+            assert class_representative(enumerate_pair(k)) == least_isomorphic_index(k)
+
+    def test_invariant_under_relabelling(self):
+        rng = Random(5)
+        for k in rng.sample(range(14_102, 14_102 + 10**6), 30):
+            p = enumerate_pair(k)
+            image = rng.sample(range(9), len(p.atoms))
+            move = dict(zip(sorted(p.atoms), image))
+            q = PartialPair(
+                image,
+                {(frozenset(move[x] for x in a), move[r]): move[v] for (a, r), v in p.coding.items()},
+            )
+            assert class_representative(q) == class_representative(p) <= k
+
+    def test_skipped_components_are_isomorphic_to_a_checked_one(self, monkeypatch):
+        checked = _checked_components(monkeypatch)
+        assert search_counterexample(IDENTITY, IDENTITY, 228) is None
+        assert checked == [k for k in range(229) if class_representative(enumerate_pair(k)) == k]
+        for k in sorted(set(range(229)) - set(checked)):
+            rep = class_representative(enumerate_pair(k))
+            assert rep < k and rep in checked
+            m = isomorphism(enumerate_pair(k), enumerate_pair(rep))
+            assert m is not None and m.is_isomorphism()
+
+    def test_repeat_blocks_are_not_unranked(self, monkeypatch):
+        carriers = Counter()
+        real = minmodel._unrank_coding
+
+        def counting(carrier, j):
+            carriers[carrier] += 1
+            return real(carrier, j)
+
+        monkeypatch.setattr(minmodel, "_unrank_coding", counting)
+        assert search_counterexample(IDENTITY, IDENTITY, 228) is None
+        assert carriers == {(): 1, (0,): 3, (0, 1): 73}
+
+    def test_refused_representative_leaves_its_class_to_be_checked(self, monkeypatch, caplog):
+        members = [k for k in range(229) if class_representative(enumerate_pair(k)) == 13]
+        assert len(members) == 6
+        checked = _checked_components(monkeypatch, refuse=frozenset({13}))
+        assert search_counterexample(IDENTITY, IDENTITY, 228) is None
+        reps = {k for k in range(229) if class_representative(enumerate_pair(k)) == k}
+        assert checked == sorted(reps | set(members))
+        assert "component 13 skipped: refused by the test" in caplog.text
+        # a claim that first fails at 13: the next member of its class answers
+        lhs, rhs = parse("\\a b c.c"), parse("\\a b c d.d")
+        got = search_counterexample(lhs, rhs, 228)
+        want = search_by_full_scan(lhs, rhs, 228)
+        assert got[0] == want[0] == members[1]
+        assert got[1].to_json(enumerate_pair(got[0])) == want[1].to_json(enumerate_pair(want[0]))
+
+    def test_refused_block_is_checked_as_before(self, monkeypatch):
+        checked = _checked_components(monkeypatch)
+        assert search_counterexample(IDENTITY, IDENTITY, 229 + 20) is None
+        assert checked[-21:] == list(range(229, 250))  # 3-atom checks refuse at kM=2
+
+
+def _seeded_searches(n: int, seed: int) -> list[tuple[str, str]]:
+    """(index bound, claim) pairs: bounds up to 228, the last 2-atom index."""
+    rng = Random(seed)
+    terms = [print_term(t) for t in closed_terms_up_to(5)]
+    return [
+        (str(rng.randint(0, 228)), f"{rng.choice(terms)} {rng.choice(('<=', '='))} {rng.choice(terms)}")
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("max_index, claim", _seeded_searches(60, seed=11))
+def test_search_matches_full_scan(max_index, claim, monkeypatch, capsys):
+    def run(search):
+        returned = []
+
+        def recording(*args):
+            found = search(*args)
+            returned.append(None if found is None else (found[0], found[1].to_json(enumerate_pair(found[0]))))
+            return found
+
+        monkeypatch.setattr(minmodel, "search_counterexample", recording)
+        code = main(["--json", "minmodel", "search", "--max-index", max_index, claim])
+        captured = capsys.readouterr()
+        return returned, code, captured.out, captured.err.splitlines()
+
+    got, code, out, err = run(search_counterexample)
+    want, want_code, want_out, want_err = run(search_by_full_scan)
+    assert got == want
+    assert (code, out) == (want_code, want_out)
+    assert set(err) <= set(want_err)
 
 
 class TestRestrictionProperty:

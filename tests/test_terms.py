@@ -152,6 +152,22 @@ class TestGodelCodec:
         with pytest.raises(ValueError):
             godel_decode(-1)
 
+    def test_deep_binder_chains_round_trip(self):
+        n = (3**1200 - 1) // 2  # 1,200 binders around the innermost one's variable
+        term = godel_decode(n)
+        t, binders = term, []
+        while isinstance(t, Abs):
+            binders.append(t.binder)
+            t = t.body
+        assert len(binders) == 1200 and t == Var(binders[-1])
+        assert godel_encode(term) == n
+        # a named chain whose body applies a free variable to the outermost binder
+        named = App(Var("free"), Var("x0"))
+        for i in reversed(range(1200)):
+            named = Abs(f"x{i}", named)
+        code = godel_encode(named)
+        assert godel_encode(godel_decode(code)) == code
+
     def test_decode_zero_is_first_variable(self):
         assert godel_decode(0) == Var("a")
         assert godel_decode(1) == Abs("a", Var("a"))
