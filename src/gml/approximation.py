@@ -31,11 +31,17 @@ approximate: enumeration results are exact, and non-membership claims are
 always tagged with the rank bound they were checked at.
 
 Environment values are explicit frozensets or LazyValues, which stand for
-a trimmed interpretation set and answer `in` and iteration alike.  Queries
-are memoized per evaluator, keyed by a term number and the values bound to
-the term's free variables: frozensets compare by content and lazy values by
-identity.  Structurally equal terms share a number, so they share entries;
-no key holds a term.
+a trimmed interpretation set and answer `in` and iteration alike.  Only the
+queries whose answer comes from a search are memoized per evaluator: those
+on applications, and the enumeration of abstractions.  A variable is
+answered by its environment lookup, and membership in an abstraction by
+inverting the coding, before any memo key is built, because the key costs
+more than either rule and such entries were almost never hit again.  A key
+is a term number and the values bound to the term's free variables:
+frozensets compare by content and lazy values by identity.  Structurally
+equal terms share a number, so they share entries; no key holds a term.
+The coding is inverted once per evaluator, into a table from each coded
+atom to its key over base elements, which every atom inversion reads.
 
 An inequation M <= N is refuted by the least element of M's approximation
 that N's lacks, so check_inequation reads M's side in witness order
@@ -75,7 +81,6 @@ from .completion import (
     DEFAULT_CEILING,
     _atom_key,
     base,
-    coding_preimage,
     count_up_to,
     element_str,
     element_valid,
@@ -145,7 +150,7 @@ class LazyValue:
         return e.rank <= self.trim and self.evaluator.contains(self.term, self.env, e)
 
     def __iter__(self):
-        return iter(self.evaluator.enumerate(self.term, self.env, self.trim))  # memoized there
+        return iter(self.evaluator.enumerate(self.term, self.env, self.trim))
 
 
 class Evaluator:
@@ -160,9 +165,13 @@ class Evaluator:
         self.pair = pair
         self.k = k
         self.ceiling = ceiling
-        self.coded_by_res: dict[int, list[tuple[frozenset[int], int]]] = {}
-        for (a, alpha), v in pair.coding.items():
-            self.coded_by_res.setdefault(alpha, []).append((a, v))
+        # the coding inverted once, over base elements: atom -> (args, res)
+        self.inverse: dict[int, tuple[frozenset[BaseElement], BaseElement]] = {
+            v: (frozenset(map(base, a)), base(alpha)) for v, (a, alpha) in pair.inverse.items()
+        }
+        self.coded_by_res: dict[int, list[tuple[frozenset[BaseElement], BaseElement]]] = {}
+        for v, (args, res) in self.inverse.items():
+            self.coded_by_res.setdefault(res.atom, []).append((args, base(v)))
         self._nodes: dict[int, tuple[int, tuple[str, ...], LambdaTerm]] = {}
         self._numbers: dict[tuple, int] = {}
         self._contains_memo: dict = {}
@@ -217,6 +226,12 @@ class Evaluator:
         elems = elements_up_to(self.pair, j, self.ceiling)
         return tuple(sorted(elems, key=CompletionElement.sort_key))
 
+    def preimage(self, e: CompletionElement):
+        """coding_preimage(self.pair, e), an atom's key read from the table."""
+        if isinstance(e, PairElement):
+            return (e.args, e.res)
+        return self.inverse.get(e.atom)
+
     def _lazy(self, term: LambdaTerm, env: dict, trim: int) -> "LazyValue":
         key = self._key(term, env, trim)
         got = self._lazy_cache.get(key)
@@ -227,8 +242,12 @@ class Evaluator:
     # -- enumeration -----------------------------------------------------------
 
     def enumerate(self, t: LambdaTerm, env: dict, trim: int) -> frozenset:
-        """interp(t, B_k, env) cut to rank <= trim, as an explicit set."""
+        """interp(t, B_k, env) cut to rank <= trim, as an explicit set.
+
+        A variable's value is filtered directly, with no memo entry."""
         trim = min(trim, self.k)
+        if isinstance(t, Var):
+            return frozenset(e for e in env.get(t.name, ()) if e.rank <= trim)
         key = self._key(t, env, trim)
         got = self._enum_memo.get(key)
         if got is not None:
@@ -238,9 +257,6 @@ class Evaluator:
         return out
 
     def _enumerate(self, t: LambdaTerm, env: dict, trim: int) -> frozenset:
-        if isinstance(t, Var):
-            return frozenset(e for e in env.get(t.name, ()) if e.rank <= trim)
-
         if isinstance(t, Abs):
             return frozenset(e for group in self._abstraction(t, env, trim) for e in group)
 
@@ -254,7 +270,7 @@ class Evaluator:
         fun_set = self.enumerate(t.fun, env, self.k)
         out = set()
         for w in fun_set:
-            key = coding_preimage(self.pair, w)
+            key = self.preimage(w)
             if key is None:
                 continue
             args, res = key
@@ -275,8 +291,8 @@ class Evaluator:
         whole one would."""
         coded = {
             base(v)
-            for (a, alpha), v in self.pair.coding.items()
-            if self.contains(t.body, {**env, t.binder: frozenset(map(base, a))}, base(alpha))
+            for v, (args, res) in self.inverse.items()
+            if self.contains(t.body, {**env, t.binder: args}, res)
         }
         arg_tuples = _subsets(self._level(trim - 1)) if trim >= 1 else ()
         yield coded
@@ -306,9 +322,18 @@ class Evaluator:
     # -- membership -------------------------------------------------------------
 
     def contains(self, t: LambdaTerm, env: dict, e: CompletionElement) -> bool:
-        """Whether e lies in interp(t, B_k, env)."""
+        """Whether e lies in interp(t, B_k, env).
+
+        A variable is looked up and an abstraction inverts the coding before
+        any memo key is built: those rules cost less than the key.  Only
+        applications, whose answer comes from a search, are memoized."""
         if e.rank > self.k:
             return False
+        if isinstance(t, Var):
+            return e in env.get(t.name, ())
+        if isinstance(t, Abs):
+            key = self.preimage(e)
+            return key is not None and self.contains(t.body, {**env, t.binder: key[0]}, key[1])
         key = self._key(t, env, e)
         got = self._contains_memo.get(key)
         if got is not None:
@@ -317,18 +342,7 @@ class Evaluator:
         self._contains_memo[key] = out
         return out
 
-    def _contains(self, t: LambdaTerm, env: dict, e: CompletionElement) -> bool:
-        if isinstance(t, Var):
-            return e in env.get(t.name, ())
-
-        if isinstance(t, Abs):
-            key = coding_preimage(self.pair, e)
-            if key is None:
-                return False
-            args, res = key
-            return self.contains(t.body, {**env, t.binder: args}, res)
-
-        # application
+    def _contains(self, t: App, env: dict, e: CompletionElement) -> bool:
         if _is_self_apply(t.fun) and _is_self_apply(t.arg):
             return e in self._omega_set(t.fun, env)
         if isinstance(t.fun, Abs) and self.k >= 1:
@@ -363,11 +377,9 @@ class Evaluator:
         reduces a redex first, and at k = 0 the rank test excludes it.
         """
         if isinstance(e, BaseElement):
-            for a, v in self.coded_by_res.get(e.atom, ()):
-                if self.contains(t.fun, env, base(v)) and all(
-                    self.contains(t.arg, env, base(x)) for x in a
-                ):
-                    yield frozenset(map(base, a)), base(v)
+            for args, value in self.coded_by_res.get(e.atom, ()):
+                if self.contains(t.fun, env, value) and all(self.contains(t.arg, env, x) for x in args):
+                    yield args, value
         if e.rank > self.k - 1:
             return
         if isinstance(t.fun, Abs):
@@ -535,7 +547,7 @@ def extract_witness_subpair(
         if isinstance(node, Var):
             return
         if isinstance(node, Abs):
-            key = coding_preimage(p, alpha)
+            key = ev.preimage(alpha)
             if key is None:
                 raise AssertionError("abstraction member without a coded preimage")
             args, res = key

@@ -265,9 +265,12 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
         lhs_text, rhs_text, op = _split_claim(args.claim)
         lhs, rhs = parse(lhs_text), parse(rhs_text)
         if op == "=":
+            # the least component where either inclusion fails; on a tie the
+            # forward verdict is reported
             found = minmodel.search_counterexample(lhs, rhs, args.max_index, args.kM, args.kN)
-            if found is None:
-                found = minmodel.search_counterexample(rhs, lhs, args.max_index, args.kM, args.kN)
+            bound = args.max_index if found is None else found[0] - 1
+            if bound >= 0:
+                found = minmodel.search_counterexample(rhs, lhs, bound, args.kM, args.kN) or found
         else:
             found = minmodel.search_counterexample(lhs, rhs, args.max_index, args.kM, args.kN)
         if found is None:

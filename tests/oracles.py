@@ -182,7 +182,9 @@ def abstraction_by_membership(t: LambdaTerm, pair: PartialPair, k: int) -> froze
 
 def supporting_keys_by_enumeration(ev: Evaluator, t: App, env: dict, e):
     if isinstance(e, BaseElement):
-        for a, v in ev.coded_by_res.get(e.atom, ()):
+        for (a, alpha), v in ev.pair.coding.items():
+            if alpha != e.atom:
+                continue
             if ev.contains(t.fun, env, base(v)) and all(ev.contains(t.arg, env, base(x)) for x in a):
                 yield frozenset(map(base, a)), base(v)
     if e.rank <= ev.k - 1:

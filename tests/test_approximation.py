@@ -18,6 +18,7 @@ from gml.completion import (
     CeilingExceeded,
     CompletionElement,
     base,
+    coding_preimage,
     element_valid,
     elements_up_to,
     lift_automorphism,
@@ -652,6 +653,72 @@ class TestWitnessOrderScan:
         assert err == "bound too large: abstraction over level 2 needs 2^10242·10242 keys, ceiling is 1000000\n"
         assert len(err) < 200
         assert asked and max(asked) <= 1
+
+
+class TestMemoDiscipline:
+    """contains memoizes only applications and enumerate all but variables:
+    a variable is looked up, and membership in an abstraction inverts the
+    coding from the evaluator's inverse table, with no memo entry.  Each
+    bypass is the equality the memo used to cache."""
+
+    def test_contains_matches_enumeration(self):
+        """contains(t, e) is membership of e in enumerate(t), for every
+        element up to the rank bound, at top level and under a redex, where
+        the variable is bound to a LazyValue of t, and for a free variable
+        bound to every element up to the bound, alone and as an argument."""
+        cases = [(p, k) for p in ONE_ATOM_PAIRS + _seeded_pairs(8, 2, 2) for k in (0, 1, 2)]
+        wrappers = [
+            lambda t: t,
+            lambda t: App(Abs("x", Var("x")), t),
+            lambda t: App(Abs("x", Abs("y", Var("x"))), t),
+            lambda t: App(t, Var("z")),
+        ]
+        terms = [Var("z")] + [wrap(t) for t in closed_terms_up_to(5) for wrap in wrappers]
+        checked = 0
+        for p, k in cases:
+            universe = elements_up_to(p, k)
+            env = {"z": frozenset(universe)}
+            queried, enumerated = Evaluator(p, k), Evaluator(p, k)
+            for term in terms:
+                want = enumerated.enumerate(term, env, k)
+                got = frozenset(e for e in universe if queried.contains(term, env, e))
+                assert got == want, (term, p, k)
+                checked += len(universe)
+        assert checked > 200_000
+
+    def test_memo_holds_only_applications(self, monkeypatch):
+        """After a check on two atoms, every contains entry is an
+        application's and no enumerate entry is a variable's."""
+        made = []
+
+        class Recorded(Evaluator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(approximation, "Evaluator", Recorded)
+        p = _seeded_pairs(8, 2, 1)[0]
+        for lhs, rhs in [("\\x y.x y", "\\x.x"), ("\\x.x", "(\\y.y) (\\w.w)"), ("\\x.x x", "\\x.(\\y.y) x")]:
+            check_inequation(parse(lhs), parse(rhs), p)
+        contained, enumerated = set(), set()  # term kinds: "v", "l" or "a"
+        for ev in made:
+            kind = {number: shape[0] for shape, number in ev._numbers.items()}
+            contained |= {kind[key[0]] for key in ev._contains_memo}
+            enumerated |= {kind[key[0]] for key in ev._enum_memo}
+        assert contained == {"a"}
+        assert enumerated and "v" not in enumerated
+
+    def test_inverse_table_matches_coding_preimage(self):
+        for p in ONE_ATOM_PAIRS + _seeded_pairs(8, 2, 3) + _seeded_pairs(10, 3, 2):
+            ev = Evaluator(p, 1)
+            assert set(ev.inverse) == set(p.coding.values())
+            for e in elements_up_to(p, 1):
+                assert ev.preimage(e) == coding_preimage(p, e), (p, e)
+
+    def test_three_atom_abstraction_still_refuses(self):
+        with pytest.raises(ApproximationInfeasible) as refused:
+            check_inequation(IDENTITY, IDENTITY, PartialPair({0, 1, 2}))
+        assert str(refused.value) == "abstraction over level 1 needs 2^27·27 keys, ceiling is 1000000"
 
 
 class TestOrbitInvariance:

@@ -275,6 +275,18 @@ class TestMinmodel:
         assert code == 1
         assert doc["found"] and doc["verdict"]["kind"] == "fails_with_evidence"
 
+    def test_equation_search_reports_least_component(self, capsys):
+        # \a b c.c <= \a.a first fails at component 3, the reverse at 1
+        code, doc = run_json(capsys, "minmodel", "search", "--max-index", "20", "\\a b c.c = \\a.a")
+        assert code == 1 and doc["component"] == 1
+        assert doc["verdict"]["inequation"] == {"lhs": "\\a.a", "rhs": "\\a b c.c"}
+
+    def test_equation_search_tie_keeps_forward_verdict(self, capsys):
+        # both inclusions first fail at component 1
+        code, doc = run_json(capsys, "minmodel", "search", "--max-index", "20", "\\a b.a = \\a b.b")
+        assert code == 1 and doc["component"] == 1
+        assert doc["verdict"]["inequation"] == {"lhs": "\\a b.a", "rhs": "\\a b.b"}
+
     def test_search_none_exits_zero(self, capsys):
         code, doc = run_json(capsys, "minmodel", "search", "--max-index", "5", "I <= I")
         assert code == 0

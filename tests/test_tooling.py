@@ -1,9 +1,10 @@
 """The benchmark harness in perfbench/ reaches into the package by name: the
 traced run patches every `module.attr` in spans.BOUNDARIES, and the answer
 checker builds elements as minmodel.AtomCode/PairCode.  A renamed or deleted
-name would crash every benchmark run, so the names are checked here.  Short
-runs of the benchmark's worker, with its answer checker, catch a change in
-output bytes or a broken numeration round trip before a full benchmark run;
+name would crash every benchmark run, so the names are checked here.  Runs
+of the benchmark's worker with its answer checker, short ones and the whole
+seed-1 search, member and certify streams, catch a change in output bytes
+or a broken numeration round trip before a full benchmark run;
 a traced run checks that the tracer's in-place wrapping of the evaluator
 still fits it.  A lint-style check keeps the package's imports in use."""
 
@@ -61,7 +62,15 @@ def run_worker(tmp_path, workload, count, *extra) -> dict:
 
 @pytest.mark.parametrize(
     "workload, count",
-    [("numeration", 150), ("search", 60), ("search", 120), ("certify", 200), ("certify", 2400)],
+    [
+        ("numeration", 150),
+        ("search", 60),
+        ("search", 120),
+        ("search", 1500),
+        ("member", 14000),
+        ("certify", 200),
+        ("certify", 2400),
+    ],
 )
 def test_benchmark_answers_check(tmp_path, workload, count):
     run_worker(tmp_path, workload, count)
