@@ -70,6 +70,7 @@ from .terms import (
     ReductionStatus,
     Var,
     alpha_eq,
+    closed_term_texts,
     enumerate_closed_terms,
     godel_decode,
     godel_encode,

@@ -5,8 +5,13 @@ through a canonical nameless form (de Bruijn indices for bound variables,
 a fixed enumeration of the identifier language for free ones), and the same
 nameless form underlies a total bijection between natural numbers and
 alpha-classes of terms.  Encoding goes through the nameless tree; decoding
-reads a code straight into a named term, with the builder that also lists
-the closed terms in code order.
+reads a code straight into a named term.  One builder is the code walk for
+terms and for their printed text: it takes its node constructors (variable,
+application, abstraction chain), so it builds terms for godel_decode and
+enumerate_closed_terms, and prints the closed terms that closed_term_texts
+lists (the CLI's enum-terms) without building a term.  print_term folds the
+same three printing rules over a term, so parenthesisation lives in one
+place.
 
 Everything here is pure; values are safe to share between threads.
 """
@@ -17,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +79,13 @@ def size(t: LambdaTerm) -> int:
 def free_vars(t: LambdaTerm) -> frozenset[str]:
     if isinstance(t, Var):
         return frozenset((t.name,))
-    if isinstance(t, Abs):
-        return free_vars(t.body) - {t.binder}
-    return free_vars(t.fun) | free_vars(t.arg)
+    if isinstance(t, App):
+        return free_vars(t.fun) | free_vars(t.arg)
+    binders = set()
+    while isinstance(t, Abs):  # an abstraction chain is walked in a loop, not recursed into
+        binders.add(t.binder)
+        t = t.body
+    return free_vars(t) - binders
 
 
 def is_closed(t: LambdaTerm) -> bool:
@@ -210,21 +219,38 @@ def parse(text: str) -> LambdaTerm:
 
 def print_term(t: LambdaTerm) -> str:
     """Concrete syntax; parse(print_term(t)) is alpha-equal to t."""
+    return _printed(t)[1]
+
+
+def _printed(t: LambdaTerm) -> tuple[str, str]:
     if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Abs):
-        binders = []
-        while isinstance(t, Abs):
-            binders.append(t.binder)
-            t = t.body
-        return "\\" + " ".join(binders) + "." + print_term(t)
-    fun = print_term(t.fun)
-    if isinstance(t.fun, Abs):
-        fun = f"({fun})"
-    arg = print_term(t.arg)
-    if isinstance(t.arg, (Abs, App)):
-        arg = f"({arg})"
-    return f"{fun} {arg}"
+        return _var_text(t.name)
+    if isinstance(t, App):
+        return _app_text(_printed(t.fun), _printed(t.arg))
+    binders = []
+    while isinstance(t, Abs):  # an abstraction chain is walked in a loop, not recursed into
+        binders.append(t.binder)
+        t = t.body
+    return _lam_text(binders, _printed(t))
+
+
+# The printing rules, one per node kind, over (kind, text) pairs.  print_term
+# folds them over a term; closed_term_texts hands them to the code builder as
+# its node constructors, so a listing is printed without building a term.
+
+
+def _var_text(name: str) -> tuple[str, str]:
+    return ("var", name)
+
+
+def _app_text(fun: tuple[str, str], arg: tuple[str, str]) -> tuple[str, str]:
+    f = "(" + fun[1] + ")" if fun[0] == "abs" else fun[1]
+    a = arg[1] if arg[0] == "var" else "(" + arg[1] + ")"
+    return ("app", f + " " + a)
+
+
+def _lam_text(binders: list[str], body: tuple[str, str]) -> tuple[str, str]:
+    return ("abs", "\\" + " ".join(binders) + "." + body[1])
 
 
 # ---------------------------------------------------------------------------
@@ -464,52 +490,76 @@ def godel_decode(n: int) -> LambdaTerm:
             d += 1
         return ident_of_nat(d)
 
-    return _builder(binder, keep_free=True)(n, 0)
+    return _builder(Var, App, _abs_chain, binder, keep_free=True)(n, 0)
+
+
+def _abs_chain(binders: list[str], body: LambdaTerm) -> LambdaTerm:
+    for b in reversed(binders):
+        body = Abs(b, body)
+    return body
 
 
 def enumerate_closed_terms(limit: int) -> list[LambdaTerm]:
     """The first `limit` closed terms in code order."""
-    if limit < 0:
-        raise ValueError("limit must be non-negative")
-    return list(itertools.islice(iter_closed_terms(), limit))
+    return _first_closed(limit, Var, App, _abs_chain)
 
 
-def iter_closed_terms() -> Iterator[LambdaTerm]:
-    """Closed terms in code order, each decided and built in one pass.
+def closed_term_texts(limit: int) -> list[str]:
+    """print_term of each of the first `limit` closed terms in code order,
+    printed straight from their codes: no term is built or walked."""
+    return [text for _, text in _first_closed(limit, _var_text, _app_text, _lam_text)]
+
+
+def _first_closed(limit: int, var: Callable, app: Callable, lam: Callable) -> list:
+    """The first `limit` closed terms in code order, built with the given
+    node constructors by one builder.
 
     A closed term has no free identifier to avoid, so its binder at depth d
     is ident_of_nat(d), as godel_decode names it, and the builder gives up
-    on a code at its first free variable.
+    on a code at its first free variable.  A code 3q is a variable at depth
+    0, never closed, so the scan skips it.
     """
-    term_at = _builder(ident_of_nat, keep_free=False)
-    for n in itertools.count():
-        t = term_at(n, 0)
-        if t is not None:
-            yield t
+    if limit < 0:
+        raise ValueError("limit must be non-negative")
+    node_at = _builder(var, app, lam, ident_of_nat, keep_free=False)
+    out = []
+    for base in itertools.count(1, 3):
+        for code in (base, base + 1):
+            if len(out) == limit:
+                return out
+            node = node_at(code, 0)
+            if node is not None:
+                out.append(node)
 
 
-def _builder(binder: Callable[[int], str], keep_free: bool):
-    """term_at(code, depth): the term of `code` under `depth` binders, the
-    binder at depth d named binder(d).  With keep_free a free variable keeps
-    its identifier; without it, a free variable makes the result None.
+def _builder(var: Callable, app: Callable, lam: Callable, binder: Callable[[int], str], keep_free: bool):
+    """node_at(code, depth): the node of `code` under `depth` binders, built
+    with the constructors var(name), app(fun, arg) and lam(binders, body); an
+    abstraction chain is one lam call with its binders outermost first.  The
+    binder at depth d is named binder(d), read from a table filled once per
+    depth.  With keep_free a free variable keeps its identifier; without it,
+    a free variable makes the result None.
 
-    The term depends on (code, depth) alone, so application children, whose
+    The node depends on (code, depth) alone, so application children, whose
     codes are about the square root of their parent's, are memoized under
-    that pair for as long as the builder lives, and the terms share them.
+    that pair for as long as the builder lives, and the nodes share them.
     """
-    memo: dict[tuple[int, int], LambdaTerm | None] = {}
+    memo: dict[tuple[int, int], object] = {}
+    names: list[str] = []  # names[d] == binder(d)
 
-    def term_at(code: int, depth: int) -> LambdaTerm | None:
+    def node_at(code: int, depth: int):
         top = depth
         q, r = divmod(code, 3)
         while r == 1:  # an abstraction chain is walked in a loop, not recursed into
             depth += 1
             q, r = divmod(q, 3)
+        if len(names) < depth:
+            names.extend(map(binder, range(len(names), depth)))
         if r == 0:
             if q < depth:
-                t = Var(binder(depth - 1 - q))
+                node = var(names[depth - 1 - q])
             elif keep_free:
-                t = Var(ident_of_nat(q - depth))
+                node = var(ident_of_nat(q - depth))
             else:
                 return None
         else:
@@ -518,16 +568,13 @@ def _builder(binder: Callable[[int], str], keep_free: bool):
             arg = None if fun is None else child(j, depth)
             if arg is None:
                 return None
-            t = App(fun, arg)
-        while depth > top:
-            depth -= 1
-            t = Abs(binder(depth), t)
-        return t
+            node = app(fun, arg)
+        return node if depth == top else lam(names[top:depth], node)
 
-    def child(code: int, depth: int) -> LambdaTerm | None:
+    def child(code: int, depth: int):
         key = (code, depth)
         if key not in memo:
-            memo[key] = term_at(code, depth)
+            memo[key] = node_at(code, depth)
         return memo[key]
 
-    return term_at
+    return node_at

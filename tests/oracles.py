@@ -6,8 +6,9 @@ powersets, the completion oracle builds levels as raw nested tuples, the
 coding generator filters every combination of entries, the closed-term
 enumerator generates nameless trees size by size, and the codec oracles
 decode every natural whole, name binders by rescanning the identifiers, and
-filter by closedness afterwards.  Seven exceptions: the
-witness oracle walks the materialized restriction with the package's own
+filter by closedness afterwards; the reference printer reads the concrete
+syntax off a term by cases on its nodes.  Seven exceptions: the witness
+oracle walks the materialized restriction with the package's own
 finite interpreter (both are checked against the naive oracles above), the
 closure oracle scans keys through the coding handle it is given, the
 abstraction oracle asks the package's evaluator one membership at a time,
@@ -398,6 +399,30 @@ def closed_terms_by_filter(limit: int) -> list[LambdaTerm]:
         t = named_by_rescan(decode_nameless(n))
         if is_closed(t):
             out.append(t)
+
+
+# ---------------------------------------------------------------------------
+# Concrete syntax by cases on the node: an abstraction chain prints as
+# `\a b.body`, an abstraction on the function side and an argument that is
+# not a variable are parenthesised.
+
+
+def print_by_cases(t: LambdaTerm) -> str:
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Abs):
+        binders = []
+        while isinstance(t, Abs):
+            binders.append(t.binder)
+            t = t.body
+        return "\\" + " ".join(binders) + "." + print_by_cases(t)
+    fun = print_by_cases(t.fun)
+    if isinstance(t.fun, Abs):
+        fun = f"({fun})"
+    arg = print_by_cases(t.arg)
+    if isinstance(t.arg, (Abs, App)):
+        arg = f"({arg})"
+    return f"{fun} {arg}"
 
 
 # ---------------------------------------------------------------------------

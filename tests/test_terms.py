@@ -14,11 +14,13 @@ from gml.terms import (
     TRUE,
     Var,
     alpha_eq,
+    closed_term_texts,
     enumerate_closed_terms,
     free_vars,
     godel_decode,
     godel_encode,
     ident_of_nat,
+    is_closed,
     nat_of_ident,
     normalize,
     one_step_reducts,
@@ -26,7 +28,16 @@ from gml.terms import (
     print_term,
     size,
 )
-from oracles import closed_terms_by_filter, decode_nameless, named_by_rescan, random_term
+from oracles import closed_terms_by_filter, decode_nameless, named_by_rescan, print_by_cases, random_term
+
+DEEP_CHAIN = (3**1200 - 1) // 2  # 1,200 binders around the innermost one's variable
+
+_names = st.sampled_from(["a", "b", "x", "x_1", "Y0"])
+TERMS = st.recursive(
+    _names.map(Var),
+    lambda sub: st.one_of(st.builds(Abs, _names, sub), st.builds(App, sub, sub)),
+    max_leaves=40,
+)
 
 
 class TestParse:
@@ -153,7 +164,7 @@ class TestGodelCodec:
             godel_decode(-1)
 
     def test_deep_binder_chains_round_trip(self):
-        n = (3**1200 - 1) // 2  # 1,200 binders around the innermost one's variable
+        n = DEEP_CHAIN
         term = godel_decode(n)
         t, binders = term, []
         while isinstance(t, Abs):
@@ -161,12 +172,14 @@ class TestGodelCodec:
             t = t.body
         assert len(binders) == 1200 and t == Var(binders[-1])
         assert godel_encode(term) == n
+        assert is_closed(term)
         # a named chain whose body applies a free variable to the outermost binder
         named = App(Var("free"), Var("x0"))
         for i in reversed(range(1200)):
             named = Abs(f"x{i}", named)
         code = godel_encode(named)
         assert godel_encode(godel_decode(code)) == code
+        assert free_vars(named) == {"free"}
 
     def test_decode_zero_is_first_variable(self):
         assert godel_decode(0) == Var("a")
@@ -231,6 +244,32 @@ class TestEnumerateClosed:
         for t in apps:
             for part in (t.fun, t.arg):
                 assert by_value.setdefault(part, part) is part
+
+
+class TestPrintFromCodes:
+    @pytest.mark.parametrize("n", [0, 1, 3000])
+    def test_texts_print_the_listed_terms(self, n):
+        assert closed_term_texts(n) == [print_term(t) for t in enumerate_closed_terms(n)]
+
+    def test_negative_limit_refused(self):
+        with pytest.raises(ValueError):
+            closed_term_texts(-1)
+        with pytest.raises(ValueError):
+            enumerate_closed_terms(-1)
+
+    def test_printer_matches_reference_on_listed_terms(self):
+        for t in enumerate_closed_terms(3000):
+            assert print_term(t) == print_by_cases(t)
+
+    def test_printer_matches_reference_on_deep_chain(self):
+        term = godel_decode(DEEP_CHAIN)
+        assert print_term(term) == print_by_cases(term)
+        assert print_term(App(term, term)) == print_by_cases(App(term, term))
+
+    @given(TERMS)
+    @settings(max_examples=300)
+    def test_printer_matches_reference(self, t):
+        assert print_term(t) == print_by_cases(t)
 
 
 def test_size_counts_nodes():
