@@ -63,6 +63,7 @@ def run_worker(tmp_path, workload, count, *extra) -> dict:
 @pytest.mark.parametrize(
     "workload, count",
     [
+        ("numeration", 150),
         ("numeration", 1000),
         ("search", 60),
         ("search", 120),
