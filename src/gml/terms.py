@@ -9,9 +9,11 @@ reads a code straight into a named term.  One builder is the code walk for
 terms and for their printed text: it takes its node constructors (variable,
 application, abstraction chain), so it builds terms for godel_decode and
 enumerate_closed_terms, and prints the closed terms that closed_term_texts
-lists (the CLI's enum-terms) without building a term.  print_term folds the
-same three printing rules over a term, so parenthesisation lives in one
-place.
+lists (the CLI's enum-terms) without building a term.  The listings visit
+no open code: the codes of closed terms are generated directly, by
+recursion on the number of enclosing binders and a bound on the code.
+print_term folds the same three printing rules over a term, so
+parenthesisation lives in one place.
 
 Everything here is pure; values are safe to share between threads.
 """
@@ -69,11 +71,13 @@ ALIASES = {"I": IDENTITY, "T": TRUE, "F": FALSE, "Omega": OMEGA}
 
 def size(t: LambdaTerm) -> int:
     """Number of syntax-tree nodes."""
+    n = 1
+    while isinstance(t, Abs):  # an abstraction chain is walked in a loop, not recursed into
+        n += 1
+        t = t.body
     if isinstance(t, Var):
-        return 1
-    if isinstance(t, Abs):
-        return 1 + size(t.body)
-    return 1 + size(t.fun) + size(t.arg)
+        return n
+    return n + size(t.fun) + size(t.arg)
 
 
 def free_vars(t: LambdaTerm) -> frozenset[str]:
@@ -324,8 +328,18 @@ def to_nameless(t: LambdaTerm) -> tuple:
 
 
 def alpha_eq(a: LambdaTerm, b: LambdaTerm) -> bool:
-    """Alpha convertibility; free names are compared literally."""
-    return to_nameless(a) == to_nameless(b)
+    """Alpha convertibility; free names are compared literally.
+
+    The two nameless forms are compared node by node from an explicit
+    stack, so a deep abstraction chain does not recurse."""
+    stack = [(to_nameless(a), to_nameless(b))]
+    while stack:
+        x, y = stack.pop()
+        if x[0] != y[0] or (x[0] == "v" and x[1] != y[1]):
+            return False
+        if x[0] != "v":
+            stack.extend(zip(x[1:], y[1:]))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +504,7 @@ def godel_decode(n: int) -> LambdaTerm:
             d += 1
         return ident_of_nat(d)
 
-    return _builder(Var, App, _abs_chain, binder, keep_free=True)(n, 0)
+    return _builder(Var, App, _abs_chain, binder)(n, 0)
 
 
 def _abs_chain(binders: list[str], body: LambdaTerm) -> LambdaTerm:
@@ -514,31 +528,65 @@ def _first_closed(limit: int, var: Callable, app: Callable, lam: Callable) -> li
     """The first `limit` closed terms in code order, built with the given
     node constructors by one builder.
 
-    A closed term has no free identifier to avoid, so its binder at depth d
-    is ident_of_nat(d), as godel_decode names it, and the builder gives up
-    on a code at its first free variable.  A code 3q is a variable at depth
-    0, never closed, so the scan skips it.
+    The codes come from _closed_codes, under a bound that starts at
+    8 * limit and doubles until it holds `limit` codes, so no open code is
+    visited.  A closed term has no free identifier to avoid, so its binder
+    at depth d is ident_of_nat(d), as godel_decode names it.
     """
     if limit < 0:
         raise ValueError("limit must be non-negative")
-    node_at = _builder(var, app, lam, ident_of_nat, keep_free=False)
-    out = []
-    for base in itertools.count(1, 3):
-        for code in (base, base + 1):
-            if len(out) == limit:
-                return out
-            node = node_at(code, 0)
-            if node is not None:
-                out.append(node)
+    bound = 8 * limit
+    codes = _closed_codes(bound)
+    while len(codes) < limit:
+        bound *= 2
+        codes = _closed_codes(bound)
+    node_at = _builder(var, app, lam, ident_of_nat)
+    return [node_at(code, 0) for code in codes[:limit]]
 
 
-def _builder(var: Callable, app: Callable, lam: Callable, binder: Callable[[int], str], keep_free: bool):
+def _closed_codes(bound: int) -> list[int]:
+    """The codes <= bound of closed terms, ascending.
+
+    By structural recursion on (depth d, bound m): the codes closed under d
+    binders up to m are the bound variables 3q with q < d, the abstractions
+    3c + 1 with c closed under d + 1 binders up to (m - 1) // 3, and the
+    applications 3 cantor(i, j) + 2 with i and j closed under d binders,
+    both at most the largest Cantor diagonal w with w(w + 1)/2 <= (m - 2) // 3
+    (a component never exceeds the diagonal of its pair).  Each (d, m) list
+    is built once per call.
+    """
+    lists: dict[tuple[int, int], list[int]] = {}
+
+    def closed(depth: int, m: int) -> list[int]:
+        key = (depth, m)
+        if key in lists:
+            return lists[key]
+        out = [3 * q for q in range(min(depth, m // 3 + 1))]
+        if m >= 1:
+            out += [3 * c + 1 for c in closed(depth + 1, (m - 1) // 3)]
+        if m >= 2:
+            top = (m - 2) // 3
+            parts = closed(depth, (isqrt(8 * top + 1) - 1) // 2)
+            for i in parts:
+                for j in parts:
+                    s = i + j
+                    pair = s * (s + 1) // 2 + j
+                    if pair > top:  # pair codes grow with j
+                        break
+                    out.append(3 * pair + 2)
+        out.sort()
+        lists[key] = out
+        return out
+
+    return closed(0, bound)
+
+
+def _builder(var: Callable, app: Callable, lam: Callable, binder: Callable[[int], str]):
     """node_at(code, depth): the node of `code` under `depth` binders, built
     with the constructors var(name), app(fun, arg) and lam(binders, body); an
     abstraction chain is one lam call with its binders outermost first.  The
     binder at depth d is named binder(d), read from a table filled once per
-    depth.  With keep_free a free variable keeps its identifier; without it,
-    a free variable makes the result None.
+    depth; a free variable keeps its identifier.
 
     The node depends on (code, depth) alone, so application children, whose
     codes are about the square root of their parent's, are memoized under
@@ -556,19 +604,10 @@ def _builder(var: Callable, app: Callable, lam: Callable, binder: Callable[[int]
         if len(names) < depth:
             names.extend(map(binder, range(len(names), depth)))
         if r == 0:
-            if q < depth:
-                node = var(names[depth - 1 - q])
-            elif keep_free:
-                node = var(ident_of_nat(q - depth))
-            else:
-                return None
+            node = var(names[depth - 1 - q] if q < depth else ident_of_nat(q - depth))
         else:
             i, j = _cantor_unpair(q)
-            fun = child(i, depth)
-            arg = None if fun is None else child(j, depth)
-            if arg is None:
-                return None
-            node = app(fun, arg)
+            node = app(child(i, depth), child(j, depth))
         return node if depth == top else lam(names[top:depth], node)
 
     def child(code: int, depth: int):

@@ -6,9 +6,10 @@ powersets, the completion oracle builds levels as raw nested tuples, the
 coding generator filters every combination of entries, the closed-term
 enumerator generates nameless trees size by size, and the codec oracles
 decode every natural whole, name binders by rescanning the identifiers, and
-filter by closedness afterwards; the reference printer reads the concrete
-syntax off a term by cases on its nodes.  Seven exceptions: the witness
-oracle walks the materialized restriction with the package's own
+filter by closedness afterwards; the reference listing scans every code and
+gives up open ones at their first free variable; the reference printer reads
+the concrete syntax off a term by cases on its nodes.  Seven exceptions: the
+witness oracle walks the materialized restriction with the package's own
 finite interpreter (both are checked against the naive oracles above), the
 closure oracle scans keys through the coding handle it is given, the
 abstraction oracle asks the package's evaluator one membership at a time,
@@ -389,15 +390,60 @@ def named_by_rescan(nt: tuple) -> LambdaTerm:
     return go(nt, [])
 
 
-def closed_terms_by_filter(limit: int) -> list[LambdaTerm]:
-    """The first `limit` closed terms in code order: decode every natural
+def _closed_by_filter():
+    """(code, term) of every closed term in code order: decode every natural
     and keep the terms with no free variable."""
-    out = []
     for n in itertools.count():
-        if len(out) == limit:
-            return out
         t = named_by_rescan(decode_nameless(n))
         if is_closed(t):
+            yield n, t
+
+
+def closed_terms_by_filter(limit: int) -> list[LambdaTerm]:
+    """The first `limit` closed terms in code order."""
+    return [t for _, t in itertools.islice(_closed_by_filter(), limit)]
+
+
+def closed_codes_by_filter(bound: int) -> list[int]:
+    """The codes <= bound of closed terms, ascending."""
+    return [n for n, _ in itertools.takewhile(lambda nt: nt[0] <= bound, _closed_by_filter())]
+
+
+# ---------------------------------------------------------------------------
+# Closed terms by a scan of the codes: a code 3q is a variable at depth 0 and
+# is skipped; every other code is read top-down, with the binder at depth d
+# named by the d-th identifier (a closed term has no free name to avoid), and
+# given up at its first free variable.  Application children are memoized
+# per (code, depth), so a scan to 20,000 terms stays cheap enough for a test.
+
+
+def closed_terms_by_scan(limit: int) -> list[LambdaTerm]:
+    memo: dict[tuple[int, int], LambdaTerm | None] = {}
+
+    def node(code: int, depth: int) -> LambdaTerm | None:
+        q, r = divmod(code, 3)
+        if r == 0:
+            return Var(ident_of_nat(depth - 1 - q)) if q < depth else None
+        if r == 1:
+            body = node(q, depth + 1)
+            return None if body is None else Abs(ident_of_nat(depth), body)
+        w = (isqrt(8 * q + 1) - 1) // 2
+        j = q - w * (w + 1) // 2
+        fun = child(w - j, depth)
+        arg = None if fun is None else child(j, depth)
+        return None if arg is None else App(fun, arg)
+
+    def child(code: int, depth: int) -> LambdaTerm | None:
+        if (code, depth) not in memo:
+            memo[code, depth] = node(code, depth)
+        return memo[code, depth]
+
+    out = []
+    for code in itertools.count():
+        if len(out) == limit:
+            return out
+        t = node(code, 0) if code % 3 else None
+        if t is not None:
             out.append(t)
 
 

@@ -9,6 +9,7 @@ import pytest
 import gml
 from gml.cli import main
 from gml.pairs import PartialPair
+from oracles import closed_terms_by_scan, print_by_cases
 
 
 @pytest.fixture
@@ -310,6 +311,12 @@ class TestEnumTerms:
         assert code == 0
         assert doc["terms"][0] == "\\a.a"
         assert len(doc["terms"]) == 4
+
+    def test_long_listing_matches_the_scan(self, capsys):
+        code, out, _ = run(capsys, "--json", "enum-terms", "20000")
+        texts = [print_by_cases(t) for t in closed_terms_by_scan(20000)]
+        assert code == 0
+        assert out == json.dumps({"terms": texts}, separators=(",", ":")) + "\n"
 
     def test_limit_past_ceiling_is_refused(self, capsys):
         code, out, err = run(capsys, "enum-terms", "100000000")

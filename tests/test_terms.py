@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from random import Random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gml.terms import (
+    _closed_codes,
     Abs,
     App,
     IDENTITY,
@@ -28,7 +30,15 @@ from gml.terms import (
     print_term,
     size,
 )
-from oracles import closed_terms_by_filter, decode_nameless, named_by_rescan, print_by_cases, random_term
+from oracles import (
+    closed_codes_by_filter,
+    closed_terms_by_filter,
+    closed_terms_by_scan,
+    decode_nameless,
+    named_by_rescan,
+    print_by_cases,
+    random_term,
+)
 
 DEEP_CHAIN = (3**1200 - 1) // 2  # 1,200 binders around the innermost one's variable
 
@@ -173,6 +183,10 @@ class TestGodelCodec:
         assert len(binders) == 1200 and t == Var(binders[-1])
         assert godel_encode(term) == n
         assert is_closed(term)
+        assert size(term) == 1201
+        assert alpha_eq(term, godel_decode(n))
+        # the same chain around the variable one binder further out
+        assert not alpha_eq(term, godel_decode(3**1201 + n))
         # a named chain whose body applies a free variable to the outermost binder
         named = App(Var("free"), Var("x0"))
         for i in reversed(range(1200)):
@@ -180,6 +194,7 @@ class TestGodelCodec:
         code = godel_encode(named)
         assert godel_encode(godel_decode(code)) == code
         assert free_vars(named) == {"free"}
+        assert alpha_eq(godel_decode(code), named) and size(named) == 1203
 
     def test_decode_zero_is_first_variable(self):
         assert godel_decode(0) == Var("a")
@@ -244,6 +259,31 @@ class TestEnumerateClosed:
         for t in apps:
             for part in (t.fun, t.arg):
                 assert by_value.setdefault(part, part) is part
+
+
+class TestClosedCodes:
+    def test_codes_are_the_filtered_codes_under_every_bound(self):
+        filtered = closed_codes_by_filter(3000)
+        for b in range(3001):
+            assert _closed_codes(b) == filtered[: bisect_right(filtered, b)], b
+
+    def test_listings_match_the_scan_up_to_sixty(self):
+        reference = [print_by_cases(t) for t in closed_terms_by_scan(60)]
+        for n in range(61):
+            assert closed_term_texts(n) == reference[:n], n
+            assert [print_term(t) for t in enumerate_closed_terms(n)] == reference[:n], n
+
+    # at 1,000 and 5,000 the first bound of 8 * limit holds too few codes and doubles
+    @pytest.mark.parametrize("n", [400, 1000, 5000])
+    def test_listings_match_the_scan(self, n):
+        reference, terms = closed_terms_by_scan(n), enumerate_closed_terms(n)
+        assert terms == reference
+        texts = [print_by_cases(t) for t in reference]
+        assert closed_term_texts(n) == texts
+        assert [print_term(t) for t in terms] == texts
+
+    def test_long_listing_matches_the_scan(self):
+        assert closed_term_texts(20000) == [print_by_cases(t) for t in closed_terms_by_scan(20000)]
 
 
 class TestPrintFromCodes:
