@@ -19,7 +19,8 @@ through exact structural rules and answers membership queries recursively.
     the restriction, the redex equals the body evaluated under the full
     argument set trimmed one rank down;
   * a general application inverts the coding over the function-side set, so
-    the argument side is only ever queried pointwise;
+    the argument side is only ever queried pointwise, or, when it is a
+    variable bound to an explicit set, by one subset test per key;
   * a self-application combinator applied to itself collapses: a coded key
     can only code back into its own argument set at rank 0, so the result
     is carved out of the coded triples alone, at every rank.
@@ -37,11 +38,16 @@ on applications, and the enumeration of abstractions.  A variable is
 answered by its environment lookup, and membership in an abstraction by
 inverting the coding, before any memo key is built, because the key costs
 more than either rule and such entries were almost never hit again.  A key
-is a term number and the values bound to the term's free variables:
-frozensets compare by content and lazy values by identity.  Structurally
-equal terms share a number, so they share entries; no key holds a term.
-The coding is inverted once per evaluator, into a table from each coded
-atom to its key over base elements, which every atom inversion reads.
+is the term itself and the values bound to the free names the term
+carries: terms are hash-consed, so structurally equal terms are one object
+and share entries, while frozensets compare by content and lazy values by
+identity.  The coding is inverted once per evaluator, into a table from each
+coded atom to its key over base elements, which every atom inversion reads,
+and a table from each coded argument set to its coded results, which an
+abstraction reads once per argument set.  What depends on the pair alone,
+its validation report and its completion levels, is computed once per pair
+and kept in PartialPair.derived, so the several evaluators of one check
+share it; the ceiling guard still runs on every level request.
 
 An inequation M <= N is refuted by the least element of M's approximation
 that N's lacks, so check_inequation reads M's side in witness order
@@ -79,7 +85,6 @@ from .completion import (
     BaseElement,
     PairElement,
     DEFAULT_CEILING,
-    _atom_key,
     base,
     count_up_to,
     element_str,
@@ -104,15 +109,6 @@ DEFAULT_SLACK = 2
 
 class ApproximationInfeasible(CeilingExceeded):
     """The query cannot be answered within the element ceiling."""
-
-
-def _is_self_apply(t: LambdaTerm) -> bool:
-    return (
-        isinstance(t, Abs)
-        and isinstance(t.body, App)
-        and t.body.fun == Var(t.binder)
-        and t.body.arg == Var(t.binder)
-    )
 
 
 def _subsets(items: tuple, viable=None):
@@ -154,12 +150,23 @@ class LazyValue:
 
 
 class Evaluator:
-    """Exact rank-bounded evaluation over the completion of one pair."""
+    """Exact rank-bounded evaluation over the completion of one pair.
+
+    Explicit environment values hold only elements of rank <= k: the sets
+    _env_values binds are cut to k, argument sets are drawn from the levels
+    below k, and a coding preimage of an element of rank <= k has parts of
+    lower rank.  So a variable bound to an explicit set is answered at set
+    level, with no per-element query: enumerated at rank k it is the set
+    itself, and an argument set lies in it exactly when it is a subset.  A
+    LazyValue is queried element by element.
+    """
 
     def __init__(self, pair: PartialPair, k: int, ceiling: int = DEFAULT_CEILING):
         if k < 0:
             raise ValueError("rank bound must be non-negative")
-        report = validate(pair)
+        report = pair.derived.get("report")
+        if report is None:  # validated once per pair
+            report = pair.derived.setdefault("report", validate(pair))
         if not report.ok:
             raise ValueError("invalid pair: " + "; ".join(report.violations))
         self.pair = pair
@@ -170,47 +177,46 @@ class Evaluator:
             v: (frozenset(map(base, a)), base(alpha)) for v, (a, alpha) in pair.inverse.items()
         }
         self.coded_by_res: dict[int, list[tuple[frozenset[BaseElement], BaseElement]]] = {}
+        # argument set -> the results it is coded with (those keys collapse to atoms)
+        self.coded_results: dict[frozenset[BaseElement], set[BaseElement]] = {}
         for v, (args, res) in self.inverse.items():
             self.coded_by_res.setdefault(res.atom, []).append((args, base(v)))
-        self._nodes: dict[int, tuple[int, tuple[str, ...], LambdaTerm]] = {}
-        self._numbers: dict[tuple, int] = {}
+            self.coded_results.setdefault(args, set()).add(res)
         self._contains_memo: dict = {}
         self._enum_memo: dict = {}
         self._lazy_cache: dict = {}
 
     # -- plumbing ------------------------------------------------------------
 
-    def _node(self, t: LambdaTerm) -> tuple[int, tuple[str, ...], LambdaTerm]:
-        """t's term number and sorted free variable names.
+    def _key(self, t: LambdaTerm, env: dict, last) -> tuple:
+        """Memo key: t itself, the values bound to its free names (None when
+        unbound), then `last`."""
+        names = t.free
+        if not names:
+            return (t, last)
+        return (t, *map(env.get, names), last)
 
-        Structurally equal terms get the same number, built from the numbers
-        of their children.  The entry is found by id(t) and holds t, so the
-        id cannot be reused by another term while the evaluator lives.
-        """
-        got = self._nodes.get(id(t))
-        if got is not None:
-            return got
-        if isinstance(t, Var):
-            shape, names = ("v", t.name), (t.name,)
-        elif isinstance(t, Abs):
-            body = self._node(t.body)
-            shape = ("l", t.binder, body[0])
-            names = tuple(name for name in body[1] if name != t.binder)
-        else:
-            fun, arg = self._node(t.fun), self._node(t.arg)
-            shape = ("a", fun[0], arg[0])
-            names = tuple(sorted({*fun[1], *arg[1]}))
-        number = self._numbers.setdefault(shape, len(self._numbers))
-        got = self._nodes[id(t)] = (number, names, t)
+    def _elements(self, j: int) -> tuple[CompletionElement, ...]:
+        """elements_up_to(self.pair, j), built once per pair and kept in
+        pair.derived.  The ceiling guard runs on every call."""
+        count_up_to(self.pair, j, self.ceiling)
+        key = ("elements_up_to", j)
+        got = self.pair.derived.get(key)
+        if got is None:
+            got = self.pair.derived.setdefault(key, elements_up_to(self.pair, j, self.ceiling))
         return got
 
-    def _key(self, t: LambdaTerm, env: dict, last) -> tuple:
-        """Memo key: t's number, the values bound to its free variables
-        (None when unbound), then `last`."""
-        number, names, _ = self._nodes.get(id(t)) or self._node(t)  # hit inlined: hot path
-        if not names:
-            return (number, last)
-        return (number, *[env.get(name) for name in names], last)
+    def _holds_all(self, t: LambdaTerm, env: dict, args: frozenset) -> bool:
+        """Every element of args lies in interp(t): a subset test when t is a
+        variable bound to an explicit set."""
+        if isinstance(t, Var):
+            value = env.get(t.name, frozenset())
+            if isinstance(value, frozenset):
+                return args <= value
+        for x in args:  # a loop, not all() over a generator: this is the hot path
+            if not self.contains(t, env, x):
+                return False
+        return True
 
     def _level(self, j: int) -> tuple[CompletionElement, ...]:
         """The elements of rank <= j in sort_key order, so that argument
@@ -223,8 +229,7 @@ class Evaluator:
             raise ApproximationInfeasible(
                 f"abstraction over level {j} needs 2^{n}·{n} keys, ceiling is {self.ceiling}"
             )
-        elems = elements_up_to(self.pair, j, self.ceiling)
-        return tuple(sorted(elems, key=CompletionElement.sort_key))
+        return tuple(sorted(self._elements(j), key=CompletionElement.sort_key))
 
     def preimage(self, e: CompletionElement):
         """coding_preimage(self.pair, e), an atom's key read from the table."""
@@ -244,10 +249,14 @@ class Evaluator:
     def enumerate(self, t: LambdaTerm, env: dict, trim: int) -> frozenset:
         """interp(t, B_k, env) cut to rank <= trim, as an explicit set.
 
-        A variable's value is filtered directly, with no memo entry."""
+        A variable's value is read directly, with no memo entry: an explicit
+        set needs no cut at trim = k, and is returned as it is."""
         trim = min(trim, self.k)
         if isinstance(t, Var):
-            return frozenset(e for e in env.get(t.name, ()) if e.rank <= trim)
+            value = env.get(t.name, frozenset())
+            if trim == self.k and isinstance(value, frozenset):
+                return value
+            return frozenset(e for e in value if e.rank <= trim)
         key = self._key(t, env, trim)
         got = self._enum_memo.get(key)
         if got is not None:
@@ -261,7 +270,7 @@ class Evaluator:
             return frozenset(e for group in self._abstraction(t, env, trim) for e in group)
 
         # application
-        if _is_self_apply(t.fun) and _is_self_apply(t.arg):
+        if t.omega:
             return frozenset(e for e in self._omega_set(t.fun, env) if e.rank <= trim)
         if isinstance(t.fun, Abs) and self.k >= 1:
             argument = self._lazy(t.arg, env, self.k - 1)
@@ -274,7 +283,7 @@ class Evaluator:
             if key is None:
                 continue
             args, res = key
-            if res.rank <= trim and all(self.contains(t.arg, env, x) for x in args):
+            if res.rank <= trim and self._holds_all(t.arg, env, args):
                 out.add(res)
         return frozenset(out)
 
@@ -283,7 +292,8 @@ class Evaluator:
         the values of the coded keys whose result the body gives under their
         argument set; then, for each argument tuple over the sorted level one
         rank down in _subsets order, the pair elements with those arguments.
-        One enumeration of the body cut to that rank gives a tuple's results.
+        One enumeration of the body cut to that rank gives a tuple's results,
+        less those the tuple is coded with, read from coded_results once.
 
         The coded atoms and the level are computed before the first group is
         yielded.  At trim = k that level is the largest any query of this
@@ -298,13 +308,11 @@ class Evaluator:
         yield coded
         for args in arg_tuples:
             args_set = frozenset(args)
-            inner = {**env, t.binder: args_set}
-            group = []
-            for alpha in self.enumerate(t.body, inner, trim - 1):
-                key = _atom_key(args_set, alpha)
-                if key is None or key not in self.pair.coding:  # coded keys collapse to atoms
-                    group.append(pair_of_sorted(args, alpha))
-            yield group
+            results = self.enumerate(t.body, {**env, t.binder: args_set}, trim - 1)
+            collapsed = self.coded_results.get(args_set)
+            if collapsed:  # coded keys collapse to atoms
+                results = results - collapsed
+            yield [pair_of_sorted(args, alpha) for alpha in results]
 
     def ordered(self, t: LambdaTerm, env: dict, trim: int):
         """interp(t, B_k, env) cut to rank <= trim, in sort_key order.
@@ -343,14 +351,25 @@ class Evaluator:
         return out
 
     def _contains(self, t: App, env: dict, e: CompletionElement) -> bool:
-        if _is_self_apply(t.fun) and _is_self_apply(t.arg):
+        """A redex reduces; otherwise the first supporting key decides, in
+        the order supporting_keys gives them."""
+        if t.omega:
             return e in self._omega_set(t.fun, env)
         if isinstance(t.fun, Abs) and self.k >= 1:
             if e.rank > self.k - 1:
                 return False
             argument = self._lazy(t.arg, env, self.k - 1)
             return self.contains(t.fun.body, {**env, t.fun.binder: argument}, e)
-        return next(self.supporting_keys(t, env, e), None) is not None
+        if isinstance(e, BaseElement):
+            for args, value in self.coded_by_res.get(e.atom, ()):
+                if self.contains(t.fun, env, value) and self._holds_all(t.arg, env, args):
+                    return True
+        if e.rank > self.k - 1:
+            return False
+        for w in self.enumerate(t.fun, env, self.k):
+            if isinstance(w, PairElement) and w.res is e and self._holds_all(t.arg, env, w.args):
+                return True
+        return False
 
     def supporting_keys(self, t: App, env: dict, e: CompletionElement):
         """The keys (args, value) putting e in interp(t): value in the
@@ -378,7 +397,7 @@ class Evaluator:
         """
         if isinstance(e, BaseElement):
             for args, value in self.coded_by_res.get(e.atom, ()):
-                if self.contains(t.fun, env, value) and all(self.contains(t.arg, env, x) for x in args):
+                if self.contains(t.fun, env, value) and self._holds_all(t.arg, env, args):
                     yield args, value
         if e.rank > self.k - 1:
             return
@@ -386,15 +405,12 @@ class Evaluator:
             yield from self._redex_keys(t.fun, t.arg, env, e)
             return
         for w in self.enumerate(t.fun, env, self.k):
-            if isinstance(w, PairElement) and w.res is e:
-                if all(self.contains(t.arg, env, x) for x in w.args):
-                    yield w.args, w
+            if isinstance(w, PairElement) and w.res is e and self._holds_all(t.arg, env, w.args):
+                yield w.args, w
 
     def _redex_keys(self, fun: Abs, arg: LambdaTerm, env: dict, e: CompletionElement):
         # elements_up_to lists elements in (rank, structural) order already
-        cands = tuple(
-            x for x in elements_up_to(self.pair, self.k - 1, self.ceiling) if self.contains(arg, env, x)
-        )
+        cands = tuple(x for x in self._elements(self.k - 1) if self.contains(arg, env, x))
         work = 0
 
         def holds(args: tuple) -> bool:
@@ -408,11 +424,9 @@ class Evaluator:
             return self.contains(fun.body, {**env, fun.binder: frozenset(args)}, e)
 
         for args in _subsets(cands, holds):
-            if holds(args):
-                key = _atom_key(frozenset(args), e)
-                if key is None or key not in self.pair.coding:
-                    w = pair_of(args, e)
-                    yield w.args, w
+            if holds(args) and e not in self.coded_results.get(frozenset(args), ()):
+                w = pair_of(args, e)
+                yield w.args, w
 
     # -- the self-application collapse --------------------------------------------
     #
@@ -446,6 +460,16 @@ def _validated_env(p: PartialPair, env: Environment, k: int | None) -> None:
                 raise ValueError(
                     f"environment element {element_str(e, p)} has rank {e.rank} > bound {k}"
                 )
+
+
+def _evaluator(given: Optional[Evaluator], p: PartialPair, k: int, ceiling: int) -> Evaluator:
+    """`given` when it is not None, after checking that it evaluates over p
+    at rank k under this ceiling; otherwise a fresh evaluator."""
+    if given is None:
+        return Evaluator(p, k, ceiling)
+    if given.pair is not p or given.k != k or given.ceiling != ceiling:
+        raise ValueError("the evaluator given is not over this pair, rank bound and ceiling")
+    return given
 
 
 def _env_values(env: Environment, trim: int) -> dict:
@@ -489,13 +513,16 @@ def member(
     max_rank: int,
     env: Environment = Environment(),
     ceiling: int = DEFAULT_CEILING,
+    *,
+    evaluator: Optional[Evaluator] = None,
 ) -> MemberResult:
     """Least rank at which e enters the approximation of t, if any up to
     max_rank.  Found answers are exact; a NotFoundUpTo is no refutation.
 
     The environment is checked as approx_interpret checks it, except that
     ranks above a probe are allowed: it is trimmed to rank <= k at each
-    probe level k.
+    probe level k.  An `evaluator` over p at rank max_rank answers the top
+    probe, so the answers it has memoized are reused.
     """
     if max_rank < 0:
         raise ValueError("rank bound must be non-negative")
@@ -505,7 +532,7 @@ def member(
     for probe in range(max_rank + 1):
         if e.rank > probe:
             continue
-        ev = Evaluator(p, probe, ceiling)
+        ev = _evaluator(evaluator if probe == max_rank else None, p, probe, ceiling)
         if ev.contains(t, _env_values(env, probe), e):
             return MemberResult(True, probe, max_rank)
     return MemberResult(False, None, max_rank)
@@ -518,9 +545,13 @@ def extract_witness_subpair(
     k: int,
     env: Environment = Environment(),
     ceiling: int = DEFAULT_CEILING,
+    *,
+    evaluator: Optional[Evaluator] = None,
 ) -> PartialPair:
     """A finite subpair of the rank-k restriction inside which e is already
-    derivable, re-verified by the finite interpreter before return.
+    derivable, re-verified by the finite interpreter before return.  An
+    `evaluator` over p at rank k answers the walk's queries, so the answers
+    it has memoized are reused.
 
     The subpair is read off the evaluator's derivation: a variable node
     contributes its element, an abstraction node the unique key coding to its
@@ -534,7 +565,7 @@ def extract_witness_subpair(
     if not element_valid(p, e):
         raise ValueError(f"element {element_str(e, p)} is not valid over the pair")
     _validated_env(p, env, k)
-    ev = Evaluator(p, k, ceiling)
+    ev = _evaluator(evaluator, p, k, ceiling)
     values = _env_values(env, k)
     if not ev.contains(t, values, e):
         raise ValueError("element not derivable within the rank bound; run member() first")
@@ -655,17 +686,21 @@ def check_inequation(
     Holds-up-to means the bounded inclusion went through, after a scan of the
     whole left side.  Refusals come where a scan of the whole, sorted left
     side would meet them: the left side's guards run before its first element.
+    The left side's evaluator also answers the witness's membership probe
+    and extraction at rank k_lhs.
     """
     if not is_closed(lhs) or not is_closed(rhs):
         raise ValueError("inequation checking expects closed terms")
     if k_rhs < k_lhs:
         raise ValueError("the right bound must be at least the left bound")
-    candidates = Evaluator(p, k_lhs, ceiling).ordered(lhs, {}, k_lhs)
+    left = Evaluator(p, k_lhs, ceiling)
     ev = Evaluator(p, k_rhs, ceiling)
-    for candidate in candidates:
+    for candidate in left.ordered(lhs, {}, k_lhs):
         if not ev.contains(rhs, {}, candidate):
-            found = member(lhs, p, candidate, k_lhs, ceiling=ceiling)
-            subpair = extract_witness_subpair(lhs, p, candidate, found.rank, ceiling=ceiling)
+            found = member(lhs, p, candidate, k_lhs, ceiling=ceiling, evaluator=left)
+            subpair = extract_witness_subpair(
+                lhs, p, candidate, found.rank, ceiling=ceiling, evaluator=left if found.rank == k_lhs else None
+            )
             return Verdict(
                 "fails_with_evidence",
                 lhs,

@@ -40,10 +40,13 @@ class PartialPair:
     The constructor accepts arbitrary well-typed data; use validate() to
     check the pair invariants (violations are data, not construction faults).
     `inverse` maps each coded value back to its key (the first such key in
-    coding order when the coding is not injective).
+    coding order when the coding is not injective).  `derived` holds data
+    that other modules derive from the pair, filled lazily on first use
+    (the approximation evaluator keeps the validation report and the
+    completion levels there); the pair is immutable, so no entry goes stale.
     """
 
-    __slots__ = ("atoms", "coding", "inverse", "labels", "_hash")
+    __slots__ = ("atoms", "coding", "inverse", "labels", "derived", "_hash")
 
     def __init__(
         self,
@@ -62,6 +65,7 @@ class PartialPair:
             inverse.setdefault(value, key)
         object.__setattr__(self, "inverse", inverse)
         object.__setattr__(self, "labels", dict(labels) if labels else {})
+        object.__setattr__(self, "derived", {})
         object.__setattr__(self, "_hash", hash((self.atoms, frozenset(norm.items()))))
 
     def __setattr__(self, name, value):

@@ -12,7 +12,10 @@ recursion:
 Both quantifiers range over the coded keys only, which is equivalent to the
 subset formulation and exponentially cheaper.  Free variables default to the
 empty set.  Interpretation is primitive recursion on the term; redexes are
-interpreted as-is, never normalized first.
+interpreted as-is, never normalized first.  Within one call, each subterm's
+meaning is memoized under the subterm itself and the environment restricted
+to its free names, which the node carries: terms are hash-consed, so equal
+subterms share an entry.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import json
 from typing import Iterable, Mapping
 
 from .pairs import PartialPair
-from .terms import App, LambdaTerm, SELF_APPLY, Var, free_vars
+from .terms import App, LambdaTerm, SELF_APPLY, Var
 
 
 class Environment:
@@ -122,20 +125,12 @@ def interpret(t: LambdaTerm, p: PartialPair, env: Environment = EMPTY_ENV) -> fr
     for (a, alpha), v in p.coding.items():
         keys_by_args.setdefault(a, []).append((alpha, v))
 
-    memo: dict[tuple[int, Environment], frozenset[int]] = {}
-    fv_cache: dict[int, frozenset[str]] = {}
-
-    def fv(node: LambdaTerm) -> frozenset[str]:
-        got = fv_cache.get(id(node))
-        if got is None:
-            got = free_vars(node)
-            fv_cache[id(node)] = got
-        return got
+    memo: dict[tuple[LambdaTerm, Environment], frozenset[int]] = {}
 
     def go(node: LambdaTerm, env: Environment) -> frozenset[int]:
         if isinstance(node, Var):
             return env.get(node.name)
-        key = (id(node), env.restrict(fv(node)))
+        key = (node, env.restrict(node.free))
         got = memo.get(key)
         if got is not None:
             return got

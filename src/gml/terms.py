@@ -1,26 +1,34 @@
 """Untyped lambda terms: syntax, alpha/beta machinery, and a bijective codec.
 
-Terms are immutable trees of Var / Abs / App.  Alpha equivalence is decided
-through a canonical nameless form (de Bruijn indices for bound variables,
-a fixed enumeration of the identifier language for free ones), and the same
-nameless form underlies a total bijection between natural numbers and
-alpha-classes of terms.  Encoding goes through the nameless tree; decoding
-reads a code straight into a named term.  One builder is the code walk for
-terms and for their printed text: it takes its node constructors (variable,
-application, abstraction chain), so it builds terms for godel_decode and
-enumerate_closed_terms, and prints the closed terms that closed_term_texts
-lists (the CLI's enum-terms) without building a term.  The listings visit
-no open code: the codes of closed terms are generated directly, by
-recursion on the number of enclosing binders and a bound on the code.
-print_term folds the same three printing rules over a term, so
+Terms are immutable trees of Var / Abs / App, hash-consed: structurally
+equal terms are one object, so == and hash are identity and cost O(1), and
+each node carries its free names as a frozenset (and an application whether
+it is Omega), so free_vars and is_closed read the node.  Alpha equivalence
+is decided through a canonical nameless form (de Bruijn indices for bound
+variables, a fixed enumeration of the identifier language for free ones),
+and the same nameless form underlies a total bijection between natural
+numbers and alpha-classes of terms.  Encoding goes through the nameless
+tree; decoding reads a code straight into a named term.  One builder is the
+code walk for terms and for their printed text: it takes its node
+constructors (variable, application, abstraction chain), so it builds terms
+for godel_decode and enumerate_closed_terms, and prints the closed terms
+that closed_term_texts lists (the CLI's enum-terms) without building a term.
+The listings visit no open code: the codes of closed terms are generated
+directly, by recursion on the number of enclosing binders and a bound on the
+code.  print_term folds the same three printing rules over a term, so
 parenthesisation lives in one place.
 
-Everything here is pure; values are safe to share between threads.
+Everything here is pure; values are safe to share between threads.  The
+one module-level table, the intern table, holds its terms weakly, so it
+shrinks as terms are dropped, and it is updated by atomic dict operations
+only, so threads may build terms concurrently.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
@@ -29,32 +37,146 @@ from typing import Callable, Union
 
 # ---------------------------------------------------------------------------
 # Syntax
+#
+# Hash-consing after J.-C. Filliatre and S. Conchon, "Type-safe modular
+# hash-consing" (ML Workshop 2006): a constructor looks its node up in the
+# intern table before building it.  An entry is stored by dict.setdefault
+# and removed by _remove_dead_weakref, which deletes it only while its term
+# is dead; both are atomic.  A node's free names and Omega flag are computed
+# from its children when it is built, so nothing recurses.
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+class _Entry(weakref.ref):
+    """The intern table's reference to a term, with the term's key."""
+
+    __slots__ = ("key",)
+
+
+def _drop(entry: _Entry) -> None:
+    _remove_dead_weakref(_TERMS, entry.key)
+
+
+#: key -> _Entry of the live term with that key: a Var's key is its name,
+#: an Abs's (binder, body) and an App's (fun, arg).
+_TERMS: dict = {}
+
+
+def _no_entry() -> None:
+    """Stands in for a missing entry: calling it gives None, as calling a
+    dead entry does."""
+    return None
+
+
+def _interned(key, node):
+    """The live term stored under key, storing node there if there is none."""
+    entry = _Entry(node, _drop)
+    entry.key = key
+    while True:
+        got = _TERMS.setdefault(key, entry)
+        if got is entry:
+            return node
+        live = got()
+        if live is not None:
+            return live
+        _remove_dead_weakref(_TERMS, key)  # its term died; its callback has not run yet
+
+
+class _Term:
+    """What the three node kinds share: immutability, the free names
+    `free`, and printing through print_term."""
+
+    __slots__ = ("free", "__weakref__")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("terms are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("terms are immutable")
 
     def __str__(self) -> str:
         return print_term(self)
 
 
-@dataclass(frozen=True, slots=True)
-class Abs:
-    binder: str
-    body: "LambdaTerm"
+class Var(_Term):
+    __slots__ = ("name",)
 
-    def __str__(self) -> str:
-        return print_term(self)
+    def __new__(cls, name: str):
+        t = _TERMS.get(name, _no_entry)()
+        if t is not None:
+            return t
+        t = object.__new__(cls)
+        _set_name(t, name)
+        _set_free(t, frozenset((name,)))
+        return _interned(name, t)
+
+    def __reduce__(self):
+        return (Var, (self.name,))
+
+    def __repr__(self) -> str:
+        return f"Var(name={self.name!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class App:
-    fun: "LambdaTerm"
-    arg: "LambdaTerm"
+class Abs(_Term):
+    __slots__ = ("binder", "body")
 
-    def __str__(self) -> str:
-        return print_term(self)
+    def __new__(cls, binder: str, body: "LambdaTerm"):
+        key = (binder, body)
+        t = _TERMS.get(key, _no_entry)()
+        if t is not None:
+            return t
+        t = object.__new__(cls)
+        _set_binder(t, binder)
+        _set_body(t, body)
+        free = body.free
+        _set_free(t, free - {binder} if binder in free else free)
+        return _interned(key, t)
+
+    def __reduce__(self):
+        return (Abs, (self.binder, self.body))
+
+    def __repr__(self) -> str:
+        return f"Abs(binder={self.binder!r}, body={self.body!r})"
+
+
+class App(_Term):
+    __slots__ = ("fun", "arg", "omega")
+
+    def __new__(cls, fun: "LambdaTerm", arg: "LambdaTerm"):
+        key = (fun, arg)
+        t = _TERMS.get(key, _no_entry)()
+        if t is not None:
+            return t
+        t = object.__new__(cls)
+        _set_fun(t, fun)
+        _set_arg(t, arg)
+        free, right = fun.free, arg.free
+        if right and right is not free:
+            free = free | right if free else right
+        _set_free(t, free)
+        _set_omega(t, _self_applies(fun) and _self_applies(arg))
+        return _interned(key, t)
+
+    def __reduce__(self):
+        return (App, (self.fun, self.arg))
+
+    def __repr__(self) -> str:
+        return f"App(fun={self.fun!r}, arg={self.arg!r})"
+
+
+# A constructor writes a new node's fields through the slots' own setters,
+# which bypass the __setattr__ that keeps terms immutable.
+_set_free = _Term.free.__set__
+_set_name = Var.name.__set__
+_set_binder, _set_body = Abs.binder.__set__, Abs.body.__set__
+_set_fun, _set_arg, _set_omega = App.fun.__set__, App.arg.__set__, App.omega.__set__
+
+
+def _self_applies(t: "LambdaTerm") -> bool:
+    """t is \\x.x x, for some binder x."""
+    if not isinstance(t, Abs) or not isinstance(t.body, App):
+        return False
+    x = t.body.fun
+    return x is t.body.arg and isinstance(x, Var) and x.name == t.binder
 
 
 LambdaTerm = Union[Var, Abs, App]
@@ -81,19 +203,11 @@ def size(t: LambdaTerm) -> int:
 
 
 def free_vars(t: LambdaTerm) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, App):
-        return free_vars(t.fun) | free_vars(t.arg)
-    binders = set()
-    while isinstance(t, Abs):  # an abstraction chain is walked in a loop, not recursed into
-        binders.add(t.binder)
-        t = t.body
-    return free_vars(t) - binders
+    return t.free
 
 
 def is_closed(t: LambdaTerm) -> bool:
-    return not free_vars(t)
+    return not t.free
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +316,8 @@ class _Parser:
 
 
 def _expand_aliases(t: LambdaTerm, bound: frozenset[str]) -> LambdaTerm:
+    if all(name in bound or name not in ALIASES for name in t.free):
+        return t
     if isinstance(t, Var):
         if t.name in ALIASES and t.name not in bound:
             return ALIASES[t.name]
@@ -230,7 +346,14 @@ def _printed(t: LambdaTerm) -> tuple[str, str]:
     if isinstance(t, Var):
         return _var_text(t.name)
     if isinstance(t, App):
-        return _app_text(_printed(t.fun), _printed(t.arg))
+        args = []
+        while isinstance(t, App):  # an application spine is walked in a loop, not recursed into
+            args.append(t.arg)
+            t = t.fun
+        out = _printed(t)
+        for arg in reversed(args):
+            out = _app_text(out, _printed(arg))
+        return out
     binders = []
     while isinstance(t, Abs):  # an abstraction chain is walked in a loop, not recursed into
         binders.append(t.binder)
@@ -355,36 +478,50 @@ def _fresh_name(avoid: frozenset[str]) -> str:
 
 
 def substitute(t: LambdaTerm, x: str, s: LambdaTerm) -> LambdaTerm:
-    """Capture-avoiding substitution t[x := s]."""
+    """Capture-avoiding substitution t[x := s]; t itself when x is not free
+    in it."""
+    if x not in t.free:
+        return t
     if isinstance(t, Var):
-        return s if t.name == x else t
+        return s
     if isinstance(t, App):
         return App(substitute(t.fun, x, s), substitute(t.arg, x, s))
-    if t.binder == x:
-        return t
-    if t.binder in free_vars(s) and x in free_vars(t.body):
-        fresh = _fresh_name(free_vars(t.body) | free_vars(s) | {x})
+    if t.binder in s.free:
+        fresh = _fresh_name(t.body.free | s.free | {x})
         renamed = substitute(t.body, t.binder, Var(fresh))
         return Abs(fresh, substitute(renamed, x, s))
     return Abs(t.binder, substitute(t.body, x, s))
 
 
 def _step(t: LambdaTerm) -> LambdaTerm | None:
-    """One leftmost-outermost beta step, or None if t is in normal form."""
-    if isinstance(t, App):
-        if isinstance(t.fun, Abs):
-            return substitute(t.fun.body, t.fun.binder, t.arg)
-        fun = _step(t.fun)
-        if fun is not None:
-            return App(fun, t.arg)
-        arg = _step(t.arg)
-        if arg is not None:
-            return App(t.fun, arg)
-        return None
-    if isinstance(t, Abs):
-        body = _step(t.body)
-        return Abs(t.binder, body) if body is not None else None
-    return None
+    """One leftmost-outermost beta step, or None if t is in normal form.
+
+    The binders around t and its application spine are walked in a loop,
+    not recursed into, since a reduct's spine can grow by one application
+    per step; only the arguments along the spine are recursed into."""
+    binders = []
+    while isinstance(t, Abs):
+        binders.append(t.binder)
+        t = t.body
+    spine = []  # the arguments along the spine, outermost first
+    while isinstance(t, App) and not isinstance(t.fun, Abs):
+        spine.append(t.arg)
+        t = t.fun
+    if isinstance(t, App):  # the head is the leftmost-outermost redex
+        t = substitute(t.fun.body, t.fun.binder, t.arg)
+    else:
+        for i in reversed(range(len(spine))):  # the leftmost argument first
+            arg = _step(spine[i])
+            if arg is not None:
+                spine[i] = arg
+                break
+        else:
+            return None
+    for arg in reversed(spine):
+        t = App(t, arg)
+    for b in reversed(binders):
+        t = Abs(b, t)
+    return t
 
 
 def one_step_reducts(t: LambdaTerm) -> list[LambdaTerm]:

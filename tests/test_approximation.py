@@ -686,6 +686,51 @@ class TestMemoDiscipline:
                 checked += len(universe)
         assert checked > 200_000
 
+    def test_set_level_membership_matches_per_element_rule(self):
+        """A variable bound to an explicit set is enumerated as the set itself
+        and tested against an argument set by inclusion.  PerElement asks
+        every element alone instead; the two agree on enumerate and contains
+        for terms applied to a variable, applying one, and under a redex
+        whose variable is bound to a LazyValue, which is asked element by
+        element in both."""
+
+        class PerElement(Evaluator):
+            def _holds_all(self, t, env, args):
+                return all(self.contains(t, env, x) for x in args)
+
+            def enumerate(self, t, env, trim):
+                if isinstance(t, Var):
+                    return frozenset(e for e in env.get(t.name, ()) if e.rank <= min(trim, self.k))
+                return super().enumerate(t, env, trim)
+
+        rng = Random(16)
+        wrappers = [
+            lambda t: t,
+            lambda t: App(t, Var("z")),
+            lambda t: App(Var("z"), t),
+            lambda t: App(Abs("x", App(t, Var("x"))), App(Var("z"), Var("z"))),
+        ]
+        terms = [wrap(t) for t in closed_terms_up_to(5) for wrap in wrappers]
+        checked = lazy_bound = 0
+        for p in ONE_ATOM_PAIRS + _seeded_pairs(8, 2, 2):
+            for k in (0, 1, 2):
+                universe = elements_up_to(p, k)
+                values = [frozenset(universe), frozenset(), frozenset(e for e in universe if rng.random() < 0.5)]
+                # every element below rank k, and a sample of the 2,048 of rank 2 on two atoms
+                top = [e for e in universe if e.rank == k]
+                probes = [e for e in universe if e.rank < k] + rng.sample(top, min(len(top), 40))
+                fast, slow = Evaluator(p, k), PerElement(p, k)  # memo keys hold z's value
+                for value in values:
+                    env = {"z": value}
+                    for term in terms:
+                        for trim in range(k + 1):
+                            assert fast.enumerate(term, env, trim) == slow.enumerate(term, env, trim), (term, p, k)
+                        for e in probes:
+                            assert fast.contains(term, env, e) == slow.contains(term, env, e), (term, p, k, e)
+                        checked += len(probes)
+                lazy_bound += len(fast._lazy_cache)
+        assert checked > 15_000 and lazy_bound > 0
+
     def test_memo_holds_only_applications(self, monkeypatch):
         """After a check on two atoms, every contains entry is an
         application's and no enumerate entry is a variable's."""
@@ -700,13 +745,12 @@ class TestMemoDiscipline:
         p = _seeded_pairs(8, 2, 1)[0]
         for lhs, rhs in [("\\x y.x y", "\\x.x"), ("\\x.x", "(\\y.y) (\\w.w)"), ("\\x.x x", "\\x.(\\y.y) x")]:
             check_inequation(parse(lhs), parse(rhs), p)
-        contained, enumerated = set(), set()  # term kinds: "v", "l" or "a"
+        contained, enumerated = set(), set()  # term kinds: Var, Abs or App
         for ev in made:
-            kind = {number: shape[0] for shape, number in ev._numbers.items()}
-            contained |= {kind[key[0]] for key in ev._contains_memo}
-            enumerated |= {kind[key[0]] for key in ev._enum_memo}
-        assert contained == {"a"}
-        assert enumerated and "v" not in enumerated
+            contained |= {type(key[0]) for key in ev._contains_memo}
+            enumerated |= {type(key[0]) for key in ev._enum_memo}
+        assert contained == {App}
+        assert enumerated and Var not in enumerated
 
     def test_inverse_table_matches_coding_preimage(self):
         for p in ONE_ATOM_PAIRS + _seeded_pairs(8, 2, 3) + _seeded_pairs(10, 3, 2):

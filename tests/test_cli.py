@@ -53,6 +53,14 @@ class TestParseReduce:
         code, doc = run_json(capsys, "reduce", "--budget", "3", "Omega")
         assert doc["status"] == "budget_exceeded" and doc["steps"] == 3
 
+    def test_reduce_grows_a_long_spine(self, capsys):
+        """Each step adds an application to the reduct's spine; stepping and
+        printing walk it in a loop, so a thousand steps answer."""
+        code, doc = run_json(capsys, "reduce", "--budget", "1000", "(\\x.x x x)(\\x.x x x)")
+        assert code == 0
+        assert doc["status"] == "budget_exceeded" and doc["steps"] == 1000
+        assert doc["term"] == " ".join(["(\\x.x x x)"] * 1002)
+
 
 class TestInterp:
     def test_atoms_output(self, capsys, coded_file):

@@ -1,3 +1,8 @@
+import copy
+import gc
+import pickle
+import sys
+import threading
 from bisect import bisect_right
 from random import Random
 
@@ -5,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gml import terms
 from gml.terms import (
     _closed_codes,
     Abs,
@@ -310,6 +316,139 @@ class TestPrintFromCodes:
     @settings(max_examples=300)
     def test_printer_matches_reference(self, t):
         assert print_term(t) == print_by_cases(t)
+
+
+def _rebuilt(t):
+    """A structural copy of t made through the constructors."""
+    if isinstance(t, Var):
+        return Var(t.name)
+    if isinstance(t, Abs):
+        return Abs(t.binder, _rebuilt(t.body))
+    return App(_rebuilt(t.fun), _rebuilt(t.arg))
+
+
+def _shape(t) -> tuple:
+    if isinstance(t, Var):
+        return ("v", t.name)
+    if isinstance(t, Abs):
+        return ("l", t.binder, _shape(t.body))
+    return ("a", _shape(t.fun), _shape(t.arg))
+
+
+def _free_by_recursion(t) -> set:
+    if isinstance(t, Var):
+        return {t.name}
+    if isinstance(t, Abs):
+        return _free_by_recursion(t.body) - {t.binder}
+    return _free_by_recursion(t.fun) | _free_by_recursion(t.arg)
+
+
+def _subterms(t):
+    yield t
+    if isinstance(t, Abs):
+        yield from _subterms(t.body)
+    elif isinstance(t, App):
+        yield from _subterms(t.fun)
+        yield from _subterms(t.arg)
+
+
+class TestInterning:
+    """Terms are hash-consed: structurally equal terms are one object,
+    whichever way they were built, and == is identity."""
+
+    def test_equal_terms_are_one_object(self):
+        for seed in range(300):
+            t = random_term(Random(seed), 14)
+            assert random_term(Random(seed), 14) is t
+            assert _rebuilt(t) is t
+            assert parse(print_term(t)) is t
+        for t in enumerate_closed_terms(400):
+            assert godel_decode(godel_encode(t)) is t
+        assert parse("\\x.x") is IDENTITY and parse("(\\x.x x) (\\x.x x)") is OMEGA
+
+    def test_identity_agrees_with_structure(self):
+        pool = [s for seed in range(150) for s in _subterms(random_term(Random(seed), 9, names=("a", "b")))]
+        for a in pool[:400]:
+            for b in pool[:400]:
+                assert (a is b) == (a == b) == (_shape(a) == _shape(b))
+        assert len({hash(t) for t in pool}) == len({_shape(t) for t in pool})
+
+    def test_free_names_and_omega_are_read_off_the_node(self):
+        for seed in range(300):
+            for t in _subterms(random_term(Random(seed), 16)):
+                want = _free_by_recursion(t)
+                assert t.free == free_vars(t) == frozenset(want)
+                assert is_closed(t) == (not want)
+                if isinstance(t, App):
+                    assert t.omega == alpha_eq(t, OMEGA)
+        assert parse("(\\a.a a) (\\b.b b)").omega
+        assert not parse("(\\a.a a) (\\b.b a)").omega
+        assert not parse("(\\a.a a) (\\b.b b) I").omega
+
+    def test_copies_are_the_interned_term(self):
+        for t in (IDENTITY, OMEGA, parse("\\x.x y (\\z.z)")):
+            assert copy.copy(t) is t and copy.deepcopy(t) is t
+            assert pickle.loads(pickle.dumps(t)) is t
+
+    def test_terms_are_immutable(self):
+        with pytest.raises(AttributeError):
+            IDENTITY.binder = "y"
+        with pytest.raises(AttributeError):
+            del OMEGA.fun
+
+    def test_intern_table_shrinks_once_terms_are_dropped(self):
+        gc.collect()
+        before = len(terms._TERMS)
+        made = [App(Abs(f"p{i}", Var(f"q{i}")), Var(f"q{i}")) for i in range(500)]
+        assert len(terms._TERMS) == before + 3 * 500  # q_i, \p_i.q_i and the application
+        del made
+        assert len(terms._TERMS) == before
+
+    def test_threads_share_one_object_per_term(self):
+        """Threads that build and drop the same terms concurrently, with a
+        short switch interval, still get one object per structure, and the
+        table holds no entry for a dropped term afterwards."""
+        gc.collect()
+        before = len(terms._TERMS)
+        kept: list = [None] * 6
+        start = threading.Barrier(len(kept), timeout=60)
+
+        def made(i: int):
+            return App(Abs(f"t{i}", App(Var(f"t{i}"), Var("shared"))), Var(f"u{i % 7}"))
+
+        def build(slot: int) -> None:
+            start.wait()
+            for _ in range(10):
+                for i in range(300):
+                    made(i)  # dropped at once, so the next thread to build it misses too
+            kept[slot] = [made(i) for i in range(300)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(slot,)) for slot in range(len(kept))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(a is b for built in kept[1:] for a, b in zip(kept[0], built))
+        del kept
+        gc.collect()
+        assert len(terms._TERMS) == before
+
+    def test_deep_chain_hashes_and_compares(self):
+        """1,200 binders at the default recursion limit: nothing walks the
+        chain, since hash and == are identity and the node holds its free
+        names."""
+        assert sys.getrecursionlimit() <= 1000
+        term = godel_decode(DEEP_CHAIN)
+        again = godel_decode(DEEP_CHAIN)
+        assert again is term and again == term and hash(again) == hash(term)
+        assert term in {again} and term != godel_decode(3**1201 + DEEP_CHAIN)
+        assert is_closed(term) and alpha_eq(term, again)
 
 
 def test_size_counts_nodes():
