@@ -90,6 +90,7 @@ from .completion import (
     element_str,
     element_valid,
     elements_up_to,
+    levels_up_to,
     pair_of,
     pair_of_sorted,
     restriction_atom,
@@ -199,12 +200,7 @@ class Evaluator:
     def _elements(self, j: int) -> tuple[CompletionElement, ...]:
         """elements_up_to(self.pair, j), built once per pair and kept in
         pair.derived.  The ceiling guard runs on every call."""
-        count_up_to(self.pair, j, self.ceiling)
-        key = ("elements_up_to", j)
-        got = self.pair.derived.get(key)
-        if got is None:
-            got = self.pair.derived.setdefault(key, elements_up_to(self.pair, j, self.ceiling))
-        return got
+        return levels_up_to(self.pair, j, self.ceiling, elements_up_to)
 
     def _holds_all(self, t: LambdaTerm, env: dict, args: frozenset) -> bool:
         """Every element of args lies in interp(t): a subset test when t is a

@@ -3,15 +3,17 @@
 One subcommand per library capability, machine-readable output behind
 --json, deterministic bytes for fixed inputs.  Exit codes: 0 on success,
 1 when the checked property fails (a failing verdict, a violation report,
-a membership not found), 2 on usage errors.
+a membership not found), 2 on usage errors.  The command line is read by
+parse_args against one declarative table, COMMANDS, which also gives the
+-h listing.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from . import minmodel
 from .approximation import (
@@ -88,81 +90,189 @@ def _split_claim(text: str) -> tuple[str, str, str]:
     raise UsageError('expected an (in)equation like "M = N" or "M <= N"')
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls."""
-    top = argparse.ArgumentParser(prog="gml", description=__doc__)
-    top.add_argument("--json", action="store_true", help="strict JSON on stdout")
-    sub = top.add_subparsers(dest="command", required=True)
+# The command table.  Each entry: the command's words, a one-line help, its
+# options as (flag, type, default) and its positionals as (name, type).  An
+# option's attribute is its flag without the dashes, "-" read as "_"; an option
+# of type bool is a flag that takes no value.
+_PAIR = ("--pair", str, None)
+_RANK = ("--rank", int, 2)
+_BOUNDS = (("--kM", int, 2), ("--kN", int, 4))
+_TERM, _ELEMENT, _CLAIM = ("term", str), ("element", str), ("claim", str)
 
-    def common(p, pair=False, env=False, rank=False, bounds=False, budget=False, count=False):
-        if pair:
-            p.add_argument("--pair", metavar="FILE")
-        if env:
-            p.add_argument("--env", metavar="FILE")
-        if rank:
-            p.add_argument("--rank", type=int, default=2, metavar="K")
-        if bounds:
-            p.add_argument("--kM", type=int, default=2, metavar="K")
-            p.add_argument("--kN", type=int, default=4, metavar="K")
-        if budget:
-            p.add_argument("--budget", type=int, default=100, metavar="N")
-        if count:
-            p.add_argument("--count", action="store_true")
+COMMANDS = (
+    ("parse", "parse a term and print it back", (), (_TERM,)),
+    ("reduce", "leftmost-outermost reduction under a step budget", (("--budget", int, 100),), (_TERM,)),
+    ("interp", "interpret a term in a finite pair", (_PAIR, ("--env", str, None)), (_TERM,)),
+    ("complete", "enumerate completion elements up to a rank", (_PAIR, _RANK, ("--count", bool, False)), ()),
+    ("member", "bounded membership in a completion interpretation", (_PAIR, _RANK), (_TERM, _ELEMENT)),
+    ("witness", "finite subpair certifying a membership", (_PAIR, _RANK), (_TERM, _ELEMENT)),
+    ("check", "bounded (in)equation check with certificates", (_PAIR, *_BOUNDS), (_CLAIM,)),
+    ("enum-terms", "first closed terms in code order", (), (("limit", int),)),
+    ("pair validate", "every violated partial-pair condition", (_PAIR,), ()),
+    ("pair auts", "the automorphisms of a pair", (_PAIR,), ()),
+    ("pair orbits", "the orbits of a pair's automorphisms", (_PAIR,), ()),
+    ("pair union", "the union of two pairs", (), (("first", str), ("second", str))),
+    ("minmodel search", "scan components for an inequation counterexample",
+     (("--max-index", int, 50), *_BOUNDS), (_CLAIM,)),
+    ("minmodel pair", "export the k-th relocated component", (), (("index", int),)),
+)
 
-    p = sub.add_parser("parse", help="parse a term and print it back")
-    p.add_argument("term")
+# A command's second word goes to this attribute of its first.
+_GROUPS = {"pair": "pair_command", "minmodel": "mm_command"}
 
-    p = sub.add_parser("reduce", help="leftmost-outermost reduction under a step budget")
-    common(p, budget=True)
-    p.add_argument("term")
-
-    p = sub.add_parser("interp", help="interpret a term in a finite pair")
-    common(p, pair=True, env=True)
-    p.add_argument("term")
-
-    p = sub.add_parser("complete", help="enumerate completion elements up to a rank")
-    common(p, pair=True, rank=True, count=True)
-
-    p = sub.add_parser("member", help="bounded membership in a completion interpretation")
-    common(p, pair=True, rank=True)
-    p.add_argument("term")
-    p.add_argument("element")
-
-    p = sub.add_parser("witness", help="finite subpair certifying a membership")
-    common(p, pair=True, rank=True)
-    p.add_argument("term")
-    p.add_argument("element")
-
-    p = sub.add_parser("check", help="bounded (in)equation check with certificates")
-    common(p, pair=True, bounds=True)
-    p.add_argument("claim")
-
-    p = sub.add_parser("enum-terms", help="first closed terms in code order")
-    p.add_argument("limit", type=int)
-
-    pair_cmd = sub.add_parser("pair", help="pair file utilities")
-    pair_sub = pair_cmd.add_subparsers(dest="pair_command", required=True)
-    for name in ("validate", "auts", "orbits"):
-        q = pair_sub.add_parser(name)
-        q.add_argument("--pair", metavar="FILE")
-    q = pair_sub.add_parser("union")
-    q.add_argument("first")
-    q.add_argument("second")
-
-    mm = sub.add_parser("minmodel", help="the prime-coded minimum-theory model")
-    mm_sub = mm.add_subparsers(dest="mm_command", required=True)
-    q = mm_sub.add_parser("search", help="scan components for an inequation counterexample")
-    q.add_argument("--max-index", type=int, default=50, metavar="K")
-    common(q, bounds=True)
-    q.add_argument("claim")
-    q = mm_sub.add_parser("pair", help="export the k-th relocated component")
-    q.add_argument("index", type=int)
-
-    return top
+# flag -> (attribute, type); None stands for -h and --help
+_HELP = {"-h": None, "--help": None}
+_LEADING = {"--json": ("json", bool), **_HELP}
 
 
-def _run(args: argparse.Namespace) -> tuple[dict, int]:
+def _compile(words: str, options: tuple, positionals: tuple) -> tuple[dict, tuple, dict]:
+    """(flags, positionals, defaults) of one command, for parse_args."""
+    first, _, second = words.partition(" ")
+    defaults = {"command": first, **({_GROUPS[first]: second} if second else {})}
+    flags = dict(_HELP)
+    for flag, kind, default in options:
+        attr = flag[2:].replace("-", "_")
+        flags[flag] = (attr, kind)
+        defaults[attr] = default
+    return flags, positionals, defaults
+
+
+_TABLE = {words: _compile(words, options, positionals) for words, _, options, positionals in COMMANDS}
+
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
+
+
+def _option(word: str, flags: dict) -> tuple[str | None, str | None] | None:
+    """None when word is a positional word, else (flag, value given after
+    "="): flag None for an unknown option.  A unique prefix names its option,
+    as "--max" names "--max-index"; an ambiguous one is an error."""
+    if word[:1] != "-" or word in ("-", "--"):
+        return None
+    if word in flags:
+        return word, None
+    if word[1] != "-":  # one dash: -h takes whatever follows it as its value
+        if word.startswith("-h"):
+            return "-h", word[2:]
+    else:
+        flag, eq, value = word.partition("=")
+        matches = [f for f in flags if f.startswith(flag)]
+        if flag == "--" or len(matches) > 1:
+            raise UsageError(f"ambiguous option {word}: could be {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    if _NEGATIVE_NUMBER(word) or " " in word:
+        return None
+    return None, None
+
+
+def _typed(kind: type, text: str, what: str):
+    if kind is str:
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"{what} needs an integer, not {text!r}") from None
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes _run reads, from argv walked once against COMMANDS;
+    None when -h or --help asks for the listing.
+
+    A leading --json, then the command's words, then its options and
+    positionals in any order.  An option's value follows it or comes after
+    "="; the last of a repeated option wins; after "--" every word is a
+    positional; a negative number is a value, not an option.  As in argparse,
+    unknown options and surplus words are reported only if no help request
+    follows them, and a trailing "--" must come right after a positional.
+    """
+    values: dict = {"json": False}
+    flags, spec, words = _LEADING, None, ""
+    given: list = []
+    unrecognized: list[str] = []
+    last = -1  # index of the last positional that filled a slot
+    rest = False  # past "--"
+    i, n = 0, len(argv)
+    while i < n:
+        word = argv[i]
+        i += 1
+        found = None if rest else _option(word, flags)
+        if found is None:
+            if spec is None:
+                words = f"{words} {word}" if words else word
+                if words in _GROUPS:
+                    flags = _HELP
+                    continue
+                spec = _TABLE.get(words)
+                if spec is None:
+                    raise UsageError(f"unknown command {words!r}; gml --help lists them")
+                flags, positionals, defaults = spec
+                values.update(defaults)
+            elif word == "--" and not rest:
+                rest = True
+                if i == n and last != i - 2:  # argparse keeps such a "--" as a surplus word
+                    raise UsageError("a trailing -- must follow a positional argument")
+            elif len(given) < len(positionals):
+                name, kind = positionals[len(given)]
+                given.append(_typed(kind, word, name))
+                last = i - 1
+            else:
+                unrecognized.append(word)
+            continue
+        flag, value = found
+        if flag is None:
+            unrecognized.append(word)
+            continue
+        target = flags[flag]
+        if target is None:  # -h or --help
+            if value is not None:
+                raise UsageError(f"{flag} takes no value")
+            for word in argv[i:]:  # what follows is still checked for ambiguous options
+                if word == "--":
+                    break
+                _option(word, flags)
+            return None
+        attr, kind = target
+        if kind is bool:
+            if value is not None:
+                raise UsageError(f"{flag} takes no value")
+            values[attr] = True
+            continue
+        if value is None:
+            if i == n or argv[i] == "--" or _option(argv[i], flags) is not None:
+                raise UsageError(f"{flag} needs a value")
+            value = argv[i]
+            i += 1
+        values[attr] = _typed(kind, value, flag)
+    if spec is None:
+        raise UsageError(f"{words} needs a subcommand" if words else "no command given; gml --help lists them")
+    if unrecognized:
+        raise UsageError(f"unrecognized arguments: {' '.join(unrecognized)}")
+    if len(given) < len(positionals):
+        raise UsageError(f"{words} needs {' '.join(name.upper() for name, _ in positionals)}")
+    values.update(zip((name for name, _ in positionals), given))
+    return SimpleNamespace(**values)
+
+
+def usage() -> str:
+    """The listing -h prints: one line per command, from COMMANDS."""
+    rows = []
+    for words, text, options, positionals in COMMANDS:
+        shown = [f"[{flag}]" if kind is bool else f"[{flag} {'FILE' if default is None else default}]"
+                 for flag, kind, default in options]
+        rows.append((" ".join([words, *shown, *(name.upper() for name, _ in positionals)]), text))
+    width = max(len(row) for row, _ in rows)
+    return "\n".join([
+        "usage: gml [--json] COMMAND [OPTION VALUE | OPTION=VALUE ...] ARGUMENT ...",
+        "",
+        "--json gives strict JSON on stdout; a bracketed option shows its default.",
+        "Exit codes: 0 success, 1 the checked property fails, 2 usage error.",
+        "",
+        "commands:",
+        *(f"  {row:<{width}}  {text}" for row, text in rows),
+    ])
+
+
+def _run(args: SimpleNamespace) -> tuple[dict, int]:
     cmd = args.command
 
     if cmd == "parse":
@@ -286,12 +396,11 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(usage())
+            return 0
         doc, code = _run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

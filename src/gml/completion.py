@@ -13,8 +13,10 @@ Elements are interned through structural hashing, so equality is identity
 and sets of elements behave canonically.  The interning table is a simple
 content-addressed dict and is safe under CPython's atomic dict operations.
 Level sizes grow doubly exponentially; enumeration past a configurable
-element ceiling raises CeilingExceeded.  Levels are built afresh on every
-call and belong to the caller: the module caches no level.
+element ceiling raises CeilingExceeded.  The module keeps no level of its
+own: elements_up_to builds afresh on every call, and levels_up_to keeps the
+levels of a pair in that pair's `derived` dict, shared by the evaluators and
+witness numbering of one pair.
 """
 
 from __future__ import annotations
@@ -216,6 +218,19 @@ def elements_up_to(p: PartialPair, k: int, ceiling: int = DEFAULT_CEILING) -> tu
     return out
 
 
+def levels_up_to(p: PartialPair, k: int, ceiling: int, build: Callable) -> tuple[CompletionElement, ...]:
+    """build(p, k, ceiling), an elements_up_to, run once per pair and kept
+    in p.derived.  The ceiling guard runs on every call.  Each caller passes
+    the elements_up_to of its own module, so a wrapper put on that name
+    (perfbench's tracer, a test) sees the builds."""
+    count_up_to(p, k, ceiling)
+    key = ("elements_up_to", k)
+    got = p.derived.get(key)
+    if got is None:
+        got = p.derived.setdefault(key, build(p, k, ceiling))
+    return got
+
+
 # ---------------------------------------------------------------------------
 # Finite restrictions
 #
@@ -295,7 +310,7 @@ def restriction_atom(p: PartialPair, e: CompletionElement, ceiling: int = DEFAUL
         return e.atom
     args_key = tuple(x.sort_key() for x in e.args_sorted)
     res_key = e.res.sort_key()
-    below = elements_up_to(p, e.rank - 1, ceiling)
+    below = levels_up_to(p, e.rank - 1, ceiling, elements_up_to)
     fresh = _keys_below(below, args_key, res_key)
     if e.rank >= 2:
         # E_{r-2} is the rank prefix of E_{r-1}

@@ -464,8 +464,9 @@ def search_counterexample(
         initial = mask == (1 << b) - 1
         if not initial and not refused.get(b):
             continue  # the block on {0..b-1} came first and answered for every class
+        carrier = _carrier_of_mask(mask)
         for k in block:
-            component = enumerate_pair(k)
+            component = PartialPair(carrier, _unrank_coding(carrier, k - block.start))  # enumerate_pair(k)
             if b in answered:
                 representative = class_representative(component)
                 if representative != k and representative not in refused.get(b, ()):

@@ -665,17 +665,19 @@ def _first_closed(limit: int, var: Callable, app: Callable, lam: Callable) -> li
     """The first `limit` closed terms in code order, built with the given
     node constructors by one builder.
 
-    The codes come from _closed_codes, under a bound that starts at
-    8 * limit and doubles until it holds `limit` codes, so no open code is
-    visited.  A closed term has no free identifier to avoid, so its binder
-    at depth d is ident_of_nat(d), as godel_decode names it.
+    The codes come from _closed_codes, so no open code is visited, under a
+    bound that starts at 8 * limit.  Should that bound hold too few codes,
+    the next is sized from the count it did hold: the closed codes up to b
+    number about b^0.8, so scaling b by 1.1 (limit / count)^1.25 usually
+    needs no third pass.  A closed term has no free identifier to avoid, so
+    its binder at depth d is ident_of_nat(d), as godel_decode names it.
     """
     if limit < 0:
         raise ValueError("limit must be non-negative")
     bound = 8 * limit
     codes = _closed_codes(bound)
-    while len(codes) < limit:
-        bound *= 2
+    while len(codes) < limit:  # a bound >= 8 holds the code 1 of \a.a, so len(codes) > 0
+        bound = int(bound * 1.1 * (limit / len(codes)) ** 1.25)
         codes = _closed_codes(bound)
     node_at = _builder(var, app, lam, ident_of_nat)
     return [node_at(code, 0) for code in codes[:limit]]

@@ -17,11 +17,13 @@ the key oracle enumerates an application's function side with it, the
 inequation oracle scans the package's whole left-side set, the search
 oracle checks every component with the package's numeration and inequation
 check, and the isomorphism oracle tries every bijection of two carriers
-with the package's Morphism.
+with the package's Morphism.  The argument-parser oracle is the argparse
+parser the command line was read with before its declarative table.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 from functools import lru_cache
 from math import isqrt
@@ -533,3 +535,79 @@ def random_env(rng: Random, pair: PartialPair, names: tuple[str, ...] = ("a", "b
         for name in names
         if rng.random() < 0.7
     }
+
+
+# ---------------------------------------------------------------------------
+# The command line as argparse reads it: the reference for cli.parse_args.
+
+
+def build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(prog="gml")
+    top.add_argument("--json", action="store_true", help="strict JSON on stdout")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    def common(p, pair=False, env=False, rank=False, bounds=False, budget=False, count=False):
+        if pair:
+            p.add_argument("--pair", metavar="FILE")
+        if env:
+            p.add_argument("--env", metavar="FILE")
+        if rank:
+            p.add_argument("--rank", type=int, default=2, metavar="K")
+        if bounds:
+            p.add_argument("--kM", type=int, default=2, metavar="K")
+            p.add_argument("--kN", type=int, default=4, metavar="K")
+        if budget:
+            p.add_argument("--budget", type=int, default=100, metavar="N")
+        if count:
+            p.add_argument("--count", action="store_true")
+
+    p = sub.add_parser("parse", help="parse a term and print it back")
+    p.add_argument("term")
+
+    p = sub.add_parser("reduce", help="leftmost-outermost reduction under a step budget")
+    common(p, budget=True)
+    p.add_argument("term")
+
+    p = sub.add_parser("interp", help="interpret a term in a finite pair")
+    common(p, pair=True, env=True)
+    p.add_argument("term")
+
+    p = sub.add_parser("complete", help="enumerate completion elements up to a rank")
+    common(p, pair=True, rank=True, count=True)
+
+    p = sub.add_parser("member", help="bounded membership in a completion interpretation")
+    common(p, pair=True, rank=True)
+    p.add_argument("term")
+    p.add_argument("element")
+
+    p = sub.add_parser("witness", help="finite subpair certifying a membership")
+    common(p, pair=True, rank=True)
+    p.add_argument("term")
+    p.add_argument("element")
+
+    p = sub.add_parser("check", help="bounded (in)equation check with certificates")
+    common(p, pair=True, bounds=True)
+    p.add_argument("claim")
+
+    p = sub.add_parser("enum-terms", help="first closed terms in code order")
+    p.add_argument("limit", type=int)
+
+    pair_cmd = sub.add_parser("pair", help="pair file utilities")
+    pair_sub = pair_cmd.add_subparsers(dest="pair_command", required=True)
+    for name in ("validate", "auts", "orbits"):
+        q = pair_sub.add_parser(name)
+        q.add_argument("--pair", metavar="FILE")
+    q = pair_sub.add_parser("union")
+    q.add_argument("first")
+    q.add_argument("second")
+
+    mm = sub.add_parser("minmodel", help="the prime-coded minimum-theory model")
+    mm_sub = mm.add_subparsers(dest="mm_command", required=True)
+    q = mm_sub.add_parser("search", help="scan components for an inequation counterexample")
+    q.add_argument("--max-index", type=int, default=50, metavar="K")
+    common(q, bounds=True)
+    q.add_argument("claim")
+    q = mm_sub.add_parser("pair", help="export the k-th relocated component")
+    q.add_argument("index", type=int)
+
+    return top

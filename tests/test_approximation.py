@@ -1,8 +1,9 @@
+from collections import Counter
 from random import Random
 
 import pytest
 
-from gml import approximation
+from gml import approximation, completion
 from gml.approximation import (
     ApproximationInfeasible,
     BOUNDED_REFUTATION_NOTE,
@@ -23,6 +24,7 @@ from gml.completion import (
     elements_up_to,
     lift_automorphism,
     pair_of,
+    parse_element,
     restrict,
     restriction_atom,
 )
@@ -344,6 +346,33 @@ class TestExtractWitness:
                     assert restrict(p, found.rank).atom_of[e] in interpret(t, w, Environment())
                     checked += 1
         assert checked >= 100
+
+    def test_levels_are_built_once_per_pair(self, monkeypatch, free1):
+        """Numbering a witness's elements reads the levels the evaluator
+        keeps in pair.derived, and fills them when it comes first."""
+        rank2 = pair_of([pair_of([base(0)], base(0))], base(0))
+        want = restrict(free1, 2).atom_of[rank2]
+        builds = Counter()
+        build = completion.elements_up_to
+
+        def counted(p, k, ceiling):
+            builds[k] += 1
+            return build(p, k, ceiling)
+
+        monkeypatch.setattr(completion, "elements_up_to", counted)
+        monkeypatch.setattr(approximation, "elements_up_to", counted)
+        for term, element in (("\\x.x", "({0},0)"), ("\\x y.x", "({0},({0},0))"),
+                              ("\\x.x x", "({({0},0),0},0)"), ("(\\x.x) (\\y.y)", "({({0},0)},({0},0))")):
+            t, e = parse(term), parse_element(element, free1)
+            found = member(t, free1, e, 3)
+            assert validate(extract_witness_subpair(t, free1, e, found.rank)).ok
+        assert builds == {0: 1, 1: 1, 2: 1}
+        # numbering first: restriction_atom fills the entry the evaluator then reads
+        fresh = PartialPair({0})
+        assert restriction_atom(fresh, rank2) == want
+        assert builds == {0: 1, 1: 2, 2: 1}
+        assert approximation.Evaluator(fresh, 2)._elements(1) is fresh.derived[("elements_up_to", 1)]
+        assert builds == {0: 1, 1: 2, 2: 1}
 
 
 class TestWitnessFromEvaluator:

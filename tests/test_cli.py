@@ -1,15 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import gml
-from gml.cli import main
+from gml.cli import COMMANDS, UsageError, main, parse_args
 from gml.pairs import PartialPair
-from oracles import closed_terms_by_scan, print_by_cases
+from oracles import build_parser, closed_terms_by_scan, print_by_cases
 
 
 @pytest.fixture
@@ -372,3 +375,127 @@ class TestOutputContract:
                 [sys.executable, "-m", "gml.cli", *argv], capture_output=True, text=True, env=env, timeout=60
             )
             assert (code, out) == (alone.returncode, alone.stdout), argv
+
+
+# Words a command line is made of: values of every shape the parser treats
+# differently (negative numbers, words with a space or a leading dash, "--",
+# the empty word) and option words: flags, unique and ambiguous prefixes,
+# "=" forms, unknown options and help requests.
+VALUES = ("1", "-1", "x", "", "--", "-", "--x y", "-x y", "T <= F", "I", "0", "f.json",
+          "1.5", "-1.5", " 7 ", "-.5", "5_0", "+3", "-0", "-h x", "-hx")
+FLAGS = ("--pair", "--env", "--rank", "--count", "--kM", "--kN", "--budget", "--max-index", "--json",
+         "--max", "--k", "--r", "--c", "--p", "--pai", "--e", "--b", "--bogus", "-x", "--j", "-h",
+         "--help", "--he", "--=1", "--pair=f", "--rank=3", "--rank=-2", "--kM=x", "--count=",
+         "--count=1", "--m=7", "--k=2", "--json=1")
+WORDS = ("parse", "reduce", "interp", "complete", "member", "witness", "check", "enum-terms", "pair",
+         "minmodel", "validate", "auts", "orbits", "union", "search", "frobnicate", "--")
+
+
+def argument_corpus() -> list[list[str]]:
+    """Hand-picked command lines, then seeded ones: every command with its
+    options in any order, as "--opt value" or "--opt=value", prefixed or
+    repeated, its positionals too few, right or too many, with "--" placed
+    anywhere; and free mixes of command, option and value words."""
+    corpus = [
+        [], ["--json"], ["pair"], ["minmodel"], ["pair", "bogus"], ["minmodel", "--max-index", "3"],
+        ["frobnicate"], ["--", "parse", "x"], ["pair", "--", "union", "a", "b"], ["--j", "parse", "x"],
+        ["--json=1", "parse", "x"], ["check", "--json", "c"], ["parse", "--=x", "x"],
+        ["check", "--k", "1", "c"], ["check", "--kM=", "c"], ["check", "--pair=", "c"],
+        ["check", "--pair", "--kM", "c"], ["check", "--pair", "--", "c"], ["check", "--pair"],
+        ["check", "--pair", "--x y", "c"], ["check", "--pair", "-h x", "c"],
+        ["member", "--rank", "-1", "I", "0"], ["member", "--rank", "two", "I", "0"],
+        ["enum-terms", "-1"], ["enum-terms", "--", "-1"], ["enum-terms", "5", "--"],
+        ["enum-terms", "--", "5", "--"], ["complete", "--pair", "f", "--"], ["parse", "x", "--"],
+        ["member", "I", "--", "0"], ["member", "--", "--", "I"], ["check", "--", "--json"],
+        ["reduce", "--b", "3", "x"], ["minmodel", "search", "--max", "3", "--max-index=4", "c"],
+        ["minmodel", "search", "--m", "3", "c"], ["minmodel", "pair", "x"], ["minmodel", "pair", "-3"],
+        ["pair", "union", "a"], ["pair", "union", "a", "b", "c"], ["complete", "--count", "--count"],
+        ["complete", "--rank", "1", "--rank", "3"], ["parse", "x", "y"], ["complete", "--bogus", "-h"],
+        ["check", "-h", "--k"], ["enum-terms", "x", "-h"], ["enum-terms", "-h", "x"], ["-h", "frobnicate"],
+        ["pair", "-h"], ["minmodel", "search", "--help"], ["check", "--he"], ["check", "--pair=--", "c"],
+        ["member", "--rank=--", "I", "0"], ["pair", "union", "--", "a", "--"],
+    ]
+    rng = Random(17)
+    for _ in range(2000):
+        words, _, options, positionals = rng.choice(COMMANDS)
+        parts = []
+        for flag, kind, _ in options:
+            for _ in range(rng.choice((0, 1, 1, 2))):
+                name = flag[: rng.randint(3, len(flag))] if rng.random() < 0.3 else flag
+                value = rng.choice(VALUES)
+                if kind is bool:
+                    parts.append([name])
+                else:
+                    # "--opt=--" is left to the hand-picked lines, see test_matches_argparse
+                    parts.append([f"{name}={value}"] if value != "--" and rng.random() < 0.3 else [name, value])
+        parts += [[rng.choice(VALUES)] for _ in range(len(positionals) + rng.choice((-1, 0, 0, 0, 1)))]
+        if rng.random() < 0.5:
+            rng.shuffle(parts)
+        line = [word for part in parts for word in part]
+        if rng.random() < 0.3:
+            line.insert(rng.randint(0, len(line)), "--")
+        corpus.append(["--json"] * (rng.random() < 0.3) + words.split() + line)
+    for _ in range(2000):
+        line = ["--json"] * (rng.random() < 0.3) + rng.sample(WORDS, rng.randint(0, 2))
+        if rng.random() < 0.9:
+            line = line[: rng.randint(0, 1)] + rng.choice(COMMANDS)[0].split()
+        corpus.append(line + [rng.choice(FLAGS if rng.random() < 0.4 else VALUES) for _ in range(rng.randint(0, 6))])
+    return corpus
+
+
+class TestArgumentTable:
+    """parse_args reads every command line as the argparse parser it
+    replaced (tests/oracles.py::build_parser) does."""
+
+    INTEGERS = {"rank", "kM", "kN", "budget", "max_index", "limit", "index"}
+
+    def test_matches_argparse(self, capsys):
+        """An accepted line gives the oracle's attributes and values, a
+        rejected one exits 2 with one usage error line, and a help request
+        is read as one wherever the oracle reads it so.  One argparse fault
+        is not copied: a value that is the word "--" (as in "--pair=--" or
+        a second positional after "--") reaches argparse's handlers as [];
+        here it is the word itself, or an error where an integer is due.  A
+        later repeat of the option would hide that [], so the seeded lines
+        give no option "=--"."""
+        oracle = build_parser()
+        counts = {"accepted": 0, "rejected": 0, "help": 0}
+        for argv in argument_corpus():
+            try:
+                with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+                    want = vars(oracle.parse_args(argv))
+            except SystemExit as exc:
+                want = exc.code
+            if want == 0:
+                counts["help"] += 1
+                assert parse_args(argv) is None, argv
+            elif isinstance(want, dict):
+                counts["accepted"] += 1
+                dashes = [key for key, value in want.items() if value == []]
+                if self.INTEGERS.intersection(dashes):
+                    with pytest.raises(UsageError):
+                        parse_args(argv)
+                    continue
+                assert vars(parse_args(argv)) == {**want, **dict.fromkeys(dashes, "--")}, argv
+            else:
+                counts["rejected"] += 1
+                with pytest.raises(UsageError):
+                    parse_args(argv)
+                code, out, err = run(capsys, *argv)
+                assert code == 2 and not out, argv
+                assert err.startswith("usage error: ") and err.count("\n") == 1, argv
+        assert min(counts.values()) > 100, counts
+
+    def test_help_lists_every_command(self, capsys):
+        for argv in (["-h"], ["--json", "--help"], ["check", "-h"], ["pair", "union", "--help"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and not err
+            assert out.startswith("usage: gml")
+            for words, text, _, _ in COMMANDS:
+                assert f"  {words} " in out and text in out, words
+
+    def test_import_leaves_out_argparse(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(gml.__file__).parents[1])}
+        probe = "import sys, gml.cli; print('argparse' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+        assert out.stdout == "False\n", out.stderr

@@ -291,6 +291,23 @@ class TestClosedCodes:
     def test_long_listing_matches_the_scan(self):
         assert closed_term_texts(20000) == [print_by_cases(t) for t in closed_terms_by_scan(20000)]
 
+    def test_a_short_first_bound_costs_one_more_pass(self, monkeypatch):
+        """When 8 * limit holds too few codes, the second bound is sized from
+        the count the first held: two passes, where doubling took three at
+        20,000 and 100,000 terms."""
+        bounds = []
+
+        def recorded(bound):
+            bounds.append(bound)
+            return _closed_codes(bound)
+
+        monkeypatch.setattr(terms, "_closed_codes", recorded)
+        for n in (1000, 20000, 100000):
+            bounds.clear()
+            texts = closed_term_texts(n)
+            assert len(texts) == n and len(bounds) == 2, (n, bounds)
+        assert texts[-1] == print_term(godel_decode(_closed_codes(bounds[-1])[n - 1]))
+
 
 class TestPrintFromCodes:
     @pytest.mark.parametrize("n", [0, 1, 3000])

@@ -1,12 +1,15 @@
 """Paired, query-by-query timing of two `gml` trees in one process.
 
     python3 tools/paired_timing.py --base ../gml-parent --workload certify --seed 1 --count 600
+    python3 tools/paired_timing.py --base ../gml-parent --workload search --stratum refuted-13
 
 Loads the `src/gml` package of two checkouts under distinct package names,
 replays a seeded `perfbench/workloads.py` stream through each tree's
 `cli.main`, and for every query keeps the fastest of --rounds runs per
-tree.  The tree that runs first alternates from query to query and from
-round to round, so drift in the host's speed falls on both sides alike.
+tree.  --stratum (repeatable) keeps only the named strata's queries, so a
+claim about one stratum can be timed alone.  The tree that runs first
+alternates from query to query and from round to round, so drift in the
+host's speed falls on both sides alike.
 Exit code and stdout must be equal on both trees for every run, or the
 script stops.  It prints each side's p50 and p90 (nearest rank over the
 per-query minima) and the median per-query ratio change/base, per stratum
@@ -89,10 +92,19 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
     ap.add_argument("--count", type=int, default=400, help="queries from the start of the stream")
     ap.add_argument("--rounds", type=int, default=3, help="runs per query and tree; the fastest is kept")
+    ap.add_argument("--stratum", action="append", metavar="NAME",
+                    help="replay only this stratum's queries (repeatable); --count then counts those")
     args = ap.parse_args(argv)
 
+    queries = workloads.generate(args.workload, args.seed)
+    if args.stratum:
+        unknown = set(args.stratum) - {q.stratum for q in queries}
+        if unknown:
+            ap.error(f"no stratum {', '.join(sorted(unknown))} in {args.workload}; "
+                     f"it has {', '.join(sorted({q.stratum for q in queries}))}")
+        queries = [q for q in queries if q.stratum in args.stratum]
+    queries = queries[: args.count]
     mains = {"base": load_cli(args.base, "gml_base"), "change": load_cli(args.change, "gml_change")}
-    queries = workloads.generate(args.workload, args.seed)[: args.count]
     best: list[dict[str, float]] = []
     with tempfile.TemporaryDirectory() as directory:
         for i, argv_i in enumerate(commands(queries, directory)):
