@@ -19,14 +19,13 @@ from .approximation import (
 )
 from .completion import (
     CeilingExceeded,
-    CompletionCoding,
     CompletionElement,
     apply_coding,
     base,
-    canonical_morphism,
     element_str,
     elements_up_to,
-    lift_automorphism,
+    generate_subgraphmodel,
+    lift_morphism,
     pair_of,
     parse_element,
     rank,
@@ -48,13 +47,11 @@ from .minmodel import (
 )
 from .pairs import (
     Morphism,
-    PairCoding,
     PairConflictError,
     PartialPair,
     SizeBoundExceeded,
     ValidationReport,
     automorphisms,
-    generate_subgraphmodel,
     is_subpair,
     orbits,
     union,

@@ -32,7 +32,7 @@ approximate: enumeration results are exact, and non-membership claims are
 always tagged with the rank bound they were checked at.
 
 Environment values are explicit frozensets or LazyValues, which stand for
-a trimmed interpretation set and answer `in` and iteration alike.  Only the
+a trimmed interpretation set and are answered by the variable rules.  Only the
 queries whose answer comes from a search are memoized per evaluator: those
 on applications, and the enumeration of abstractions.  A variable is
 answered by its environment lookup, and membership in an abstraction by
@@ -130,24 +130,20 @@ def _subsets(items: tuple, viable=None):
 
 
 class LazyValue:
-    """An environment value standing for a trimmed interpretation set.
+    """An environment value standing for interp(term, env) cut to rank <=
+    trim, in the evaluator that made it, whose variable rules answer it.
 
-    Like an explicit value, a frozenset, it answers `in` and iteration; it
-    compares and hashes by identity, so Evaluator._lazy makes one per key."""
+    It holds no reference to that evaluator, so an evaluator and its memos
+    are freed as soon as the call that built it returns, with no cycle left
+    for the garbage collector.  It compares and hashes by identity, so
+    Evaluator._lazy makes one per key."""
 
-    __slots__ = ("evaluator", "term", "env", "trim")
+    __slots__ = ("term", "env", "trim")
 
-    def __init__(self, evaluator: "Evaluator", term: LambdaTerm, env: dict, trim: int):
-        self.evaluator = evaluator
+    def __init__(self, term: LambdaTerm, env: dict, trim: int):
         self.term = term
         self.env = env
         self.trim = trim
-
-    def __contains__(self, e: CompletionElement) -> bool:
-        return e.rank <= self.trim and self.evaluator.contains(self.term, self.env, e)
-
-    def __iter__(self):
-        return iter(self.evaluator.enumerate(self.term, self.env, self.trim))
 
 
 class Evaluator:
@@ -237,7 +233,7 @@ class Evaluator:
         key = self._key(term, env, trim)
         got = self._lazy_cache.get(key)
         if got is None:
-            got = self._lazy_cache.setdefault(key, LazyValue(self, term, env, trim))
+            got = self._lazy_cache.setdefault(key, LazyValue(term, env, trim))
         return got
 
     # -- enumeration -----------------------------------------------------------
@@ -246,11 +242,15 @@ class Evaluator:
         """interp(t, B_k, env) cut to rank <= trim, as an explicit set.
 
         A variable's value is read directly, with no memo entry: an explicit
-        set needs no cut at trim = k, and is returned as it is."""
+        set needs no cut at trim = k, nor a lazy value's enumeration at its
+        own trim or above, and either is returned as it is."""
         trim = min(trim, self.k)
         if isinstance(t, Var):
             value = env.get(t.name, frozenset())
-            if trim == self.k and isinstance(value, frozenset):
+            cut = self.k
+            if type(value) is LazyValue:
+                value, cut = self.enumerate(value.term, value.env, value.trim), value.trim
+            if trim >= cut:
                 return value
             return frozenset(e for e in value if e.rank <= trim)
         key = self._key(t, env, trim)
@@ -334,7 +334,10 @@ class Evaluator:
         if e.rank > self.k:
             return False
         if isinstance(t, Var):
-            return e in env.get(t.name, ())
+            value = env.get(t.name, ())
+            if type(value) is LazyValue:  # an exact type test: this is the hot path
+                return e.rank <= value.trim and self.contains(value.term, value.env, e)
+            return e in value
         if isinstance(t, Abs):
             key = self.preimage(e)
             return key is not None and self.contains(t.body, {**env, t.binder: key[0]}, key[1])
@@ -569,10 +572,14 @@ def extract_witness_subpair(
     elements: set[CompletionElement] = set()
     coding: dict[tuple[frozenset, CompletionElement], CompletionElement] = {}
 
-    def walk(node: LambdaTerm, env_v: dict, alpha: CompletionElement) -> None:
+    # an explicit stack, not a nested recursive function, which would hold
+    # itself and the evaluator in a reference cycle
+    todo = [(t, values, e)]
+    while todo:
+        node, env_v, alpha = todo.pop()
         elements.add(alpha)
         if isinstance(node, Var):
-            return
+            continue
         if isinstance(node, Abs):
             key = ev.preimage(alpha)
             if key is None:
@@ -580,8 +587,8 @@ def extract_witness_subpair(
             args, res = key
             coding[key] = alpha
             elements.update(args)
-            walk(node.body, {**env_v, node.binder: args}, res)
-            return
+            todo.append((node.body, {**env_v, node.binder: args}, res))
+            continue
         # restriction atoms are numbered in (rank, structural) order; a
         # redex's uncoded keys come in that order, so its first is its least
         keys = []
@@ -597,11 +604,8 @@ def extract_witness_subpair(
         if args is None:
             raise AssertionError("application member without a supporting key")
         coding[(args, alpha)] = value
-        walk(node.fun, env_v, value)
-        for x in args:
-            walk(node.arg, env_v, x)
-
-    walk(t, values, e)
+        todo += [(node.arg, env_v, x) for x in args]
+        todo.append((node.fun, env_v, value))
     atom = {x: restriction_atom(p, x, ceiling) for x in elements}
     witness = PartialPair(
         atom.values(),

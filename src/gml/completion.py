@@ -22,12 +22,13 @@ witness numbering of one pair.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
-from .pairs import Morphism, PartialPair
+from .pairs import Morphism, PartialPair, SizeBoundExceeded
 
 logger = logging.getLogger(__name__)
 
@@ -133,7 +134,7 @@ def element_valid(p: PartialPair, e: CompletionElement) -> bool:
     if not all(element_valid(p, a) for a in e.args_sorted) or not element_valid(p, e.res):
         return False
     key = _atom_key(e.args, e.res)
-    return key is None or key not in p.coding
+    return key is None or p.coding.get(key) is None
 
 
 def _atom_key(args: frozenset, res: CompletionElement) -> tuple[frozenset[int], int] | None:
@@ -325,72 +326,85 @@ def restriction_atom(p: PartialPair, e: CompletionElement, ceiling: int = DEFAUL
 
 
 # ---------------------------------------------------------------------------
-# Coding handles and the canonical morphism
+# Closures and morphisms
+#
+# Both reach a pair through apply_coding and coding_preimage alone, which ask
+# of it only its lookups, so they serve a finite pair and the prime-coded
+# pair of minmodel alike.
 
 
-class CompletionCoding:
-    """Total coding handle of the completion of a pair (elements universe),
-    finite or the prime-coded pair of the minimum model."""
-
-    def __init__(self, pair: PartialPair):
-        self.pair = pair
-
-    def atom(self, x: int) -> CompletionElement:
-        if x not in self.pair.atoms:
-            raise ValueError(f"atom {x} outside carrier")
-        return base(x)
-
-    def code(self, args: frozenset, res: CompletionElement) -> CompletionElement:
-        return apply_coding(self.pair, args, res)
-
-    def extends(self, a: PartialPair) -> bool:
-        try:
-            for (args, alpha), v in a.coding.items():
-                image = self.code(frozenset(self.atom(x) for x in args), self.atom(alpha))
-                if image != self.atom(v):
-                    return False
-        except ValueError:
-            return False
-        return True
-
-    def preimage(self, value: CompletionElement):
-        return coding_preimage(self.pair, value)
+@dataclass(frozen=True)
+class ClosureResult:
+    pair: PartialPair
+    saturated: bool
+    elements: tuple[CompletionElement, ...]
 
 
-def canonical_morphism(a: PartialPair, target, e: CompletionElement):
-    """Image of e under the rank-recursive morphism out of the completion of a.
+def generate_subgraphmodel(
+    p: PartialPair, seed: Iterable[CompletionElement], budget: int
+) -> ClosureResult:
+    """Close `seed` under the completion's coding, apply_coding(p, ...), for
+    at most `budget` rounds.
 
-    `target` is a total coding handle whose coding extends a's; atoms map to
-    themselves and a pair element maps to the coded image of its parts.
+    Returns the induced pair over the closure: elements are relabeled to
+    naturals in sort_key order and the coding keeps exactly the keys, read
+    with coding_preimage, whose parts landed inside the closure.
+    `saturated` reports whether a fixed point was reached; the coding is
+    total and injective, so n elements have 2^n·n > n keys with distinct
+    values, and only the empty seed is closed.
     """
-    if not target.extends(a):
-        raise ValueError("target coding does not extend the source pair")
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+    current = set(seed)
+    saturated = not current
+    for _ in range(budget):
+        n = len(current)
+        if 2**n * n > DEFAULT_CEILING:
+            raise SizeBoundExceeded(
+                f"closure stage has {n} elements; {2**n * n} keys exceed the {DEFAULT_CEILING} ceiling"
+            )
+        members = sorted(current)
+        current |= {
+            apply_coding(p, args, res)
+            for m in range(n + 1)
+            for args in itertools.combinations(members, m)
+            for res in members
+        }
+    elements = tuple(sorted(current))
+    index = {e: i for i, e in enumerate(elements)}
+    entries = {}
+    for value in elements:  # the coding is injective: one key per member
+        found = coding_preimage(p, value)
+        if found is None:
+            continue
+        args, res = found
+        if res in index and all(a in index for a in args):
+            entries[(frozenset(index[a] for a in args), index[res])] = index[value]
+    pair = PartialPair(
+        range(len(elements)),
+        entries,
+        labels={i: str(e) for i, e in enumerate(elements)},
+    )
+    return ClosureResult(pair, saturated, elements)
 
-    memo: dict[int, object] = {}
 
-    def go(e: CompletionElement):
-        got = memo.get(id(e))
-        if got is not None:
-            return got
-        if isinstance(e, BaseElement):
-            out = target.atom(e.atom)
-        else:
-            out = target.code(frozenset(go(x) for x in e.args_sorted), go(e.res))
-        memo[id(e)] = out
-        return out
-
-    return go(e)
+def lift_morphism(m: Morphism) -> Callable[[CompletionElement], CompletionElement]:
+    """The extension of m to the completions: the map from the completion of
+    m.source into that of m.target that sends an atom x to m(x) and commutes
+    with the codings, so that a pair element goes to the coded image of its
+    lifted parts, apply_coding(m.target, ...).  Into a pair that extends the
+    source, along the identity, it is the canonical morphism; an isomorphism
+    lifts rank-preserving.  Raises ValueError unless m.check()."""
+    if not m.check():
+        raise ValueError("the map is not a morphism into the target pair")
+    return functools.partial(_lift, m.target, m.mapping)
 
 
-def lift_automorphism(p: PartialPair, theta: Morphism) -> Callable[[CompletionElement], CompletionElement]:
-    """Rank-preserving extension of a pair automorphism to completion elements."""
-
-    def go(e: CompletionElement) -> CompletionElement:
-        if isinstance(e, BaseElement):
-            return base(theta.mapping[e.atom])
-        return apply_coding(p, frozenset(go(x) for x in e.args_sorted), go(e.res))
-
-    return go
+def _lift(target: PartialPair, mapping: Mapping[int, int], e: CompletionElement) -> CompletionElement:
+    if isinstance(e, BaseElement):
+        return base(mapping[e.atom])
+    args = frozenset(_lift(target, mapping, x) for x in e.args_sorted)
+    return apply_coding(target, args, _lift(target, mapping, e.res))
 
 
 # ---------------------------------------------------------------------------

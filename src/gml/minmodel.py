@@ -348,10 +348,12 @@ def component_of(n: int) -> int:
 # The relocated components form one partial pair with an infinite, decidable
 # carrier.  It answers the three lookups the completion code asks of a pair
 # (`n in atoms`, `coding.get(key)`, `inverse.get(value)`), so apply_coding,
-# CompletionCoding and element_str serve it unchanged and its elements are
-# the completion's own BaseElement/PairElement.  Carriers are disjoint, so
-# a key is looked up in the component of its result atom and a value in its
-# own component.
+# coding_preimage, element_valid, generate_subgraphmodel and element_str
+# serve it unchanged, and it can be the target of Morphism.check and
+# lift_morphism and the larger side of is_subpair.  Its elements are the
+# completion's own BaseElement/PairElement.  Carriers are disjoint, so a key
+# is looked up in the component of its result atom and a value in its own
+# component.
 
 
 def _coded_value(key: tuple[frozenset[int], int]) -> Optional[int]:

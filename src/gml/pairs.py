@@ -3,7 +3,9 @@
 A partial pair is a finite set of atoms (naturals) together with a partial
 injective map from (finite atom set, atom) keys to atoms.  This module covers
 validation, the subpair order, unions, morphisms, automorphism groups and
-orbits, and closure-generated subpairs driven by an external coding handle.
+orbits.  The larger side of the subpair order and a morphism's target are
+asked only membership and coding lookups, so either may be the prime-coded
+pair of minmodel, whose carrier and coding are infinite.
 
 Atoms are plain naturals; optional string labels are presentation metadata
 and never take part in equality.
@@ -11,10 +13,9 @@ and never take part in equality.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 CodingKey = tuple[frozenset[int], int]
 
@@ -183,8 +184,9 @@ def validate(p: PartialPair) -> ValidationReport:
 
 
 def is_subpair(a: PartialPair, b: PartialPair) -> bool:
-    """Carrier inclusion with coding extension (written a <= b)."""
-    if not a.atoms <= b.atoms:
+    """Carrier inclusion with coding extension (written a <= b).  b is only
+    asked membership and coding lookups, so it may be infinite."""
+    if not all(x in b.atoms for x in a.atoms):
         return False
     return all(b.coding.get(key) == v for key, v in a.coding.items())
 
@@ -225,10 +227,11 @@ class Morphism:
         return frozenset(self.mapping[x] for x in atoms)
 
     def check(self) -> bool:
-        """Totality plus the morphism law on every coded key."""
+        """Totality plus the morphism law on every coded key.  The target is
+        only asked membership and coding lookups, so it may be infinite."""
         if set(self.mapping) != self.source.atoms:
             return False
-        if not set(self.mapping.values()) <= self.target.atoms:
+        if not all(y in self.target.atoms for y in self.mapping.values()):
             return False
         for (a, alpha), v in self.source.coding.items():
             key = (self.apply_set(a), self.mapping[alpha])
@@ -305,102 +308,3 @@ def orbits(p: PartialPair, max_atoms: int = DEFAULT_AUTOMORPHISM_BOUND) -> list[
         seen |= orbit
         parts.append(orbit)
     return parts
-
-
-# ---------------------------------------------------------------------------
-# Closure-generated subpairs
-#
-# A coding handle exposes an injective coding on some element universe:
-#   atom(x)          the element for carrier atom x (ValueError outside it);
-#   code(args, res)  the element the key codes to, or None when undefined,
-#                    which only a finite pair's own coding may answer;
-#   preimage(value)  the unique key coding to value, or None.
-# Handles over completions, the prime-coded minimum model included, are
-# total, so closures under them keep growing until the round budget cuts the
-# run off.
-
-
-class PairCoding:
-    """Handle view of a finite partial pair's own coding (elements = atoms)."""
-
-    def __init__(self, pair: PartialPair):
-        self.pair = pair
-
-    def atom(self, x: int) -> int:
-        if x not in self.pair.atoms:
-            raise ValueError(f"atom {x} outside carrier")
-        return x
-
-    def code(self, args: frozenset, res):
-        return self.pair.coding.get((frozenset(args), res))
-
-    def preimage(self, value):
-        return self.pair.inverse.get(value)
-
-
-_CLOSURE_KEY_CEILING = 10**6
-
-
-def _check_closure_size(current: set) -> None:
-    n = len(current)
-    if n and (2**n) * n > _CLOSURE_KEY_CEILING:
-        raise SizeBoundExceeded(
-            f"closure stage has {n} elements; {2**n * n} keys exceed the {_CLOSURE_KEY_CEILING} ceiling"
-        )
-
-
-@dataclass(frozen=True)
-class ClosureResult:
-    pair: PartialPair
-    saturated: bool
-    elements: tuple
-
-
-def generate_subgraphmodel(
-    coding: object,
-    seed: Iterable,
-    budget: int,
-    sort_key: Callable | None = None,
-) -> ClosureResult:
-    """Close `seed` under the handle's coding, for at most `budget` rounds.
-
-    Returns the induced pair over the closure: elements are relabeled to
-    naturals in a canonical order and the coding keeps exactly the keys whose
-    value landed inside the closure.  `saturated` reports whether a fixed
-    point was reached before the budget ran out.
-    """
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    key = sort_key or (lambda e: e)
-    current = set(seed)
-    saturated = not current
-    for _ in range(budget):
-        _check_closure_size(current)
-        added = set()
-        members = sorted(current, key=key)
-        for n in range(len(members) + 1):
-            for args in itertools.combinations(members, n):
-                for res in members:
-                    value = coding.code(frozenset(args), res)
-                    if value is not None and value not in current:
-                        added.add(value)
-        if not added:
-            saturated = True
-            break
-        current |= added
-    elements = tuple(sorted(current, key=key))
-    index = {e: i for i, e in enumerate(elements)}
-    entries = {}
-    for value in elements:  # the coding is injective: one key per member
-        found = coding.preimage(value)
-        if found is None:
-            continue
-        args, res = found
-        if res in index and all(a in index for a in args):
-            entries[(frozenset(index[a] for a in args), index[res])] = index[value]
-    pair = PartialPair(
-        range(len(elements)),
-        entries,
-        labels={i: str(e) for i, e in enumerate(elements)},
-    )
-    return ClosureResult(pair, saturated, elements)

@@ -11,7 +11,7 @@ gives up open ones at their first free variable; the reference printer reads
 the concrete syntax off a term by cases on its nodes.  Seven exceptions: the
 witness oracle walks the materialized restriction with the package's own
 finite interpreter (both are checked against the naive oracles above), the
-closure oracle scans keys through the coding handle it is given, the
+closure oracle scans keys through the package's apply_coding, the
 abstraction oracle asks the package's evaluator one membership at a time,
 the key oracle enumerates an application's function side with it, the
 inequation oracle scans the package's whole left-side set, the search
@@ -282,18 +282,19 @@ def least_isomorphic_index(k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The pair a coding handle induces on a closure, by scanning every key over
-# the closure and keeping those whose value lands inside; no preimage needed.
+# The pair the completion's coding induces on a closure, by scanning every key
+# over the closure through apply_coding and keeping those whose value lands
+# inside; no preimage needed.
 
 
-def closure_pair_by_key_scan(coding, elements: tuple) -> PartialPair:
+def closure_pair_by_key_scan(pair, elements: tuple) -> PartialPair:
     index = {e: i for i, e in enumerate(elements)}
     entries = {}
     for m in range(len(elements) + 1):
         for args in itertools.combinations(elements, m):
             for res in elements:
-                value = coding.code(frozenset(args), res)
-                if value is not None and value in index:
+                value = apply_coding(pair, frozenset(args), res)
+                if value in index:
                     entries[(frozenset(index[a] for a in args), index[res])] = index[value]
     return PartialPair(range(len(elements)), entries)
 

@@ -10,7 +10,7 @@ from gml.approximation import Evaluator, approx_interpret, check_equation, extra
 from gml.completion import (
     CeilingExceeded,
     elements_up_to,
-    lift_automorphism,
+    lift_morphism,
     restrict,
 )
 from gml.minmodel import (
@@ -273,7 +273,7 @@ def test_criterion_9_orbit_invariance():
     assert len(pairs) == 50
     for p in pairs:
         for theta in automorphisms(p):
-            lifted = lift_automorphism(p, theta)
+            lifted = lift_morphism(theta)
             for t in (IDENTITY, TRUE, FALSE, OMEGA):
                 for k in range(3):
                     s = approx_interpret(t, p, k=k)

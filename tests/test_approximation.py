@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from random import Random
 
@@ -22,7 +23,7 @@ from gml.completion import (
     coding_preimage,
     element_valid,
     elements_up_to,
-    lift_automorphism,
+    lift_morphism,
     pair_of,
     parse_element,
     restrict,
@@ -728,8 +729,9 @@ class TestMemoDiscipline:
                 return all(self.contains(t, env, x) for x in args)
 
             def enumerate(self, t, env, trim):
-                if isinstance(t, Var):
-                    return frozenset(e for e in env.get(t.name, ()) if e.rank <= min(trim, self.k))
+                value = env.get(t.name) if isinstance(t, Var) else None
+                if isinstance(value, frozenset):
+                    return frozenset(e for e in value if e.rank <= min(trim, self.k))
                 return super().enumerate(t, env, trim)
 
         rng = Random(16)
@@ -794,12 +796,36 @@ class TestMemoDiscipline:
         assert str(refused.value) == "abstraction over level 1 needs 2^27·27 keys, ceiling is 1000000"
 
 
+class TestEvaluatorLifetime:
+    def test_no_evaluator_outlives_its_call(self):
+        """An evaluator is in no reference cycle, its lazy values included:
+        with the garbage collector off, none outlives the public call that
+        built it."""
+
+        def live():
+            return sum(isinstance(o, Evaluator) for o in gc.get_objects())
+
+        pair = PartialPair({0, 1}, {(frozenset({0}), 1): 0})
+        lhs = parse("(\\x.x) (\\y.y y)")  # a redex: its argument is bound lazily
+        gc.collect()
+        gc.disable()
+        try:
+            before = live()
+            verdict = check_inequation(lhs, parse("\\z.z"), pair)
+            assert verdict.failed and live() == before
+            assert member(lhs, pair, verdict.witness, 2).found and live() == before
+            extract_witness_subpair(lhs, pair, verdict.witness, verdict.member_rank)
+            assert live() == before
+        finally:
+            gc.enable()
+
+
 class TestOrbitInvariance:
     def test_automorphisms_fix_approximations_setwise(self, free2):
         p_sym = PartialPair({0, 1}, {(frozenset({0}), 0): 0, (frozenset({1}), 1): 1})
         for p in (free2, p_sym):
             for theta in automorphisms(p):
-                lifted = lift_automorphism(p, theta)
+                lifted = lift_morphism(theta)
                 for t in (IDENTITY, TRUE, FALSE, OMEGA):
                     for k in range(3):
                         s = approx_interpret(t, p, k=k)

@@ -6,23 +6,21 @@ import pytest
 from gml import completion
 from gml.completion import (
     CeilingExceeded,
-    CompletionCoding,
     apply_coding,
     base,
-    canonical_morphism,
     coding_preimage,
     count_up_to,
     element_str,
     element_valid,
     elements_up_to,
-    lift_automorphism,
+    lift_morphism,
     pair_of,
     parse_element,
     rank,
     restrict,
     restriction_atom,
 )
-from gml.pairs import PartialPair, automorphisms, is_subpair, union, validate
+from gml.pairs import Morphism, PartialPair, automorphisms, is_subpair, union, validate
 from oracles import naive_levels, random_pair
 
 
@@ -199,21 +197,25 @@ class TestRestrictionAtom:
         assert restriction_atom(free3, pair_of([inner], inner), ceiling=100) > restriction_atom(free3, inner)
 
 
+def canonical(a: PartialPair, b: PartialPair):
+    """The canonical morphism from the completion of a into that of b, which
+    extends it: the identity on atoms, lifted."""
+    return lift_morphism(Morphism(a, b, {x: x for x in a.atoms}))
+
+
 class TestCanonicalMorphism:
     def test_fixes_rank_zero(self, p1):
         bigger = union(p1, PartialPair({0, 1}))
-        handle = CompletionCoding(bigger)
-        assert canonical_morphism(p1, handle, base(0)) is base(0)
+        assert canonical(p1, bigger)(base(0)) is base(0)
 
     def test_unfolds_one_step(self, p1):
         bigger = union(p1, PartialPair({0, 1}))
-        handle = CompletionCoding(bigger)
         e = pair_of([], base(0))
-        assert canonical_morphism(p1, handle, e) is apply_coding(bigger, [], base(0))
+        assert canonical(p1, bigger)(e) is apply_coding(bigger, [], base(0))
 
     def test_extension_precondition(self, p1):
         with pytest.raises(ValueError):
-            canonical_morphism(p1, CompletionCoding(PartialPair({0})), base(0))
+            canonical(p1, PartialPair({0}))
 
     def test_morphism_law_at_low_rank(self):
         rng = Random(33)
@@ -221,9 +223,8 @@ class TestCanonicalMorphism:
             small = random_pair(rng, max_atoms=2, max_entries=1)
             extra = PartialPair(small.atoms | {max(small.atoms, default=-1) + 1})
             big = union(small, extra)
-            handle = CompletionCoding(big)
             universe = elements_up_to(small, 1)
-            f = lambda e: canonical_morphism(small, handle, e)
+            f = canonical(small, big)
             for m in range(2):
                 for args in itertools.combinations(universe, m):
                     for res in universe:
@@ -232,15 +233,15 @@ class TestCanonicalMorphism:
                         assert lhs is rhs
 
     def test_into_own_completion_is_identity(self, p1):
-        handle = CompletionCoding(p1)
+        f = canonical(p1, p1)
         for e in elements_up_to(p1, 2):
-            assert canonical_morphism(p1, handle, e) is e
+            assert f(e) is e
 
 
 class TestLiftAutomorphism:
     def test_swap_lifts_rank_preserving(self, free2):
         swap = next(m for m in automorphisms(free2) if m.mapping[0] == 1)
-        lifted = lift_automorphism(free2, swap)
+        lifted = lift_morphism(swap)
         e = pair_of([base(0)], base(1))
         image = lifted(e)
         assert image is pair_of([base(1)], base(0))

@@ -8,11 +8,13 @@ from gml import minmodel
 from gml.cli import main
 from gml.completion import (
     CeilingExceeded,
-    CompletionCoding,
     PairElement,
     apply_coding,
     base,
+    element_valid,
     elements_up_to,
+    generate_subgraphmodel,
+    lift_morphism,
     pair_of,
 )
 from gml.minmodel import (
@@ -34,7 +36,7 @@ from gml.minmodel import (
     restriction_property_check,
     search_counterexample,
 )
-from gml.pairs import PartialPair, generate_subgraphmodel, validate
+from gml.pairs import Morphism, PartialPair, is_subpair, validate
 from gml.terms import FALSE, IDENTITY, OMEGA, TRUE, parse, print_term
 
 from oracles import (
@@ -206,11 +208,15 @@ class TestUniversalCoding:
         out = apply_coding(PRIME_CODED, {base(2)}, base(5))
         assert isinstance(out, PairElement)
 
+    def test_element_validity_by_lookup(self):
+        assert element_valid(PRIME_CODED, pair_of({base(2)}, base(5)))
+        assert not element_valid(PRIME_CODED, pair_of({base(5)}, base(5)))  # a coded key
+        assert not element_valid(PRIME_CODED, pair_of({base(6)}, base(5)))  # 6 is no atom
+
     def test_agrees_with_component_completion(self):
-        handle = CompletionCoding(PRIME_CODED)
         for k in (1, 2, 3, 5):
             comp = relocate(k)
-            assert handle.extends(comp)
+            assert is_subpair(comp, PRIME_CODED)
             universe = elements_up_to(comp, 1)
             for m in range(3):
                 for args in itertools.combinations(universe, m):
@@ -237,9 +243,9 @@ class TestUniversalCoding:
             value = apply_coding(PRIME_CODED, *key)
             assert seen.setdefault(value, key) == key
 
-    def test_handle_rejects_foreign_atoms(self):
-        with pytest.raises(ValueError):
-            CompletionCoding(PRIME_CODED).atom(6)
+    def test_lift_rejects_foreign_atoms(self):
+        with pytest.raises(ValueError):  # 6 is no prime power
+            lift_morphism(Morphism(PartialPair({0}), PRIME_CODED, {0: 6}))
 
 
 class TestElementCodec:
@@ -426,20 +432,15 @@ class TestRestrictionProperty:
 
 
 def test_canonical_morphism_embeds_components():
-    from gml.completion import canonical_morphism
-
-    handle = CompletionCoding(PRIME_CODED)
     for k in (1, 3, 5):
         comp = relocate(k)
+        embed = lift_morphism(Morphism(comp, PRIME_CODED, {x: x for x in comp.atoms}))
         for e in elements_up_to(comp, 2 if len(comp.atoms) == 1 else 1):
-            assert canonical_morphism(comp, handle, e) is e
+            assert embed(e) is e
 
 
 def test_closure_over_universal_coding():
-    handle = CompletionCoding(PRIME_CODED)
-    result = generate_subgraphmodel(
-        handle, [base(2)], 1, sort_key=lambda e: e.sort_key()
-    )
+    result = generate_subgraphmodel(PRIME_CODED, [base(2)], 1)
     assert not result.saturated
     assert len(result.elements) == 3
     assert validate(result.pair).ok

@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gml.completion import CompletionCoding, base
-from gml.minmodel import PRIME_CODED
+from gml.completion import base, generate_subgraphmodel
+from gml.minmodel import PRIME_CODED, relocate
 from gml.pairs import (
     Morphism,
-    PairCoding,
     PairConflictError,
     PartialPair,
     SizeBoundExceeded,
     automorphisms,
-    generate_subgraphmodel,
     is_subpair,
     orbits,
     union,
@@ -63,6 +61,11 @@ class TestSubpair:
     def test_coding_must_extend(self, p1, free1):
         assert not is_subpair(p1, free1)
         assert is_subpair(free1, p1)
+
+    def test_infinite_larger_side(self, p1):
+        """The prime-coded pair is asked membership and lookups only."""
+        assert is_subpair(relocate(3), PRIME_CODED)
+        assert not is_subpair(p1, PRIME_CODED)  # atom 0 lies in no component
 
     def test_partial_order_properties(self):
         rng = Random(11)
@@ -177,6 +180,11 @@ class TestMorphism:
         assert not Morphism(p1, free1, {0: 0}).check()
         assert Morphism(free1, p1, {0: 0}).check()
 
+    def test_check_into_infinite_target(self):
+        comp = relocate(3)
+        assert Morphism(comp, PRIME_CODED, {x: x for x in comp.atoms}).check()
+        assert not Morphism(comp, PRIME_CODED, {x: x + 1 for x in comp.atoms}).check()
+
     def test_compose_and_inverse(self, free2):
         swap = Morphism(free2, free2, {0: 1, 1: 0})
         assert swap.is_isomorphism()
@@ -184,58 +192,44 @@ class TestMorphism:
 
 
 class TestGenerateSubgraphmodel:
+    """Closure under a completion's total coding (gml.completion)."""
+
     def test_empty_seed_saturates(self, p1):
-        result = generate_subgraphmodel(PairCoding(p1), [], 3)
+        result = generate_subgraphmodel(p1, [], 3)
         assert result.saturated
         assert result.pair == PartialPair(())
 
     def test_total_coding_grows_every_round(self, free1):
-        handle = CompletionCoding(free1)
         sizes = []
         for budget in (0, 1, 2):
-            result = generate_subgraphmodel(
-                handle, [base(0)], budget, sort_key=lambda e: e.sort_key()
-            )
+            result = generate_subgraphmodel(free1, [base(0)], budget)
             sizes.append(len(result.elements))
             assert not result.saturated
         assert sizes[0] < sizes[1] < sizes[2]
 
-    def test_closed_seed_fixed_point_in_one_round(self, p1):
-        result = generate_subgraphmodel(PairCoding(p1), [0], 1)
-        assert result.saturated
-        assert result.pair.atoms == {0}
-        assert result.pair.coding == {(frozenset({0}), 0): 0}
+    def test_size_guard_refuses_before_the_round(self, free1):
+        # 1, 3 and then 25 elements, whose 2^25·25 keys exceed the ceiling
+        with pytest.raises(SizeBoundExceeded, match="closure stage has 25 elements"):
+            generate_subgraphmodel(free1, [base(0)], 3)
 
     def test_induced_pair_validates(self, p1):
-        result = generate_subgraphmodel(CompletionCoding(p1), [base(0)], 1, sort_key=lambda e: e.sort_key())
+        result = generate_subgraphmodel(p1, [base(0)], 1)
         assert validate(result.pair).ok
 
     def test_matches_key_scan_oracle(self, p1):
-        # from {0} the chain reaches 1, 2, 3 in turn; atom 4 stays outside
-        chain = PartialPair(
-            range(5),
-            {
-                (frozenset(), 0): 1,
-                (frozenset({0}), 1): 2,
-                (frozenset({1, 2}), 2): 3,
-                (frozenset({3}), 1): 0,
-                (frozenset({4}), 4): 4,
-            },
-        )
-        by_structure = lambda e: e.sort_key()
-        cases = [
-            (PairCoding(chain), [0], 5, None),
-            (PairCoding(chain), [0], 2, None),
-            *(
-                (PairCoding(p), sorted(p.atoms)[:2], 3, None)
-                for p in map(random_pair, map(Random, range(20)))
-            ),
-            (CompletionCoding(p1), [base(0)], 2, by_structure),
-            (CompletionCoding(PRIME_CODED), [base(5)], 2, by_structure),
-        ]
-        for handle, seed, budget, key in cases:
-            result = generate_subgraphmodel(handle, seed, budget, sort_key=key)
-            assert result.pair == closure_pair_by_key_scan(handle, result.elements)
+        """The completions of 20 seeded pairs from one and from two base
+        atoms, p1 and the prime-coded pair.  The scan is exponential in the
+        closure size, so a second round runs only from a first round of at
+        most 2 elements."""
+        cases = [(p1, [base(0)], 2), (PRIME_CODED, [base(5)], 2)]
+        for p in map(random_pair, map(Random, range(20))):
+            for width in (1, 2):
+                seed = [base(x) for x in sorted(p.atoms)[:width]]
+                cases.append((p, seed, 2 if len(generate_subgraphmodel(p, seed, 1).elements) <= 2 else 1))
+        assert sum(budget == 2 for _, seed, budget in cases if seed) > 2
+        for p, seed, budget in cases:
+            result = generate_subgraphmodel(p, seed, budget)
+            assert result.pair == closure_pair_by_key_scan(p, result.elements)
 
 
 class TestFileFormat:

@@ -279,7 +279,7 @@ class TestClosedCodes:
             assert closed_term_texts(n) == reference[:n], n
             assert [print_term(t) for t in enumerate_closed_terms(n)] == reference[:n], n
 
-    # at 1,000 and 5,000 the first bound of 8 * limit holds too few codes and doubles
+    # at 1,000 and 5,000 the first bound of 8 * limit holds too few codes and is resized
     @pytest.mark.parametrize("n", [400, 1000, 5000])
     def test_listings_match_the_scan(self, n):
         reference, terms = closed_terms_by_scan(n), enumerate_closed_terms(n)

@@ -6,7 +6,8 @@ of the benchmark's worker with its answer checker, short ones and the whole
 seed-1 search, member and certify streams, catch a change in output bytes
 or a broken numeration round trip before a full benchmark run;
 a traced run checks that the tracer's in-place wrapping of the evaluator
-still fits it.  A lint-style check keeps the package's imports in use."""
+still fits it.  Lint-style checks keep the package's imports in use and
+every name it defines read somewhere, so a removal leaves no orphan."""
 
 import ast
 import importlib.util
@@ -113,3 +114,53 @@ def test_no_unused_module_imports(path):
 def test_unused_import_check_sees_a_left_over_import():
     source = "import itertools\nfrom .completion import restrict  # noqa: E402,F401\nimport math\nmath.sqrt(2)\n"
     assert unused_imports(source) == ["itertools (line 1)"]
+
+
+def module_definitions(source: str) -> list[str]:
+    """The names a module defines at module level, dunders aside: its
+    functions, classes and assignment targets."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def names_read(source: str) -> set[str]:
+    """Every name a module reads: a name it loads, an attribute it takes, or
+    a name it imports from another module."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_package_definition_is_read():
+    """A re-export in the package's __init__.py is not a read."""
+    readers = [
+        path
+        for folder in (PACKAGE, ROOT / "tests", ROOT / "perfbench", ROOT / "tools")
+        for path in sorted(folder.rglob("*.py"))
+        if path != PACKAGE / "__init__.py"
+    ]
+    read = set().union(*(names_read(path.read_text()) for path in readers))
+    unread = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in module_definitions(path.read_text())
+        if name not in read
+    ]
+    assert unread == []
+
+
+def test_definition_check_sees_an_orphan():
+    source = "LIMIT = 3\n__all__ = []\n\ndef used():\n    return LIMIT\n\nclass Orphan:\n    pass\n\nused()\n"
+    assert [n for n in module_definitions(source) if n not in names_read(source)] == ["Orphan"]
