@@ -49,7 +49,6 @@ from .pairs import (
     Morphism,
     PairConflictError,
     PartialPair,
-    SizeBoundExceeded,
     ValidationReport,
     automorphisms,
     is_subpair,

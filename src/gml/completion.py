@@ -24,19 +24,10 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .pairs import Morphism, PartialPair, SizeBoundExceeded
-
-logger = logging.getLogger(__name__)
-
-DEFAULT_CEILING = 10**6
-
-
-class CeilingExceeded(RuntimeError):
-    """A rank-bounded enumeration would exceed the configured element ceiling."""
+from .pairs import DEFAULT_CEILING, CeilingExceeded, Morphism, PartialPair
 
 
 class CompletionElement:
@@ -195,7 +186,6 @@ def count_up_to(p: PartialPair, k: int, ceiling: int = DEFAULT_CEILING) -> int:
         below, size = size, (2**size) * size + extra
         if size > ceiling:
             held = f"2^{below}·{below}" + (f"{extra:+d}" if extra else "")
-            logger.warning("completion level %d would hold %s elements (ceiling %d)", level, held, ceiling)
             raise CeilingExceeded(f"level {level} would hold {held} elements, ceiling is {ceiling}")
     return size
 
@@ -360,7 +350,7 @@ def generate_subgraphmodel(
     for _ in range(budget):
         n = len(current)
         if 2**n * n > DEFAULT_CEILING:
-            raise SizeBoundExceeded(
+            raise CeilingExceeded(
                 f"closure stage has {n} elements; {2**n * n} keys exceed the {DEFAULT_CEILING} ceiling"
             )
         members = sorted(current)

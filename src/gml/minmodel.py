@@ -348,12 +348,16 @@ def component_of(n: int) -> int:
 # The relocated components form one partial pair with an infinite, decidable
 # carrier.  It answers the three lookups the completion code asks of a pair
 # (`n in atoms`, `coding.get(key)`, `inverse.get(value)`), so apply_coding,
-# coding_preimage, element_valid, generate_subgraphmodel and element_str
-# serve it unchanged, and it can be the target of Morphism.check and
-# lift_morphism and the larger side of is_subpair.  Its elements are the
-# completion's own BaseElement/PairElement.  Carriers are disjoint, so a key
-# is looked up in the component of its result atom and a value in its own
-# component.
+# coding_preimage, element_valid and generate_subgraphmodel serve it
+# unchanged, and it can be the target of Morphism.check and lift_morphism
+# and the larger side of is_subpair.  Its elements are the completion's own
+# BaseElement/PairElement.  element_str and parse_element must be called
+# with no pair: given one, they read labels and iterate the carrier, which
+# PRIME_CODED lacks.  element_str(e) then prints a big-model element, but
+# parse_element(text) does not collapse coded keys to their atoms, so its
+# result is a big-model element only when element_valid(PRIME_CODED, ...)
+# holds.  Carriers are disjoint, so a key is looked up in the component of
+# its result atom and a value in its own component.
 
 
 def _coded_value(key: tuple[frozenset[int], int]) -> Optional[int]:

@@ -7,27 +7,33 @@ orbits.  The larger side of the subpair order and a morphism's target are
 asked only membership and coding lookups, so either may be the prime-coded
 pair of minmodel, whose carrier and coding are infinite.
 
+DEFAULT_CEILING and CeilingExceeded are the one price limit and the one
+refusal of every exhaustive operation in the package: each is priced before
+it runs, here the automorphism search at b!·b over b atoms.
+
 Atoms are plain naturals; optional string labels are presentation metadata
 and never take part in equality.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 CodingKey = tuple[frozenset[int], int]
 
-DEFAULT_AUTOMORPHISM_BOUND = 8
+DEFAULT_CEILING = 10**6
+
+
+class CeilingExceeded(RuntimeError):
+    """An exhaustive operation would exceed the configured ceiling."""
 
 
 class PairConflictError(ValueError):
     """Union would break functionality or injectivity of the coding."""
-
-
-class SizeBoundExceeded(ValueError):
-    """Carrier too large for an exhaustive operation."""
 
 
 def _key_sort(key: CodingKey) -> tuple:
@@ -254,51 +260,28 @@ class Morphism:
         return Morphism(other.source, self.target, {x: self.mapping[y] for x, y in other.mapping.items()})
 
 
-def automorphisms(p: PartialPair, max_atoms: int = DEFAULT_AUTOMORPHISM_BOUND) -> list[Morphism]:
-    """All coding-preserving bijections of the carrier, identity included.
+def automorphisms(p: PartialPair) -> list[Morphism]:
+    """All coding-preserving bijections of the carrier, identity included,
+    in itertools.permutations order over the sorted carrier.
 
-    Backtracking over partial bijections; each extension is pruned against
-    every coded triple whose atoms are all assigned.
+    check() alone decides each permutation: a bijection that sends every
+    coded key to a coded key permutes the finite coding, so its inverse is a
+    morphism too.  The b! permutations of b atoms cost about b each, and
+    b!·b is refused above the ceiling (b <= 8 passes).
     """
-    if len(p.atoms) > max_atoms:
-        raise SizeBoundExceeded(f"carrier has {len(p.atoms)} atoms, bound is {max_atoms}")
     atoms = sorted(p.atoms)
-    found: list[Morphism] = []
-
-    def consistent(partial: dict[int, int]) -> bool:
-        assigned = set(partial)
-        for (a, alpha), v in p.coding.items():
-            touched = a | {alpha, v}
-            if touched <= assigned:
-                key = (frozenset(partial[x] for x in a), partial[alpha])
-                if p.coding.get(key) != partial[v]:
-                    return False
-        return True
-
-    def extend(i: int, partial: dict[int, int], used: set[int]) -> None:
-        if i == len(atoms):
-            m = Morphism(p, p, dict(partial))
-            if m.is_isomorphism():
-                found.append(m)
-            return
-        x = atoms[i]
-        for y in atoms:
-            if y in used:
-                continue
-            partial[x] = y
-            used.add(y)
-            if consistent(partial):
-                extend(i + 1, partial, used)
-            del partial[x]
-            used.discard(y)
-
-    extend(0, {}, set())
-    return found
+    b = len(atoms)
+    # b! is reached through its running products, so a large carrier is
+    # refused without computing its factorial
+    if any(f * b > DEFAULT_CEILING for f in itertools.accumulate(range(1, b + 1), operator.mul)):
+        raise CeilingExceeded(f"automorphisms of {b} atoms take {b}!·{b} checks, ceiling is {DEFAULT_CEILING}")
+    candidates = (Morphism(p, p, dict(zip(atoms, image))) for image in itertools.permutations(atoms))
+    return [m for m in candidates if m.check()]
 
 
-def orbits(p: PartialPair, max_atoms: int = DEFAULT_AUTOMORPHISM_BOUND) -> list[frozenset[int]]:
+def orbits(p: PartialPair) -> list[frozenset[int]]:
     """Orbit partition of the carrier under the automorphism group."""
-    auts = automorphisms(p, max_atoms)
+    auts = automorphisms(p)
     seen: set[int] = set()
     parts: list[frozenset[int]] = []
     for x in sorted(p.atoms):

@@ -151,7 +151,10 @@ def interpret(t: LambdaTerm, p: PartialPair, env: Environment = EMPTY_ENV) -> fr
         memo[key] = out
         return out
 
-    return go(t, env)
+    try:
+        return go(t, env)
+    finally:
+        del go  # go holds itself through its closure cell; free it now
 
 
 def omega_characterization(p: PartialPair) -> frozenset[int]:

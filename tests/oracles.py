@@ -24,10 +24,12 @@ parser the command line was read with before its declarative table.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 from functools import lru_cache
 from math import isqrt
 from random import Random
+from typing import Iterator
 
 from gml import minmodel
 from gml.approximation import (
@@ -265,20 +267,44 @@ def search_by_full_scan(
 # index of an isomorphic pair by trying every smaller index.
 
 
-def isomorphism(p: PartialPair, q: PartialPair) -> Morphism | None:
+def isomorphisms(p: PartialPair, q: PartialPair) -> Iterator[Morphism]:
+    """Every isomorphism from p onto q, in itertools.permutations order over
+    q's sorted carrier."""
     if len(p.atoms) != len(q.atoms):
-        return None
+        return
     source = sorted(p.atoms)
     for image in itertools.permutations(sorted(q.atoms)):
         m = Morphism(p, q, dict(zip(source, image)))
         if m.is_isomorphism():
-            return m
-    return None
+            yield m
+
+
+def isomorphism(p: PartialPair, q: PartialPair) -> Morphism | None:
+    return next(isomorphisms(p, q), None)
 
 
 def least_isomorphic_index(k: int) -> int:
     p = minmodel.enumerate_pair(k)
     return next(j for j in range(k + 1) if isomorphism(minmodel.enumerate_pair(j), p) is not None)
+
+
+# ---------------------------------------------------------------------------
+# Reference cycles a call leaves behind: with automatic collection off and
+# every unreachable object saved, what gc.collect() finds after the call.
+
+
+def cycles_left_by(call) -> list[str]:
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        call()
+        gc.collect()
+        return [type(o).__name__ for o in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +525,28 @@ def random_term(rng: Random, max_size: int, names: tuple[str, ...] = ("a", "b", 
 
     term, _ = go(max(1, max_size), ())
     return term
+
+
+def all_pairs(max_atoms: int, max_entries: int) -> list[PartialPair]:
+    """Every partial pair over the canonical carriers 0..n-1, n <= max_atoms,
+    with at most max_entries coded triples."""
+    out = []
+    for n in range(max_atoms + 1):
+        carrier = tuple(range(n))
+        entries = [
+            ((frozenset(a), r), v)
+            for m in range(n + 1)
+            for a in itertools.combinations(carrier, m)
+            for r in carrier
+            for v in carrier
+        ]
+        for size in range(min(n, max_entries) + 1):
+            for combo in itertools.combinations(entries, size):
+                keys = {key for key, _ in combo}
+                vals = {v for _, v in combo}
+                if len(keys) == size and len(vals) == size:
+                    out.append(PartialPair(carrier, dict(combo)))
+    return out
 
 
 def random_pair(rng: Random, max_atoms: int = 3, max_entries: int = 3) -> PartialPair:

@@ -24,7 +24,7 @@ from gml.minmodel import (
 from gml.pairs import PartialPair, automorphisms, is_subpair, validate
 from gml.semantics import Environment, interpret, omega_characterization
 from gml.terms import FALSE, IDENTITY, OMEGA, TRUE, parse
-from oracles import closed_terms_up_to, naive_interpret, random_pair, random_subpair, random_term
+from oracles import all_pairs, closed_terms_up_to, naive_interpret, random_pair, random_subpair, random_term
 
 
 def criterion(number: int, title: str):
@@ -41,28 +41,6 @@ def criterion(number: int, title: str):
         return run
 
     return wrap
-
-
-def all_pairs(max_atoms: int, max_entries: int) -> list[PartialPair]:
-    """Every partial pair over the canonical carriers 0..n-1, n <= max_atoms,
-    with at most max_entries coded triples."""
-    out = []
-    for n in range(max_atoms + 1):
-        carrier = tuple(range(n))
-        entries = [
-            ((frozenset(a), r), v)
-            for m in range(n + 1)
-            for a in itertools.combinations(carrier, m)
-            for r in carrier
-            for v in carrier
-        ]
-        for size in range(min(n, max_entries) + 1):
-            for combo in itertools.combinations(entries, size):
-                keys = {key for key, _ in combo}
-                vals = {v for _, v in combo}
-                if len(keys) == size and len(vals) == size:
-                    out.append(PartialPair(carrier, dict(combo)))
-    return out
 
 
 @criterion(1, "interpret matches the naive powerset-clause oracle exhaustively")

@@ -273,6 +273,24 @@ class TestPairCommands:
         code, doc = run_json(capsys, "pair", "orbits", "--pair", path)
         assert doc == {"orbits": [["0", "1"]]}
 
+    def test_exhaustive_bounds_refuse_once(self, pair_file, free2):
+        """In a fresh process, a refused automorphism search or completion
+        level exits 1 with one stderr line and nothing on stdout."""
+        env = {**os.environ, "PYTHONPATH": str(Path(gml.__file__).parents[1])}
+        nine = pair_file(PartialPair(range(9)), "nine.json")
+        auts = "bound too large: automorphisms of 9 atoms take 9!·9 checks, ceiling is 1000000\n"
+        level = "bound too large: level 3 would hold 2^10242·10242+2 elements, ceiling is 1000000\n"
+        for argv, err in (
+            (["pair", "auts", "--pair", nine], auts),
+            (["pair", "orbits", "--pair", nine], auts),
+            (["complete", "--pair", pair_file(free2, "free2.json"), "--rank", "3"], level),
+        ):
+            done = subprocess.run(
+                [sys.executable, "-m", "gml.cli", *argv],
+                capture_output=True, encoding="utf-8", env={**env, "PYTHONIOENCODING": "utf-8"}, timeout=60,
+            )
+            assert (done.returncode, done.stdout, done.stderr) == (1, "", err), argv
+
     def test_union(self, capsys, pair_file):
         a = pair_file(PartialPair({0}, {(frozenset({0}), 0): 0}), "a.json")
         b = pair_file(PartialPair({0}), "b.json")

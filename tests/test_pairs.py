@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 from gml.completion import base, generate_subgraphmodel
 from gml.minmodel import PRIME_CODED, relocate
 from gml.pairs import (
+    CeilingExceeded,
     Morphism,
     PairConflictError,
     PartialPair,
-    SizeBoundExceeded,
     automorphisms,
     is_subpair,
     orbits,
     union,
     validate,
 )
-from oracles import closure_pair_by_key_scan, random_pair, random_subpair
+from oracles import all_pairs, closure_pair_by_key_scan, cycles_left_by, isomorphisms, random_pair, random_subpair
 
 
 class TestValidate:
@@ -144,8 +144,34 @@ class TestAutomorphisms:
                 assert tuple(sorted(m.inverse().mapping.items())) in table
 
     def test_size_bound(self):
-        with pytest.raises(SizeBoundExceeded):
+        with pytest.raises(CeilingExceeded):
             automorphisms(PartialPair(range(9)))
+
+    def test_eight_atoms_pass_the_bound(self):
+        assert len(automorphisms(PartialPair(range(8), {(frozenset(), 0): 0}))) == 7 * 6 * 5 * 4 * 3 * 2
+
+    def test_matches_checked_isomorphisms_in_order(self):
+        """Exactly the permutations of the sorted carrier that are
+        isomorphisms, in itertools.permutations order: over every pair of at
+        most 3 atoms and 2 entries, and over seeded pairs of up to 5 atoms
+        whose codings need not be injective."""
+        rng = Random(21)
+        pairs = all_pairs(3, 2)
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            keys = [
+                (frozenset(a), r) for m in range(n + 1) for a in itertools.combinations(range(n), m) for r in range(n)
+            ]
+            chosen = rng.sample(keys, rng.randint(1, min(len(keys), 4)))
+            pairs.append(PartialPair(range(n), {key: rng.randrange(n) for key in chosen}))
+        assert sum(not validate(p).ok for p in pairs) > 30
+        assert sum(len(automorphisms(p)) > 1 for p in pairs if len(p.atoms) > 3) > 10
+        for p in pairs:
+            assert [m.mapping for m in automorphisms(p)] == [m.mapping for m in isomorphisms(p, p)], p
+
+    def test_leaves_no_reference_cycle(self):
+        p = PartialPair(range(4), {(frozenset({0}), 1): 2, (frozenset(), 3): 3})
+        assert cycles_left_by(lambda: automorphisms(p)) == []
 
     def test_every_automorphism_checks(self):
         rng = Random(4)
@@ -209,7 +235,7 @@ class TestGenerateSubgraphmodel:
 
     def test_size_guard_refuses_before_the_round(self, free1):
         # 1, 3 and then 25 elements, whose 2^25·25 keys exceed the ceiling
-        with pytest.raises(SizeBoundExceeded, match="closure stage has 25 elements"):
+        with pytest.raises(CeilingExceeded, match="closure stage has 25 elements"):
             generate_subgraphmodel(free1, [base(0)], 3)
 
     def test_induced_pair_validates(self, p1):

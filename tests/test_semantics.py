@@ -3,11 +3,13 @@ from random import Random
 
 import pytest
 
+from gml.approximation import check_inequation
 from gml.pairs import PartialPair, automorphisms, is_subpair
 from gml.semantics import Environment, interpret, omega_characterization
 from gml.terms import IDENTITY, OMEGA, Var, parse
 from oracles import (
     closed_terms_up_to,
+    cycles_left_by,
     naive_interpret,
     random_env,
     random_pair,
@@ -129,3 +131,13 @@ class TestOmegaCharacterization:
 def test_subpair_fixture_sanity(p1, free1):
     assert is_subpair(free1, p1)
     assert not is_subpair(p1, PartialPair(()))
+
+
+class TestLifetime:
+    def test_no_reference_cycle_outlives_the_checker(self):
+        """interpret's recursive walk is freed when it returns, so neither it
+        nor a certificate re-checked by it leaves work for the collector."""
+        pair = PartialPair({0, 1}, {(frozenset({0}), 1): 0})
+        lhs, rhs = parse("(\\x.x) (\\y.y y)"), parse("\\z.z")
+        assert cycles_left_by(lambda: interpret(lhs, pair)) == []
+        assert cycles_left_by(lambda: check_inequation(lhs, rhs, pair)) == []
