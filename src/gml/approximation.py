@@ -84,7 +84,6 @@ from .completion import (
     CompletionElement,
     BaseElement,
     PairElement,
-    DEFAULT_CEILING,
     base,
     count_up_to,
     element_str,
@@ -95,6 +94,7 @@ from .completion import (
     pair_of_sorted,
     restriction_atom,
 )
+from . import pairs
 from .pairs import PartialPair, validate
 from .semantics import Environment, interpret
 from .terms import Abs, App, LambdaTerm, Var, is_closed, print_term
@@ -158,7 +158,7 @@ class Evaluator:
     LazyValue is queried element by element.
     """
 
-    def __init__(self, pair: PartialPair, k: int, ceiling: int = DEFAULT_CEILING):
+    def __init__(self, pair: PartialPair, k: int):
         if k < 0:
             raise ValueError("rank bound must be non-negative")
         report = pair.derived.get("report")
@@ -168,7 +168,6 @@ class Evaluator:
             raise ValueError("invalid pair: " + "; ".join(report.violations))
         self.pair = pair
         self.k = k
-        self.ceiling = ceiling
         # the coding inverted once, over base elements: atom -> (args, res)
         self.inverse: dict[int, tuple[frozenset[BaseElement], BaseElement]] = {
             v: (frozenset(map(base, a)), base(alpha)) for v, (a, alpha) in pair.inverse.items()
@@ -193,11 +192,6 @@ class Evaluator:
             return (t, last)
         return (t, *map(env.get, names), last)
 
-    def _elements(self, j: int) -> tuple[CompletionElement, ...]:
-        """elements_up_to(self.pair, j), built once per pair and kept in
-        pair.derived.  The ceiling guard runs on every call."""
-        return levels_up_to(self.pair, j, self.ceiling, elements_up_to)
-
     def _holds_all(self, t: LambdaTerm, env: dict, args: frozenset) -> bool:
         """Every element of args lies in interp(t): a subset test when t is a
         variable bound to an explicit set."""
@@ -216,12 +210,12 @@ class Evaluator:
 
         The level sizes are counted in closed form first, so a level whose
         keys exceed the ceiling is refused before it is built."""
-        n = count_up_to(self.pair, j, self.ceiling)
-        if 2**n * n > self.ceiling:
+        n = count_up_to(self.pair, j)
+        if 2**n * n > pairs.DEFAULT_CEILING:
             raise ApproximationInfeasible(
-                f"abstraction over level {j} needs 2^{n}·{n} keys, ceiling is {self.ceiling}"
+                f"abstraction over level {j} needs 2^{n}·{n} keys, ceiling is {pairs.DEFAULT_CEILING}"
             )
-        return tuple(sorted(self._elements(j), key=CompletionElement.sort_key))
+        return tuple(sorted(levels_up_to(self.pair, j, elements_up_to), key=CompletionElement.sort_key))
 
     def preimage(self, e: CompletionElement):
         """coding_preimage(self.pair, e), an atom's key read from the table."""
@@ -409,16 +403,17 @@ class Evaluator:
 
     def _redex_keys(self, fun: Abs, arg: LambdaTerm, env: dict, e: CompletionElement):
         # elements_up_to lists elements in (rank, structural) order already
-        cands = tuple(x for x in self._elements(self.k - 1) if self.contains(arg, env, x))
+        level = levels_up_to(self.pair, self.k - 1, elements_up_to)
+        cands = tuple(x for x in level if self.contains(arg, env, x))
         work = 0
 
         def holds(args: tuple) -> bool:
             nonlocal work
             work += len(args) + 1
-            if work > self.ceiling:
+            if work > pairs.DEFAULT_CEILING:
                 raise ApproximationInfeasible(
                     f"redex key search over {len(cands)} candidate arguments "
-                    f"probes more than {self.ceiling} elements"
+                    f"probes more than {pairs.DEFAULT_CEILING} elements"
                 )
             return self.contains(fun.body, {**env, fun.binder: frozenset(args)}, e)
 
@@ -461,13 +456,13 @@ def _validated_env(p: PartialPair, env: Environment, k: int | None) -> None:
                 )
 
 
-def _evaluator(given: Optional[Evaluator], p: PartialPair, k: int, ceiling: int) -> Evaluator:
+def _evaluator(given: Optional[Evaluator], p: PartialPair, k: int) -> Evaluator:
     """`given` when it is not None, after checking that it evaluates over p
-    at rank k under this ceiling; otherwise a fresh evaluator."""
+    at rank k; otherwise a fresh evaluator."""
     if given is None:
-        return Evaluator(p, k, ceiling)
-    if given.pair is not p or given.k != k or given.ceiling != ceiling:
-        raise ValueError("the evaluator given is not over this pair, rank bound and ceiling")
+        return Evaluator(p, k)
+    if given.pair is not p or given.k != k:
+        raise ValueError("the evaluator given is not over this pair and rank bound")
     return given
 
 
@@ -481,7 +476,6 @@ def approx_interpret(
     p: PartialPair,
     env: Environment = Environment(),
     k: int = DEFAULT_MEMBER_BOUND,
-    ceiling: int = DEFAULT_CEILING,
 ) -> frozenset:
     """Interpretation of t in the rank-k restriction, over completion elements.
 
@@ -489,8 +483,7 @@ def approx_interpret(
     exact answer would need an enumeration beyond the ceiling.
     """
     _validated_env(p, env, k)
-    ev = Evaluator(p, k, ceiling)
-    return ev.enumerate(t, _env_values(env, k), k)
+    return Evaluator(p, k).enumerate(t, _env_values(env, k), k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -511,7 +504,6 @@ def member(
     e: CompletionElement,
     max_rank: int,
     env: Environment = Environment(),
-    ceiling: int = DEFAULT_CEILING,
     *,
     evaluator: Optional[Evaluator] = None,
 ) -> MemberResult:
@@ -528,10 +520,8 @@ def member(
     if not element_valid(p, e):
         raise ValueError(f"element {element_str(e, p)} is not valid over the pair")
     _validated_env(p, env, None)
-    for probe in range(max_rank + 1):
-        if e.rank > probe:
-            continue
-        ev = _evaluator(evaluator if probe == max_rank else None, p, probe, ceiling)
+    for probe in range(e.rank, max_rank + 1):
+        ev = _evaluator(evaluator if probe == max_rank else None, p, probe)
         if ev.contains(t, _env_values(env, probe), e):
             return MemberResult(True, probe, max_rank)
     return MemberResult(False, None, max_rank)
@@ -543,7 +533,6 @@ def extract_witness_subpair(
     e: CompletionElement,
     k: int,
     env: Environment = Environment(),
-    ceiling: int = DEFAULT_CEILING,
     *,
     evaluator: Optional[Evaluator] = None,
 ) -> PartialPair:
@@ -564,7 +553,7 @@ def extract_witness_subpair(
     if not element_valid(p, e):
         raise ValueError(f"element {element_str(e, p)} is not valid over the pair")
     _validated_env(p, env, k)
-    ev = _evaluator(evaluator, p, k, ceiling)
+    ev = _evaluator(evaluator, p, k)
     values = _env_values(env, k)
     if not ev.contains(t, values, e):
         raise ValueError("element not derivable within the rank bound; run member() first")
@@ -606,7 +595,7 @@ def extract_witness_subpair(
         coding[(args, alpha)] = value
         todo += [(node.arg, env_v, x) for x in args]
         todo.append((node.fun, env_v, value))
-    atom = {x: restriction_atom(p, x, ceiling) for x in elements}
+    atom = {x: restriction_atom(p, x) for x in elements}
     witness = PartialPair(
         atom.values(),
         {(frozenset(atom[x] for x in args), atom[res]): atom[v] for (args, res), v in coding.items()},
@@ -673,7 +662,6 @@ def check_inequation(
     p: PartialPair,
     k_lhs: int = DEFAULT_MEMBER_BOUND,
     k_rhs: int = DEFAULT_MEMBER_BOUND + DEFAULT_SLACK,
-    ceiling: int = DEFAULT_CEILING,
 ) -> Verdict:
     """Scan the rank-k_lhs approximation of lhs for an element missing from
     the rank-k_rhs approximation of rhs.
@@ -693,13 +681,13 @@ def check_inequation(
         raise ValueError("inequation checking expects closed terms")
     if k_rhs < k_lhs:
         raise ValueError("the right bound must be at least the left bound")
-    left = Evaluator(p, k_lhs, ceiling)
-    ev = Evaluator(p, k_rhs, ceiling)
+    left = Evaluator(p, k_lhs)
+    ev = Evaluator(p, k_rhs)
     for candidate in left.ordered(lhs, {}, k_lhs):
         if not ev.contains(rhs, {}, candidate):
-            found = member(lhs, p, candidate, k_lhs, ceiling=ceiling, evaluator=left)
+            found = member(lhs, p, candidate, k_lhs, evaluator=left)
             subpair = extract_witness_subpair(
-                lhs, p, candidate, found.rank, ceiling=ceiling, evaluator=left if found.rank == k_lhs else None
+                lhs, p, candidate, found.rank, evaluator=left if found.rank == k_lhs else None
             )
             return Verdict(
                 "fails_with_evidence",
@@ -720,9 +708,6 @@ def check_equation(
     p: PartialPair,
     k_lhs: int = DEFAULT_MEMBER_BOUND,
     k_rhs: int = DEFAULT_MEMBER_BOUND + DEFAULT_SLACK,
-    ceiling: int = DEFAULT_CEILING,
 ) -> tuple[Verdict, Verdict]:
     """Both inclusion directions; the equation fails when either does."""
-    forward = check_inequation(lhs, rhs, p, k_lhs, k_rhs, ceiling)
-    backward = check_inequation(rhs, lhs, p, k_lhs, k_rhs, ceiling)
-    return forward, backward
+    return check_inequation(lhs, rhs, p, k_lhs, k_rhs), check_inequation(rhs, lhs, p, k_lhs, k_rhs)

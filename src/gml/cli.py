@@ -15,7 +15,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from . import minmodel
+from . import minmodel, pairs
 from .approximation import (
     check_equation,
     check_inequation,
@@ -23,7 +23,6 @@ from .approximation import (
     member,
 )
 from .completion import (
-    DEFAULT_CEILING,
     CeilingExceeded,
     count_up_to,
     element_str,
@@ -342,8 +341,8 @@ def _run(args: SimpleNamespace) -> tuple[dict, int]:
         )
 
     if cmd == "enum-terms":
-        if args.limit > DEFAULT_CEILING:
-            raise CeilingExceeded(f"{args.limit} terms asked for, ceiling is {DEFAULT_CEILING}")
+        if args.limit > pairs.DEFAULT_CEILING:
+            raise CeilingExceeded(f"{args.limit} terms asked for, ceiling is {pairs.DEFAULT_CEILING}")
         return ({"terms": closed_term_texts(args.limit)}, 0)
 
     if cmd == "pair":
@@ -408,9 +407,10 @@ def main(argv: list[str] | None = None) -> int:
     except CeilingExceeded as exc:
         print(f"bound too large: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:  # term and element syntax are parsed recursively
-        print("usage error: input nested too deeply", file=sys.stderr)
-        return 2
+    except RecursionError:  # the readers of outside text refuse deep nesting themselves
+        limit = sys.getrecursionlimit()
+        print(f"bound too large: nesting past the recursion limit of {limit}", file=sys.stderr)
+        return 1
     except (ParseError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

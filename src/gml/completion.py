@@ -12,8 +12,8 @@ pair element has rank one more than the largest rank among its parts.
 Elements are interned through structural hashing, so equality is identity
 and sets of elements behave canonically.  The interning table is a simple
 content-addressed dict and is safe under CPython's atomic dict operations.
-Level sizes grow doubly exponentially; enumeration past a configurable
-element ceiling raises CeilingExceeded.  The module keeps no level of its
+Level sizes grow doubly exponentially; enumeration past
+pairs.DEFAULT_CEILING raises CeilingExceeded.  The module keeps no level of its
 own: elements_up_to builds afresh on every call, and levels_up_to keeps the
 levels of a pair in that pair's `derived` dict, shared by the evaluators and
 witness numbering of one pair.
@@ -27,7 +27,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .pairs import DEFAULT_CEILING, CeilingExceeded, Morphism, PartialPair
+from . import pairs
+from .pairs import CeilingExceeded, Morphism, PartialPair
 
 
 class CompletionElement:
@@ -166,7 +167,7 @@ def coding_preimage(p: PartialPair, e: CompletionElement):
 # Rank-bounded enumeration
 
 
-def count_up_to(p: PartialPair, k: int, ceiling: int = DEFAULT_CEILING) -> int:
+def count_up_to(p: PartialPair, k: int) -> int:
     """|E_k|, counted in closed form level by level, so that a level above
     the ceiling is refused before any level is built.
 
@@ -182,17 +183,18 @@ def count_up_to(p: PartialPair, k: int, ceiling: int = DEFAULT_CEILING) -> int:
     collapsing = sum(1 for args, res in p.coding if res in p.atoms and args <= p.atoms)
     extra = len(p.atoms) - collapsing
     size = len(p.atoms)
+    limit = pairs.DEFAULT_CEILING
     for level in range(1, k + 1):
         below, size = size, (2**size) * size + extra
-        if size > ceiling:
+        if size > limit:
             held = f"2^{below}·{below}" + (f"{extra:+d}" if extra else "")
-            raise CeilingExceeded(f"level {level} would hold {held} elements, ceiling is {ceiling}")
+            raise CeilingExceeded(f"level {level} would hold {held} elements, ceiling is {limit}")
     return size
 
 
-def elements_up_to(p: PartialPair, k: int, ceiling: int = DEFAULT_CEILING) -> tuple[CompletionElement, ...]:
+def elements_up_to(p: PartialPair, k: int) -> tuple[CompletionElement, ...]:
     """Exactly the elements of rank at most k, in (rank, structural) order."""
-    count_up_to(p, k, ceiling)
+    count_up_to(p, k)
     out = tuple(sorted(map(base, p.atoms), key=lambda e: e.sort_key()))
     for _ in range(k):
         current = set(out)
@@ -209,16 +211,16 @@ def elements_up_to(p: PartialPair, k: int, ceiling: int = DEFAULT_CEILING) -> tu
     return out
 
 
-def levels_up_to(p: PartialPair, k: int, ceiling: int, build: Callable) -> tuple[CompletionElement, ...]:
-    """build(p, k, ceiling), an elements_up_to, run once per pair and kept
-    in p.derived.  The ceiling guard runs on every call.  Each caller passes
+def levels_up_to(p: PartialPair, k: int, build: Callable) -> tuple[CompletionElement, ...]:
+    """build(p, k), an elements_up_to, run once per pair and kept in
+    p.derived.  The ceiling guard runs on every call.  Each caller passes
     the elements_up_to of its own module, so a wrapper put on that name
     (perfbench's tracer, a test) sees the builds."""
-    count_up_to(p, k, ceiling)
+    count_up_to(p, k)
     key = ("elements_up_to", k)
     got = p.derived.get(key)
     if got is None:
-        got = p.derived.setdefault(key, build(p, k, ceiling))
+        got = p.derived.setdefault(key, build(p, k))
     return got
 
 
@@ -244,8 +246,8 @@ class Restriction:
         return frozenset(self.atom_of[e] for e in elems)
 
 
-def restrict(p: PartialPair, k: int, ceiling: int = DEFAULT_CEILING) -> Restriction:
-    elements = elements_up_to(p, k, ceiling)
+def restrict(p: PartialPair, k: int) -> Restriction:
+    elements = elements_up_to(p, k)
     next_id = max(p.atoms, default=-1) + 1
     atom_of: dict[CompletionElement, int] = {}
     for e in elements:
@@ -288,7 +290,7 @@ def _keys_below(level: Iterable[CompletionElement], args_key: tuple, res_key: tu
     return subsets * n + bisect.bisect_left(keys, res_key)
 
 
-def restriction_atom(p: PartialPair, e: CompletionElement, ceiling: int = DEFAULT_CEILING) -> int:
+def restriction_atom(p: PartialPair, e: CompletionElement) -> int:
     """The atom number of e in restrict(p, k), for any k >= rank(e).
 
     Counted in closed form over the levels below e's rank, so the rank-k
@@ -301,7 +303,7 @@ def restriction_atom(p: PartialPair, e: CompletionElement, ceiling: int = DEFAUL
         return e.atom
     args_key = tuple(x.sort_key() for x in e.args_sorted)
     res_key = e.res.sort_key()
-    below = levels_up_to(p, e.rank - 1, ceiling, elements_up_to)
+    below = levels_up_to(p, e.rank - 1, elements_up_to)
     fresh = _keys_below(below, args_key, res_key)
     if e.rank >= 2:
         # E_{r-2} is the rank prefix of E_{r-1}
@@ -349,9 +351,9 @@ def generate_subgraphmodel(
     saturated = not current
     for _ in range(budget):
         n = len(current)
-        if 2**n * n > DEFAULT_CEILING:
+        if 2**n * n > pairs.DEFAULT_CEILING:
             raise CeilingExceeded(
-                f"closure stage has {n} elements; {2**n * n} keys exceed the {DEFAULT_CEILING} ceiling"
+                f"closure stage has {n} elements; {2**n * n} keys exceed the {pairs.DEFAULT_CEILING} ceiling"
             )
         members = sorted(current)
         current |= {
@@ -410,10 +412,8 @@ def element_str(e: CompletionElement, pair: PartialPair | None = None) -> str:
 
 
 def parse_element(text: str, pair: PartialPair | None = None) -> CompletionElement:
-    """Parse the textual element syntax back; labels resolve via `pair`."""
-    label_map: dict[str, int] = {}
-    if pair is not None:
-        label_map = {pair.label(a): a for a in pair.atoms}
+    """Parse the textual element syntax back; labels resolve via `pair.labels`."""
+    label_map = {} if pair is None else {name: a for a, name in pair.labels.items()}
 
     s = text.replace(" ", "")
     pos = 0
@@ -463,7 +463,10 @@ def parse_element(text: str, pair: PartialPair | None = None) -> CompletionEleme
         except ValueError:
             fail(f"unknown atom label {name!r}")
 
-    e = parse_one()
+    try:
+        e = parse_one()
+    except RecursionError:
+        raise ValueError("input nested too deeply") from None
     if pos != len(s):
         fail("trailing input")
     return e

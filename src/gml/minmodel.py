@@ -20,7 +20,7 @@ whenever that member answered; the members of a class whose least member
 was refused are each still checked.
 
 Primes come from a sieve of Eratosthenes that doubles its range as needed
-and keeps at most DEFAULT_CEILING primes; a component whose prime lies past
+and keeps at most pairs.DEFAULT_CEILING primes; a component whose prime lies past
 them raises CeilingExceeded (1-indexed: prime(1) = 2; index 0 belongs to the
 empty pair, which has no atoms and needs no prime).
 """
@@ -39,12 +39,12 @@ from .completion import (
     BaseElement,
     CeilingExceeded,
     CompletionElement,
-    DEFAULT_CEILING,
     base,
     elements_up_to,
     pair_of,
     support_atoms,
 )
+from . import pairs
 from .pairs import Morphism, PartialPair, union
 from .terms import LambdaTerm, _cantor_pair, _cantor_unpair, is_closed
 
@@ -55,13 +55,14 @@ logger = logging.getLogger(__name__)
 # Primes
 
 
-_PRIMES: list[int] = [2, 3]  # every prime up to _PRIMES[-1], at most DEFAULT_CEILING of them
+_PRIMES: list[int] = [2, 3]  # every prime up to _PRIMES[-1], at most pairs.DEFAULT_CEILING of them
 
 
 def _extend_primes() -> None:
     """Sieve of Eratosthenes over twice the range sieved so far."""
-    if len(_PRIMES) >= DEFAULT_CEILING:
-        raise CeilingExceeded(f"primes above {_PRIMES[-1]} are past the ceiling of {DEFAULT_CEILING} primes")
+    cap = pairs.DEFAULT_CEILING
+    if len(_PRIMES) >= cap:
+        raise CeilingExceeded(f"primes above {_PRIMES[-1]} are past the ceiling of {cap} primes")
     limit = 2 << _PRIMES[-1].bit_length()
     sieve = bytearray([1]) * limit
     sieve[:2] = b"\0\0"
@@ -70,15 +71,15 @@ def _extend_primes() -> None:
             sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
     start = _PRIMES[-1] + 1
     fresh = itertools.compress(range(start, limit), memoryview(sieve)[start:])
-    _PRIMES.extend(itertools.islice(fresh, DEFAULT_CEILING - len(_PRIMES)))
+    _PRIMES.extend(itertools.islice(fresh, cap - len(_PRIMES)))
 
 
 def kth_prime(k: int) -> int:
     """The k-th prime, 1-indexed: kth_prime(1) = 2."""
     if k < 1:
         raise ValueError("prime indices start at 1")
-    if k > DEFAULT_CEILING:
-        raise CeilingExceeded(f"prime number {k} is past the ceiling of {DEFAULT_CEILING} primes")
+    if k > pairs.DEFAULT_CEILING:
+        raise CeilingExceeded(f"prime number {k} is past the ceiling of {pairs.DEFAULT_CEILING} primes")
     while len(_PRIMES) < k:
         _extend_primes()
     return _PRIMES[k - 1]
@@ -351,13 +352,13 @@ def component_of(n: int) -> int:
 # coding_preimage, element_valid and generate_subgraphmodel serve it
 # unchanged, and it can be the target of Morphism.check and lift_morphism
 # and the larger side of is_subpair.  Its elements are the completion's own
-# BaseElement/PairElement.  element_str and parse_element must be called
-# with no pair: given one, they read labels and iterate the carrier, which
-# PRIME_CODED lacks.  element_str(e) then prints a big-model element, but
-# parse_element(text) does not collapse coded keys to their atoms, so its
-# result is a big-model element only when element_valid(PRIME_CODED, ...)
-# holds.  Carriers are disjoint, so a key is looked up in the component of
-# its result atom and a value in its own component.
+# BaseElement/PairElement.  Its atoms carry no labels (`labels` is empty and
+# `label` prints the number), so element_str(e, PRIME_CODED) prints atoms as
+# numbers, and parse_element(text, PRIME_CODED) reads them back and
+# collapses coded keys to their atoms, so its result is a big-model element
+# whenever every atom it names lies in the carrier.  Carriers are disjoint,
+# so a key is looked up in the component of its result atom and a value in
+# its own component.
 
 
 def _coded_value(key: tuple[frozenset[int], int]) -> Optional[int]:
@@ -382,6 +383,8 @@ class PrimeCodedPair:
     atoms = _Carrier()
     coding = SimpleNamespace(get=_coded_value)
     inverse = SimpleNamespace(get=_coded_key)
+    labels: dict[int, str] = {}  # no atom is labelled: each prints as its number
+    label = staticmethod(str)
 
 
 PRIME_CODED = PrimeCodedPair()
@@ -432,7 +435,6 @@ def search_counterexample(
     max_index: int,
     k_lhs: int = 2,
     k_rhs: int = 4,
-    ceiling: int = DEFAULT_CEILING,
 ) -> Optional[tuple[int, Verdict]]:
     """Scan components 0..max_index for one whose completion separates the
     inequation lhs <= rhs; the least failing component wins.
@@ -478,7 +480,7 @@ def search_counterexample(
                 if representative != k and representative not in refused.get(b, ()):
                     continue
             try:
-                verdict = check_inequation(lhs, rhs, component, k_lhs, k_rhs, ceiling)
+                verdict = check_inequation(lhs, rhs, component, k_lhs, k_rhs)
             except CeilingExceeded as exc:
                 logger.warning("component %d skipped: %s", k, exc)
                 if initial:
@@ -496,7 +498,6 @@ def restriction_property_check(
     k: int,
     r: int,
     indices: Iterable[int] | None = None,
-    ceiling: int = DEFAULT_CEILING,
 ) -> bool:
     """Bounded check that interpreting q over a finite union of components
     and keeping only the material of component k gives exactly component k's
@@ -515,15 +516,15 @@ def restriction_property_check(
     for j in indices:
         ambient = union(ambient, relocate(j))
     try:
-        own = approx_interpret(q, component, k=r, ceiling=ceiling)
-        big = approx_interpret(q, ambient, k=r, ceiling=ceiling)
+        own = approx_interpret(q, component, k=r)
+        big = approx_interpret(q, ambient, k=r)
         material = frozenset(e for e in big if support_atoms(e) <= component.atoms)
         return own == material
     except CeilingExceeded:
         pass
-    universe = elements_up_to(component, r, ceiling)
-    ev_component = Evaluator(component, r, ceiling)
-    ev_ambient = Evaluator(ambient, r, ceiling)
+    universe = elements_up_to(component, r)
+    ev_component = Evaluator(component, r)
+    ev_ambient = Evaluator(ambient, r)
     return all(
         ev_component.contains(q, {}, e) == ev_ambient.contains(q, {}, e)
         for e in universe

@@ -7,9 +7,9 @@ orbits.  The larger side of the subpair order and a morphism's target are
 asked only membership and coding lookups, so either may be the prime-coded
 pair of minmodel, whose carrier and coding are infinite.
 
-DEFAULT_CEILING and CeilingExceeded are the one price limit and the one
-refusal of every exhaustive operation in the package: each is priced before
-it runs, here the automorphism search at b!·b over b atoms.
+DEFAULT_CEILING and CeilingExceeded are the one price limit, read where and
+when each exhaustive operation of the package runs, and its one refusal: the
+automorphism search here is priced at b!·b over b atoms before it starts.
 
 Atoms are plain naturals; optional string labels are presentation metadata
 and never take part in equality.
@@ -29,7 +29,7 @@ DEFAULT_CEILING = 10**6
 
 
 class CeilingExceeded(RuntimeError):
-    """An exhaustive operation would exceed the configured ceiling."""
+    """An exhaustive operation would exceed DEFAULT_CEILING."""
 
 
 class PairConflictError(ValueError):
@@ -158,7 +158,10 @@ class PartialPair:
     @classmethod
     def load(cls, path: str) -> "PartialPair":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                return cls.from_json(json.load(fh))
+            except RecursionError:
+                raise ValueError("input nested too deeply") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,11 +242,11 @@ class Morphism:
             return False
         if not all(y in self.target.atoms for y in self.mapping.values()):
             return False
-        for (a, alpha), v in self.source.coding.items():
-            key = (self.apply_set(a), self.mapping[alpha])
-            if self.target.coding.get(key) != self.mapping[v]:
-                return False
-        return True
+        return all(
+            a | {alpha, v} <= self.source.atoms  # a stray atom has no image
+            and self.target.coding.get((self.apply_set(a), self.mapping[alpha])) == self.mapping[v]
+            for (a, alpha), v in self.source.coding.items()
+        )
 
     def is_isomorphism(self) -> bool:
         if len(set(self.mapping.values())) != len(self.mapping):
@@ -287,7 +290,7 @@ def orbits(p: PartialPair) -> list[frozenset[int]]:
     for x in sorted(p.atoms):
         if x in seen:
             continue
-        orbit = frozenset(m.mapping[x] for m in auts)
+        orbit = frozenset({x, *(m.mapping[x] for m in auts)})  # x even when no permutation is a morphism
         seen |= orbit
         parts.append(orbit)
     return parts

@@ -108,7 +108,10 @@ class Environment:
     @classmethod
     def load(cls, path: str, pair: PartialPair) -> "Environment":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh), pair)
+            try:
+                return cls.from_json(json.load(fh), pair)
+            except RecursionError:
+                raise ValueError("input nested too deeply") from None
 
 
 EMPTY_ENV = Environment()

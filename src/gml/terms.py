@@ -228,10 +228,10 @@ _REST_INDEX = {c: i for i, c in enumerate(_REST)}
 
 
 class ParseError(ValueError):
-    """Syntax error, carrying the offset where parsing failed."""
+    """Syntax error, carrying the offset where parsing failed, if it has one."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message if position is None else f"{message} (at position {position})")
         self.position = position
 
 
@@ -330,11 +330,14 @@ def _expand_aliases(t: LambdaTerm, bound: frozenset[str]) -> LambdaTerm:
 def parse(text: str) -> LambdaTerm:
     """Parse the concrete syntax; free occurrences of I, T, F, Omega expand."""
     p = _Parser(text)
-    t = p.term()
-    kind, value, at = p.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {value!r}", at)
-    return _expand_aliases(t, frozenset())
+    try:
+        t = p.term()
+        kind, value, at = p.peek()
+        if kind != "eof":
+            raise ParseError(f"trailing input {value!r}", at)
+        return _expand_aliases(t, frozenset())
+    except RecursionError:
+        raise ParseError("input nested too deeply") from None
 
 
 def print_term(t: LambdaTerm) -> str:

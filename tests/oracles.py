@@ -31,7 +31,7 @@ from math import isqrt
 from random import Random
 from typing import Iterator
 
-from gml import minmodel
+from gml import minmodel, pairs
 from gml.approximation import (
     DEFAULT_MEMBER_BOUND,
     DEFAULT_SLACK,
@@ -42,7 +42,6 @@ from gml.approximation import (
     member,
 )
 from gml.completion import (
-    DEFAULT_CEILING,
     BaseElement,
     CeilingExceeded,
     PairElement,
@@ -167,7 +166,7 @@ def abstraction_by_membership(t: LambdaTerm, pair: PartialPair, k: int) -> froze
             out.add(base(v))
     if k >= 1:
         prev = elements_up_to(pair, k - 1)
-        if 2 ** len(prev) * len(prev) > DEFAULT_CEILING:
+        if 2 ** len(prev) * len(prev) > pairs.DEFAULT_CEILING:
             raise CeilingExceeded(f"abstraction over level {k - 1} is too large")
         for m in range(len(prev) + 1):
             for args in itertools.combinations(prev, m):
@@ -216,18 +215,17 @@ def check_inequation_by_full_scan(
     p: PartialPair,
     k_lhs: int = DEFAULT_MEMBER_BOUND,
     k_rhs: int = DEFAULT_MEMBER_BOUND + DEFAULT_SLACK,
-    ceiling: int = DEFAULT_CEILING,
 ) -> Verdict:
     if not is_closed(lhs) or not is_closed(rhs):
         raise ValueError("inequation checking expects closed terms")
     if k_rhs < k_lhs:
         raise ValueError("the right bound must be at least the left bound")
-    lhs_set = approx_interpret(lhs, p, Environment(), k_lhs, ceiling)
-    ev = Evaluator(p, k_rhs, ceiling)
+    lhs_set = approx_interpret(lhs, p, Environment(), k_lhs)
+    ev = Evaluator(p, k_rhs)
     for candidate in sorted(lhs_set, key=lambda e: e.sort_key()):
         if not ev.contains(rhs, {}, candidate):
-            found = member(lhs, p, candidate, k_lhs, ceiling=ceiling)
-            subpair = extract_witness_subpair(lhs, p, candidate, found.rank, ceiling=ceiling)
+            found = member(lhs, p, candidate, k_lhs)
+            subpair = extract_witness_subpair(lhs, p, candidate, found.rank)
             return Verdict(
                 "fails_with_evidence", lhs, rhs, k_lhs, k_rhs,
                 witness=candidate, member_rank=found.rank, witness_subpair=subpair,
@@ -248,12 +246,11 @@ def search_by_full_scan(
     max_index: int,
     k_lhs: int = 2,
     k_rhs: int = 4,
-    ceiling: int = DEFAULT_CEILING,
 ):
     for k in range(max_index + 1):
         component = minmodel.enumerate_pair(k)
         try:
-            verdict = minmodel.check_inequation(lhs, rhs, component, k_lhs, k_rhs, ceiling)
+            verdict = minmodel.check_inequation(lhs, rhs, component, k_lhs, k_rhs)
         except CeilingExceeded as exc:
             minmodel.logger.warning("component %d skipped: %s", k, exc)
             continue

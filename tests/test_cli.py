@@ -223,6 +223,22 @@ class TestMalformedInput:
         self.assert_too_deep(capsys, "member", "--pair", coded_file, "I", element)
         self.assert_too_deep(capsys, "witness", "--pair", coded_file, "I", element)
 
+    def test_deeply_nested_files(self, capsys, coded_file, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        self.assert_too_deep(capsys, "pair", "validate", "--pair", str(deep))
+        self.assert_too_deep(capsys, "interp", "--pair", coded_file, "--env", str(deep), "x")
+
+    def test_recursion_after_parsing_is_a_bound(self, capsys, free_file):
+        """A term the parser reads but whose evaluation nests past the
+        recursion limit is refused as a bound, not as a usage error."""
+        spine = " ".join(["y"] * 3000)
+        limit = sys.getrecursionlimit()
+        refused = (1, "", f"bound too large: nesting past the recursion limit of {limit}\n")
+        assert run(capsys, "parse", f"\\x y.x {spine}")[0] == 0
+        assert run(capsys, "check", "--pair", free_file, f"\\x y.x {spine} <= \\x.x") == refused
+        assert run(capsys, "interp", "--pair", free_file, f"x {spine}") == refused
+
 
 class TestCheck:
     def test_equation_failure_exits_one(self, capsys, coded_file):
@@ -332,6 +348,29 @@ class TestMinmodel:
         lines = err.splitlines()
         assert code == 1 and not out
         assert len(lines) == 1 and lines[0].startswith("bound too large:")
+
+
+class TestOneCeiling:
+    """Every exhaustive bound reads pairs.DEFAULT_CEILING when its guard
+    runs, so lowering that one attribute refuses each of these commands, and
+    each answers at the default ceiling."""
+
+    def test_lowered_ceiling_refuses_at_every_guard(self, capsys, monkeypatch, pair_file, free_file, coded_file):
+        three = pair_file(PartialPair(range(3)), "three.json")
+        cases = [
+            (["complete", "--pair", free_file, "--rank", "2"], "level 2 would hold 2^3·3+1 elements, ceiling is 10"),
+            (["check", "--pair", free_file, "\\x.x <= \\x.x"], "abstraction over level 1 needs 2^3·3 keys, ceiling is 10"),
+            (["witness", "--pair", coded_file, "(\\x.x) (\\x y.y)", "({},0)"],
+             "redex key search over 2 candidate arguments probes more than 10 elements"),
+            (["pair", "auts", "--pair", three], "automorphisms of 3 atoms take 3!·3 checks, ceiling is 10"),
+            (["enum-terms", "20"], "20 terms asked for, ceiling is 10"),
+            (["minmodel", "pair", "20"], "prime number 20 is past the ceiling of 10 primes"),
+        ]
+        for argv, _ in cases:
+            assert run(capsys, *argv)[0] == 0, argv
+        monkeypatch.setattr(gml.pairs, "DEFAULT_CEILING", 10)
+        for argv, message in cases:
+            assert run(capsys, *argv) == (1, "", f"bound too large: {message}\n"), argv
 
 
 class TestEnumTerms:

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from gml import completion
+from gml import completion, pairs
 from gml.completion import (
     CeilingExceeded,
     apply_coding,
@@ -111,7 +111,7 @@ class TestElementsUpTo:
 
     def test_ceiling(self, free2):
         with pytest.raises(CeilingExceeded):
-            elements_up_to(free2, 3, ceiling=10**6)
+            elements_up_to(free2, 3)
 
     def test_count_matches_the_built_levels(self, p1):
         rng = Random(32)
@@ -128,8 +128,9 @@ class TestElementsUpTo:
         with pytest.raises(CeilingExceeded) as refused:
             elements_up_to(free2, 3)
         assert str(refused.value) == "level 3 would hold 2^10242·10242+2 elements, ceiling is 1000000"
+        monkeypatch.setattr(pairs, "DEFAULT_CEILING", 5)
         with pytest.raises(CeilingExceeded) as refused:
-            count_up_to(p1, 2, ceiling=5)
+            count_up_to(p1, 2)
         assert str(refused.value) == "level 2 would hold 2^2·2 elements, ceiling is 5"
 
     def test_validity(self, p1):
@@ -190,11 +191,12 @@ class TestRestrictionAtom:
             for e in r.elements:
                 assert restriction_atom(p, e) == r.atom_of[e], (p, element_str(e))
 
-    def test_builds_only_lower_levels(self):
+    def test_builds_only_lower_levels(self, monkeypatch):
         free3 = PartialPair({0, 1, 2})
         inner = pair_of([base(0)], base(0))
         # level 2 of a free 3-atom pair would hold 3.6e9 elements
-        assert restriction_atom(free3, pair_of([inner], inner), ceiling=100) > restriction_atom(free3, inner)
+        monkeypatch.setattr(pairs, "DEFAULT_CEILING", 100)
+        assert restriction_atom(free3, pair_of([inner], inner)) > restriction_atom(free3, inner)
 
 
 def canonical(a: PartialPair, b: PartialPair):

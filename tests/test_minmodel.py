@@ -11,11 +11,13 @@ from gml.completion import (
     PairElement,
     apply_coding,
     base,
+    element_str,
     element_valid,
     elements_up_to,
     generate_subgraphmodel,
     lift_morphism,
     pair_of,
+    parse_element,
 )
 from gml.minmodel import (
     PRIME_CODED,
@@ -242,6 +244,22 @@ class TestUniversalCoding:
         for key in keys:
             value = apply_coding(PRIME_CODED, *key)
             assert seen.setdefault(value, key) == key
+
+    def test_element_text_round_trips(self):
+        """Big-model elements print with their atoms as numbers and parse
+        back through the pair's lookups, coded keys collapsing to atoms."""
+        assert parse_element("({},3)", PRIME_CODED) is base(3)
+        assert parse_element("({({5},5)},({},5))", PRIME_CODED) is pair_of([base(5)], pair_of([], base(5)))
+        rng = Random(53)
+        pool = [base(n) for n in (2, 3, 5, 49, 121)]
+        for _ in range(200):
+            args = rng.sample(pool, rng.randint(0, min(3, len(pool))))
+            pool.append(apply_coding(PRIME_CODED, args, rng.choice(pool)))
+        assert sum(isinstance(e, PairElement) for e in pool) > 100
+        for e in pool:
+            text = element_str(e, PRIME_CODED)
+            assert text == element_str(e)
+            assert parse_element(text, PRIME_CODED) is e
 
     def test_lift_rejects_foreign_atoms(self):
         with pytest.raises(ValueError):  # 6 is no prime power

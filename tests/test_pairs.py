@@ -211,6 +211,20 @@ class TestMorphism:
         assert Morphism(comp, PRIME_CODED, {x: x for x in comp.atoms}).check()
         assert not Morphism(comp, PRIME_CODED, {x: x + 1 for x in comp.atoms}).check()
 
+    def test_stray_coding_atom_is_no_morphism(self):
+        """A coded key naming an atom outside the carrier has no image, so
+        check answers False instead of raising: no permutation is an
+        automorphism, and every atom keeps an orbit of its own."""
+        stray = PartialPair({0}, {(frozenset({1}), 0): 0})
+        assert not Morphism(stray, stray, {0: 0}).check()
+        assert not Morphism(stray, stray, {0: 0}).is_isomorphism()
+        assert automorphisms(stray) == []
+        assert orbits(stray) == [frozenset({0})]
+        for coding in ({(frozenset(), 2): 0}, {(frozenset(), 0): 2}):  # stray result, stray value
+            p = PartialPair({0, 1}, coding)
+            assert automorphisms(p) == []
+            assert orbits(p) == [frozenset({0}), frozenset({1})]
+
     def test_compose_and_inverse(self, free2):
         swap = Morphism(free2, free2, {0: 1, 1: 0})
         assert swap.is_isomorphism()

@@ -13,7 +13,9 @@ host's speed falls on both sides alike.
 Exit code and stdout must be equal on both trees for every run, or the
 script stops.  It prints each side's p50 and p90 (nearest rank over the
 per-query minima) and the median per-query ratio change/base, per stratum
-and overall.
+and overall.  The per-query minimum drops the rounds in which the cyclic
+garbage collector ran, so each side's total time over every run of every
+round is printed too; the collector stays on throughout.
 
 This is the noise-robust companion to `perfbench/run.py`: it measures the
 program alone (no worker start-up, no answer checker, no RSS), with each
@@ -106,6 +108,7 @@ def main(argv=None) -> int:
     queries = queries[: args.count]
     mains = {"base": load_cli(args.base, "gml_base"), "change": load_cli(args.change, "gml_change")}
     best: list[dict[str, float]] = []
+    total = {"base": 0.0, "change": 0.0}
     with tempfile.TemporaryDirectory() as directory:
         for i, argv_i in enumerate(commands(queries, directory)):
             times = {"base": math.inf, "change": math.inf}
@@ -115,6 +118,7 @@ def main(argv=None) -> int:
                 for side in order:
                     elapsed, code, stdout = run(mains[side], argv_i)
                     times[side] = min(times[side], elapsed)
+                    total[side] += elapsed
                     answers[side] = (code, stdout)
                 if answers["base"] != answers["change"]:
                     print(f"query {i} {argv_i}: answers differ\nbase:   {answers['base']}\nchange: {answers['change']}")
@@ -125,7 +129,9 @@ def main(argv=None) -> int:
           f"fastest of {args.rounds} rounds each, equal exit code and stdout on every run")
     for side in ("base", "change"):
         values = [t[side] for t in best]
-        print(f"{side:<7} p50 {percentile(values, 0.5) * 1e3:8.3f} ms   p90 {percentile(values, 0.9) * 1e3:8.3f} ms")
+        print(f"{side:<7} p50 {percentile(values, 0.5) * 1e3:8.3f} ms   p90 {percentile(values, 0.9) * 1e3:8.3f} ms"
+              f"   total {total[side]:8.3f} s over all rounds")
+    print(f"total ratio change/base {total['change'] / total['base']:6.3f}")
     strata: dict[str, list[float]] = {}
     for q, t in zip(queries, best):
         strata.setdefault(q.stratum, []).append(t["change"] / t["base"])
