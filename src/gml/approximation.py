@@ -88,7 +88,6 @@ from .completion import (
     count_up_to,
     element_str,
     element_valid,
-    elements_up_to,
     levels_up_to,
     pair_of,
     pair_of_sorted,
@@ -99,9 +98,9 @@ from .pairs import PartialPair, validate
 from .semantics import Environment, interpret
 from .terms import Abs, App, LambdaTerm, Var, is_closed, print_term
 
-# No longer called here, but perfbench/spans.py patches both names on this
+# No longer called here, but perfbench/spans.py patches these names on this
 # module to trace calls into the completion and pair layers.
-from .completion import restrict  # noqa: E402,F401
+from .completion import elements_up_to, restrict  # noqa: E402,F401
 from .pairs import union  # noqa: E402,F401
 
 DEFAULT_MEMBER_BOUND = 2
@@ -215,7 +214,7 @@ class Evaluator:
             raise ApproximationInfeasible(
                 f"abstraction over level {j} needs 2^{n}·{n} keys, ceiling is {pairs.DEFAULT_CEILING}"
             )
-        return tuple(sorted(levels_up_to(self.pair, j, elements_up_to), key=CompletionElement.sort_key))
+        return tuple(sorted(levels_up_to(self.pair, j), key=CompletionElement.sort_key))
 
     def preimage(self, e: CompletionElement):
         """coding_preimage(self.pair, e), an atom's key read from the table."""
@@ -403,7 +402,7 @@ class Evaluator:
 
     def _redex_keys(self, fun: Abs, arg: LambdaTerm, env: dict, e: CompletionElement):
         # elements_up_to lists elements in (rank, structural) order already
-        level = levels_up_to(self.pair, self.k - 1, elements_up_to)
+        level = levels_up_to(self.pair, self.k - 1)
         cands = tuple(x for x in level if self.contains(arg, env, x))
         work = 0
 

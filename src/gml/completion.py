@@ -193,45 +193,63 @@ def count_up_to(p: PartialPair, k: int) -> int:
 
 
 def elements_up_to(p: PartialPair, k: int) -> tuple[CompletionElement, ...]:
-    """Exactly the elements of rank at most k, in (rank, structural) order."""
+    """Exactly the elements of rank at most k, in (rank, structural) order:
+    the carrier closed k times under the coding.  Defined on valid pairs; an
+    invalid pair has no completion."""
     count_up_to(p, k)
-    out = tuple(sorted(map(base, p.atoms), key=lambda e: e.sort_key()))
-    for _ in range(k):
-        current = set(out)
-        fresh = []
-        for m in range(len(out) + 1):
-            for args in itertools.combinations(out, m):
-                for res in out:
-                    e = apply_coding(p, frozenset(args), res)
-                    if e not in current and isinstance(e, PairElement):
-                        fresh.append(e)
-                        current.add(e)
-        fresh.sort(key=lambda e: e.sort_key())
-        out += tuple(fresh)
-    return out
+    by_structure = sorted(_closed(p, map(base, p.atoms), k), key=CompletionElement.sort_key)
+    return tuple(sorted(by_structure, key=rank))  # stable: structural order within a rank
 
 
-def levels_up_to(p: PartialPair, k: int, build: Callable) -> tuple[CompletionElement, ...]:
-    """build(p, k), an elements_up_to, run once per pair and kept in
-    p.derived.  The ceiling guard runs on every call.  Each caller passes
-    the elements_up_to of its own module, so a wrapper put on that name
-    (perfbench's tracer, a test) sees the builds."""
+def levels_up_to(p: PartialPair, k: int) -> tuple[CompletionElement, ...]:
+    """elements_up_to(p, k), built once per pair and kept in p.derived, under
+    the ceiling guard on every call.  A wrapper put on the module's
+    elements_up_to (perfbench's tracer, a test) sees each build."""
     count_up_to(p, k)
     key = ("elements_up_to", k)
     got = p.derived.get(key)
     if got is None:
-        got = p.derived.setdefault(key, build(p, k))
+        got = p.derived.setdefault(key, elements_up_to(p, k))
     return got
+
+
+def _closed(p: PartialPair, seed: Iterable[CompletionElement], rounds: int) -> tuple[CompletionElement, ...]:
+    """`seed` closed under the completion's coding, apply_coding(p, ...), for
+    `rounds` rounds, in the order the elements were found.  A round over
+    more keys than the ceiling is refused."""
+    current = dict.fromkeys(seed)
+    for _ in range(rounds):
+        n = len(current)
+        if 2**n * n > pairs.DEFAULT_CEILING:
+            raise CeilingExceeded(
+                f"closure stage has {n} elements; {2**n * n} keys exceed the {pairs.DEFAULT_CEILING} ceiling"
+            )
+        # sorted members give sorted argument tuples and keys in sorted runs: both sort fastest
+        members = sorted(current, key=CompletionElement.sort_key)
+        for m in range(n + 1):
+            for args in itertools.combinations(members, m):
+                for res in members:
+                    current[apply_coding(p, args, res)] = None
+    return tuple(current)
+
+
+def _induced(p: PartialPair, elements: tuple, number: Mapping, label: Callable) -> PartialPair:
+    """The finite pair induced on `elements`, e numbered number[e] and
+    labelled label(e): its coding keeps each element's key, read with
+    coding_preimage, whose parts lie among the elements."""
+    coding = {}
+    for value in elements:  # the coding is injective: one key per element
+        found = coding_preimage(p, value)
+        if found is None:
+            continue
+        args, res = found
+        if res in number and all(a in number for a in args):
+            coding[(frozenset(number[a] for a in args), number[res])] = number[value]
+    return PartialPair(number.values(), coding, labels={number[e]: label(e) for e in elements})
 
 
 # ---------------------------------------------------------------------------
 # Finite restrictions
-#
-# The rank-k restriction is the finite partial pair whose carrier is E_k and
-# whose coding keeps exactly the keys over E_k whose value stays inside E_k.
-# Rank-0 elements keep their original atom number; higher elements receive
-# stable fresh numbers (by rank, then structural order), so restrictions form
-# an increasing subpair chain as k grows.
 
 
 @dataclass(frozen=True)
@@ -240,31 +258,23 @@ class Restriction:
     elements: tuple[CompletionElement, ...]
     atom_of: dict
     of_atom: dict
-    rank_bound: int
 
     def to_atoms(self, elems: Iterable[CompletionElement]) -> frozenset[int]:
         return frozenset(self.atom_of[e] for e in elems)
 
 
 def restrict(p: PartialPair, k: int) -> Restriction:
+    """The rank-k restriction: the finite pair induced on E_k.  Defined on
+    valid pairs; an invalid pair has no completion.
+
+    Rank-0 elements keep their atom number; pair elements receive stable
+    fresh numbers after them (by rank, then structural order), so
+    restrictions form an increasing subpair chain as k grows."""
     elements = elements_up_to(p, k)
-    next_id = max(p.atoms, default=-1) + 1
-    atom_of: dict[CompletionElement, int] = {}
-    for e in elements:
-        if isinstance(e, BaseElement):
-            atom_of[e] = e.atom
-        else:
-            atom_of[e] = next_id
-            next_id += 1
-    coding: dict[tuple[frozenset[int], int], int] = {}
-    for (a, alpha), v in p.coding.items():
-        coding[(frozenset(a), alpha)] = v
-    for e in elements:
-        if isinstance(e, PairElement):
-            coding[(frozenset(atom_of[x] for x in e.args), atom_of[e.res])] = atom_of[e]
-    labels = {atom_of[e]: element_str(e, p) for e in elements}
-    pair = PartialPair(atom_of.values(), coding, labels=labels)
-    return Restriction(pair, elements, atom_of, {v: e for e, v in atom_of.items()}, k)
+    fresh = itertools.count(max(p.atoms, default=-1) + 1)
+    atom_of = {e: e.atom if isinstance(e, BaseElement) else next(fresh) for e in elements}
+    pair = _induced(p, elements, atom_of, lambda e: element_str(e, p))
+    return Restriction(pair, elements, atom_of, {v: e for e, v in atom_of.items()})
 
 
 def _keys_below(level: Iterable[CompletionElement], args_key: tuple, res_key: tuple) -> int:
@@ -303,7 +313,7 @@ def restriction_atom(p: PartialPair, e: CompletionElement) -> int:
         return e.atom
     args_key = tuple(x.sort_key() for x in e.args_sorted)
     res_key = e.res.sort_key()
-    below = levels_up_to(p, e.rank - 1, elements_up_to)
+    below = levels_up_to(p, e.rank - 1)
     fresh = _keys_below(below, args_key, res_key)
     if e.rank >= 2:
         # E_{r-2} is the rank prefix of E_{r-1}
@@ -338,46 +348,17 @@ def generate_subgraphmodel(
     """Close `seed` under the completion's coding, apply_coding(p, ...), for
     at most `budget` rounds.
 
-    Returns the induced pair over the closure: elements are relabeled to
-    naturals in sort_key order and the coding keeps exactly the keys, read
-    with coding_preimage, whose parts landed inside the closure.
+    Returns the pair induced on the closure, its elements numbered in
+    sort_key order.
     `saturated` reports whether a fixed point was reached; the coding is
     total and injective, so n elements have 2^n·n > n keys with distinct
     values, and only the empty seed is closed.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    current = set(seed)
-    saturated = not current
-    for _ in range(budget):
-        n = len(current)
-        if 2**n * n > pairs.DEFAULT_CEILING:
-            raise CeilingExceeded(
-                f"closure stage has {n} elements; {2**n * n} keys exceed the {pairs.DEFAULT_CEILING} ceiling"
-            )
-        members = sorted(current)
-        current |= {
-            apply_coding(p, args, res)
-            for m in range(n + 1)
-            for args in itertools.combinations(members, m)
-            for res in members
-        }
-    elements = tuple(sorted(current))
+    elements = tuple(sorted(_closed(p, seed, budget)))
     index = {e: i for i, e in enumerate(elements)}
-    entries = {}
-    for value in elements:  # the coding is injective: one key per member
-        found = coding_preimage(p, value)
-        if found is None:
-            continue
-        args, res = found
-        if res in index and all(a in index for a in args):
-            entries[(frozenset(index[a] for a in args), index[res])] = index[value]
-    pair = PartialPair(
-        range(len(elements)),
-        entries,
-        labels={i: str(e) for i, e in enumerate(elements)},
-    )
-    return ClosureResult(pair, saturated, elements)
+    return ClosureResult(_induced(p, elements, index, str), not elements, elements)
 
 
 def lift_morphism(m: Morphism) -> Callable[[CompletionElement], CompletionElement]:

@@ -295,30 +295,18 @@ def relocate(k: int) -> PartialPair:
     """The k-th pair moved onto powers of the k-th prime: atom x becomes
     p_k**(x+1) and the coding is transported along.  Carriers of distinct
     components are disjoint."""
-    source = enumerate_pair(k)
-    if not source.atoms:
-        return source
-    p = kth_prime(k)
-
-    def move(x: int) -> int:
-        return p ** (x + 1)
-
-    atoms = {move(x) for x in source.atoms}
-    coding = {
-        (frozenset(move(x) for x in a), move(alpha)): move(v)
-        for (a, alpha), v in source.coding.items()
-    }
-    return PartialPair(atoms, coding)
+    return relocation_morphism(k).target
 
 
 def relocation_morphism(k: int) -> Morphism:
     """The isomorphism from the k-th pair onto its relocated copy."""
     source = enumerate_pair(k)
-    target = relocate(k)
     if not source.atoms:
-        return Morphism(source, target, {})
+        return Morphism(source, source, {})
     p = kth_prime(k)
-    return Morphism(source, target, {x: p ** (x + 1) for x in source.atoms})
+    move = {x: p ** (x + 1) for x in source.atoms}
+    coding = {(frozenset(move[x] for x in a), move[alpha]): move[v] for (a, alpha), v in source.coding.items()}
+    return Morphism(source, PartialPair(move.values(), coding), move)
 
 
 def _component(n: int) -> Optional[int]:

@@ -291,6 +291,21 @@ class TestMember:
             Var("x"), p1, base(0), 1, Environment({"x": {base(0)}})
         )
 
+    def test_given_evaluator_must_match_pair_and_rank(self, free1):
+        e = pair_of([base(0)], base(0))  # found at rank 1, the probe the evaluator answers
+        assert member(IDENTITY, free1, e, 1, evaluator=Evaluator(free1, 1)).found
+        for wrong in (Evaluator(free1, 2), Evaluator(PartialPair({0}), 1)):
+            with pytest.raises(ValueError):
+                member(IDENTITY, free1, e, 1, evaluator=wrong)
+
+    def test_contains_is_false_above_the_rank_bound(self, free1):
+        """A rank-2 element of the identity's meaning, and one bound to a
+        variable, lie outside the rank-1 approximation."""
+        e = pair_of([pair_of([base(0)], base(0))], pair_of([base(0)], base(0)))
+        assert Evaluator(free1, 2).contains(IDENTITY, {}, e)
+        assert not Evaluator(free1, 1).contains(IDENTITY, {}, e)
+        assert not Evaluator(free1, 1).contains(Var("x"), {"x": frozenset({e})}, e)
+
 
 class TestExtractWitness:
     def test_identity_witness_shape(self, free1):
@@ -361,7 +376,6 @@ class TestExtractWitness:
             return build(p, k)
 
         monkeypatch.setattr(completion, "elements_up_to", counted)
-        monkeypatch.setattr(approximation, "elements_up_to", counted)
         for term, element in (("\\x.x", "({0},0)"), ("\\x y.x", "({0},({0},0))"),
                               ("\\x.x x", "({({0},0),0},0)"), ("(\\x.x) (\\y.y)", "({({0},0)},({0},0))")):
             t, e = parse(term), parse_element(element, free1)
@@ -671,13 +685,13 @@ class TestWitnessOrderScan:
         them in closed form and refuses without building the level, in a
         short message that states the key count as a power."""
         asked = []
-        build = approximation.elements_up_to
+        build = completion.elements_up_to
 
         def recorded(p, k):
             asked.append(k)
             return build(p, k)
 
-        monkeypatch.setattr(approximation, "elements_up_to", recorded)
+        monkeypatch.setattr(completion, "elements_up_to", recorded)
         code = main(["--json", "check", "--pair", pair_file(PartialPair({0, 1})), "\\x.x <= (\\x.x x) (\\y.y)"])
         err = capsys.readouterr().err
         assert code == 1

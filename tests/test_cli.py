@@ -181,6 +181,14 @@ class TestMalformedInput:
         env = self.write(tmp_path, "env.json", {"env": [{"atoms": ["0"]}]})
         self.assert_usage_error(capsys, "interp", "--pair", coded_file, "--env", env, "x")
 
+    def test_env_extra_top_level_key(self, capsys, coded_file, tmp_path):
+        env = self.write(tmp_path, "env.json", {"env": [], "extra": 1})
+        self.assert_usage_error(capsys, "interp", "--pair", coded_file, "--env", env, "x")
+
+    def test_env_label_not_a_string(self, capsys, coded_file, tmp_path):
+        env = self.write(tmp_path, "env.json", {"env": [{"var": "x", "atoms": [["a"]]}]})
+        self.assert_usage_error(capsys, "interp", "--pair", coded_file, "--env", env, "x")
+
     def test_atoms_not_a_list(self, capsys, tmp_path):
         pair = self.write(tmp_path, "pair.json", {"atoms": 5})
         self.assert_usage_error(capsys, "interp", "--pair", pair, "I")
@@ -371,6 +379,15 @@ class TestOneCeiling:
         monkeypatch.setattr(gml.pairs, "DEFAULT_CEILING", 10)
         for argv, message in cases:
             assert run(capsys, *argv) == (1, "", f"bound too large: {message}\n"), argv
+
+    def test_abstraction_guard_boundary(self, capsys, monkeypatch, free_file):
+        """Over one free atom, level 1 holds 3 elements and so 2^3·3 = 24 keys:
+        the abstraction answers at a ceiling of 24 and is refused at 23."""
+        argv = ("check", "--pair", free_file, "\\x.x <= \\x.x")
+        monkeypatch.setattr(gml.pairs, "DEFAULT_CEILING", 24)
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setattr(gml.pairs, "DEFAULT_CEILING", 23)
+        assert run(capsys, *argv) == (1, "", "bound too large: abstraction over level 1 needs 2^3·3 keys, ceiling is 23\n")
 
 
 class TestEnumTerms:

@@ -13,6 +13,7 @@ from gml.completion import (
     element_str,
     element_valid,
     elements_up_to,
+    generate_subgraphmodel,
     lift_morphism,
     pair_of,
     parse_element,
@@ -21,7 +22,7 @@ from gml.completion import (
     restriction_atom,
 )
 from gml.pairs import Morphism, PartialPair, automorphisms, is_subpair, union, validate
-from oracles import naive_levels, random_pair
+from oracles import all_pairs, naive_levels, random_pair
 
 
 def as_tuple(e):
@@ -166,6 +167,28 @@ class TestRestriction:
         r = restrict(free1, 1)
         labels = {r.pair.label(r.atom_of[e]) for e in r.elements}
         assert labels == {"0", "({},0)", "({0},0)"}
+
+
+class TestLevelsAreClosures:
+    """E_k is the carrier closed k times under the coding, and the rank-k
+    restriction is the pair induced on E_k."""
+
+    CASES = [(p, k) for p in all_pairs(2, 2) for k in range(3 if len(p.atoms) == 1 else 2)]
+
+    def test_level_is_the_closure_of_the_carrier(self):
+        for p, k in self.CASES:
+            closure = generate_subgraphmodel(p, map(base, p.atoms), k)
+            assert set(elements_up_to(p, k)) == set(closure.elements), (p, k)
+
+    def test_restriction_keeps_the_coding_and_adds_pair_keys(self):
+        for p, k in self.CASES:
+            r = restrict(p, k)
+            keys = {
+                (r.to_atoms(e.args), r.atom_of[e.res]): r.atom_of[e]
+                for e in r.elements
+                if not hasattr(e, "atom")
+            }
+            assert r.pair.coding == {**p.coding, **keys}, (p, k)
 
 
 class TestRestrictionAtom:

@@ -153,7 +153,7 @@ class TestRelocate:
         assert relocate(k) == PartialPair({5}, {(frozenset({5}), 5): 5})
 
     def test_isomorphism_verified(self):
-        for k in range(40):
+        for k in range(301):
             m = relocation_morphism(k)
             assert m.source == enumerate_pair(k)
             assert m.target == relocate(k)
