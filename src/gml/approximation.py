@@ -455,16 +455,6 @@ def _validated_env(p: PartialPair, env: Environment, k: int | None) -> None:
                 )
 
 
-def _evaluator(given: Optional[Evaluator], p: PartialPair, k: int) -> Evaluator:
-    """`given` when it is not None, after checking that it evaluates over p
-    at rank k; otherwise a fresh evaluator."""
-    if given is None:
-        return Evaluator(p, k)
-    if given.pair is not p or given.k != k:
-        raise ValueError("the evaluator given is not over this pair and rank bound")
-    return given
-
-
 def _env_values(env: Environment, trim: int) -> dict:
     """The evaluator's environment: each value cut to rank <= trim."""
     return {name: frozenset(e for e in values if e.rank <= trim) for name, values in env.items()}
@@ -503,16 +493,13 @@ def member(
     e: CompletionElement,
     max_rank: int,
     env: Environment = Environment(),
-    *,
-    evaluator: Optional[Evaluator] = None,
 ) -> MemberResult:
     """Least rank at which e enters the approximation of t, if any up to
     max_rank.  Found answers are exact; a NotFoundUpTo is no refutation.
 
     The environment is checked as approx_interpret checks it, except that
     ranks above a probe are allowed: it is trimmed to rank <= k at each
-    probe level k.  An `evaluator` over p at rank max_rank answers the top
-    probe, so the answers it has memoized are reused.
+    probe level k, and each probe is a fresh evaluator.
     """
     if max_rank < 0:
         raise ValueError("rank bound must be non-negative")
@@ -520,8 +507,7 @@ def member(
         raise ValueError(f"element {element_str(e, p)} is not valid over the pair")
     _validated_env(p, env, None)
     for probe in range(e.rank, max_rank + 1):
-        ev = _evaluator(evaluator if probe == max_rank else None, p, probe)
-        if ev.contains(t, _env_values(env, probe), e):
+        if Evaluator(p, probe).contains(t, _env_values(env, probe), e):
             return MemberResult(True, probe, max_rank)
     return MemberResult(False, None, max_rank)
 
@@ -532,37 +518,36 @@ def extract_witness_subpair(
     e: CompletionElement,
     k: int,
     env: Environment = Environment(),
-    *,
-    evaluator: Optional[Evaluator] = None,
 ) -> PartialPair:
     """A finite subpair of the rank-k restriction inside which e is already
-    derivable, re-verified by the finite interpreter before return.  An
-    `evaluator` over p at rank k answers the walk's queries, so the answers
-    it has memoized are reused.
+    derivable, re-verified by the finite interpreter before return.
 
-    The subpair is read off the evaluator's derivation: a variable node
-    contributes its element, an abstraction node the unique key coding to its
-    element, and an application node the least supporting key in the order
-    of restriction atom numbers, so the result is the one a walk over the
-    materialized restriction would find.  Atoms are numbered as in
-    restrict(p, k), which is never built.
+    The subpair is read off the derivation of a fresh evaluator over p at
+    rank k: a variable node contributes its element, an abstraction node the
+    unique key coding to its element, and an application node the least
+    supporting key in the order of restriction atom numbers, so the result is
+    the one a walk over the materialized restriction would find.  Atoms are
+    numbered as in restrict(p, k), which is never built.
     """
     if e.rank > k:
         raise ValueError(f"element has rank {e.rank}, above the bound {k}")
     if not element_valid(p, e):
         raise ValueError(f"element {element_str(e, p)} is not valid over the pair")
     _validated_env(p, env, k)
-    ev = _evaluator(evaluator, p, k)
-    values = _env_values(env, k)
-    if not ev.contains(t, values, e):
+    ev = Evaluator(p, k)
+    if not ev.contains(t, _env_values(env, k), e):
         raise ValueError("element not derivable within the rank bound; run member() first")
+    return _witness(ev, t, e, env)
 
+
+def _witness(ev: Evaluator, t: LambdaTerm, e: CompletionElement, env: Environment) -> PartialPair:
+    """extract_witness_subpair's walk, on an evaluator ev that contains e in t."""
     elements: set[CompletionElement] = set()
     coding: dict[tuple[frozenset, CompletionElement], CompletionElement] = {}
 
     # an explicit stack, not a nested recursive function, which would hold
     # itself and the evaluator in a reference cycle
-    todo = [(t, values, e)]
+    todo = [(t, _env_values(env, ev.k), e)]
     while todo:
         node, env_v, alpha = todo.pop()
         elements.add(alpha)
@@ -594,11 +579,11 @@ def extract_witness_subpair(
         coding[(args, alpha)] = value
         todo += [(node.arg, env_v, x) for x in args]
         todo.append((node.fun, env_v, value))
-    atom = {x: restriction_atom(p, x) for x in elements}
+    atom = {x: restriction_atom(ev.pair, x) for x in elements}
     witness = PartialPair(
         atom.values(),
         {(frozenset(atom[x] for x in args), atom[res]): atom[v] for (args, res), v in coding.items()},
-        labels={atom[x]: element_str(x, p) for x in elements},
+        labels={atom[x]: element_str(x, ev.pair) for x in elements},
     )
     narrowed = Environment(
         {name: frozenset(atom[x] for x in xs if x in atom) for name, xs in env.items()}
@@ -673,8 +658,8 @@ def check_inequation(
     Holds-up-to means the bounded inclusion went through, after a scan of the
     whole left side.  Refusals come where a scan of the whole, sorted left
     side would meet them: the left side's guards run before its first element.
-    The left side's evaluator also answers the witness's membership probe
-    and extraction at rank k_lhs.
+    The witness's rank is probed once per rank as in member(), with the left
+    evaluator at k_lhs, and its subpair is walked on the probe that found it.
     """
     if not is_closed(lhs) or not is_closed(rhs):
         raise ValueError("inequation checking expects closed terms")
@@ -684,10 +669,12 @@ def check_inequation(
     ev = Evaluator(p, k_rhs)
     for candidate in left.ordered(lhs, {}, k_lhs):
         if not ev.contains(rhs, {}, candidate):
-            found = member(lhs, p, candidate, k_lhs, evaluator=left)
-            subpair = extract_witness_subpair(
-                lhs, p, candidate, found.rank, evaluator=left if found.rank == k_lhs else None
-            )
+            for rank in range(candidate.rank, k_lhs + 1):
+                probe = left if rank == k_lhs else Evaluator(p, rank)
+                if probe.contains(lhs, {}, candidate):
+                    break
+            else:
+                raise AssertionError("left side element missing from its own evaluator")
             return Verdict(
                 "fails_with_evidence",
                 lhs,
@@ -695,8 +682,8 @@ def check_inequation(
                 k_lhs,
                 k_rhs,
                 witness=candidate,
-                member_rank=found.rank,
-                witness_subpair=subpair,
+                member_rank=rank,
+                witness_subpair=_witness(probe, lhs, candidate, Environment()),
             )
     return Verdict("holds_up_to", lhs, rhs, k_lhs, k_rhs)
 

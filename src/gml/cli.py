@@ -15,7 +15,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from . import minmodel, pairs
+from . import approximation, minmodel, pairs
 from .approximation import (
     check_equation,
     check_inequation,
@@ -95,7 +95,8 @@ def _split_claim(text: str) -> tuple[str, str, str]:
 # of type bool is a flag that takes no value.
 _PAIR = ("--pair", str, None)
 _RANK = ("--rank", int, 2)
-_BOUNDS = (("--kM", int, 2), ("--kN", int, 4))
+_BOUNDS = (("--kM", int, approximation.DEFAULT_MEMBER_BOUND),
+           ("--kN", int, approximation.DEFAULT_MEMBER_BOUND + approximation.DEFAULT_SLACK))
 _TERM, _ELEMENT, _CLAIM = ("term", str), ("element", str), ("claim", str)
 
 COMMANDS = (
@@ -279,6 +280,8 @@ def _run(args: SimpleNamespace) -> tuple[dict, int]:
         return ({"term": print_term(t)}, 0)
 
     if cmd == "reduce":
+        if args.budget > pairs.DEFAULT_CEILING:
+            raise CeilingExceeded(f"{args.budget} steps asked for, ceiling is {pairs.DEFAULT_CEILING}")
         result = normalize(parse(args.term), args.budget)
         return (
             {

@@ -44,7 +44,7 @@ from .completion import (
     pair_of,
     support_atoms,
 )
-from . import pairs
+from . import approximation, pairs
 from .pairs import Morphism, PartialPair, union
 from .terms import LambdaTerm, _cantor_pair, _cantor_unpair, is_closed
 
@@ -421,8 +421,8 @@ def search_counterexample(
     lhs: LambdaTerm,
     rhs: LambdaTerm,
     max_index: int,
-    k_lhs: int = 2,
-    k_rhs: int = 4,
+    k_lhs: int = approximation.DEFAULT_MEMBER_BOUND,
+    k_rhs: int = approximation.DEFAULT_MEMBER_BOUND + approximation.DEFAULT_SLACK,
 ) -> Optional[tuple[int, Verdict]]:
     """Scan components 0..max_index for one whose completion separates the
     inequation lhs <= rhs; the least failing component wins.

@@ -291,13 +291,6 @@ class TestMember:
             Var("x"), p1, base(0), 1, Environment({"x": {base(0)}})
         )
 
-    def test_given_evaluator_must_match_pair_and_rank(self, free1):
-        e = pair_of([base(0)], base(0))  # found at rank 1, the probe the evaluator answers
-        assert member(IDENTITY, free1, e, 1, evaluator=Evaluator(free1, 1)).found
-        for wrong in (Evaluator(free1, 2), Evaluator(PartialPair({0}), 1)):
-            with pytest.raises(ValueError):
-                member(IDENTITY, free1, e, 1, evaluator=wrong)
-
     def test_contains_is_false_above_the_rank_bound(self, free1):
         """A rank-2 element of the identity's meaning, and one bound to a
         variable, lie outside the rank-1 approximation."""
@@ -550,6 +543,27 @@ class TestCheckInequation:
         assert verdict.witness in approx_interpret(TRUE, p1, k=verdict.member_rank)
         assert not Evaluator(p1, 4).contains(FALSE, {}, verdict.witness)
         assert verdict.member_rank <= verdict.lhs_bound <= verdict.rhs_bound
+
+    def test_one_evaluator_per_rank(self, monkeypatch, p1, free1):
+        """A failing check builds its two sides' evaluators and one probe per
+        rank below the left bound.  Over the free atom, the witness of
+        \\x.x <= \\x y.y enters at rank 1, so that probe is built once and
+        also walks the witness; the witness of TRUE <= FALSE over p1 enters at
+        the left bound, where the left side's evaluator answers both."""
+        ranks = []
+        init = Evaluator.__init__
+
+        def counted(self, pair, k):
+            ranks.append(k)
+            init(self, pair, k)
+
+        monkeypatch.setattr(Evaluator, "__init__", counted)
+        verdict = check_inequation(IDENTITY, FALSE, free1)
+        assert verdict.witness is pair_of([base(0)], base(0)) and verdict.member_rank == 1
+        assert sorted(ranks) == [1, 2, 4]
+        ranks.clear()
+        assert check_inequation(TRUE, FALSE, p1).member_rank == 2
+        assert sorted(ranks) == [2, 4]
 
     def test_bounds_validated(self, p1):
         with pytest.raises(ValueError):

@@ -372,6 +372,7 @@ class TestOneCeiling:
              "redex key search over 2 candidate arguments probes more than 10 elements"),
             (["pair", "auts", "--pair", three], "automorphisms of 3 atoms take 3!·3 checks, ceiling is 10"),
             (["enum-terms", "20"], "20 terms asked for, ceiling is 10"),
+            (["reduce", "--budget", "20", "Omega"], "20 steps asked for, ceiling is 10"),
             (["minmodel", "pair", "20"], "prime number 20 is past the ceiling of 10 primes"),
         ]
         for argv, _ in cases:
