@@ -501,15 +501,26 @@ def member(
     ranks above a probe are allowed: it is trimmed to rank <= k at each
     probe level k, and each probe is a fresh evaluator.
     """
+    probe = _member_probe(t, p, e, max_rank, env)
+    return MemberResult(probe is not None, None if probe is None else probe.k, max_rank)
+
+
+def _member_probe(
+    t: LambdaTerm, p: PartialPair, e: CompletionElement, max_rank: int, env: Environment
+) -> Evaluator | None:
+    """member's checks and probes: the probe whose approximation of t holds
+    e, at the least rank (its k) up to max_rank, or None.  A witness is
+    walked on that probe, so the membership is derived once."""
     if max_rank < 0:
         raise ValueError("rank bound must be non-negative")
     if not element_valid(p, e):
         raise ValueError(f"element {element_str(e, p)} is not valid over the pair")
     _validated_env(p, env, None)
-    for probe in range(e.rank, max_rank + 1):
-        if Evaluator(p, probe).contains(t, _env_values(env, probe), e):
-            return MemberResult(True, probe, max_rank)
-    return MemberResult(False, None, max_rank)
+    for rank in range(e.rank, max_rank + 1):
+        probe = Evaluator(p, rank)
+        if probe.contains(t, _env_values(env, rank), e):
+            return probe
+    return None
 
 
 def extract_witness_subpair(

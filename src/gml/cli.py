@@ -16,12 +16,7 @@ import sys
 from types import SimpleNamespace
 
 from . import approximation, minmodel, pairs
-from .approximation import (
-    check_equation,
-    check_inequation,
-    extract_witness_subpair,
-    member,
-)
+from .approximation import check_equation, check_inequation, member
 from .completion import (
     CeilingExceeded,
     count_up_to,
@@ -39,8 +34,9 @@ from .terms import (
     print_term,
 )
 
-# No longer called here, but perfbench/spans.py patches this name on this
-# module to trace calls into the term codec.
+# No longer called here, but perfbench/spans.py patches these names on this
+# module to trace calls into the term codec and the witness walker.
+from .approximation import extract_witness_subpair  # noqa: F401
 from .terms import enumerate_closed_terms  # noqa: F401
 
 
@@ -318,11 +314,11 @@ def _run(args: SimpleNamespace) -> tuple[dict, int]:
         pair = _load_pair(args.pair)
         e = parse_element(args.element, pair)
         t = parse(args.term)
-        result = member(t, pair, e, args.rank)
-        if not result.found:
-            return ({"found": False, "bound": result.bound}, 1)
-        subpair = extract_witness_subpair(t, pair, e, result.rank)
-        return ({"found": True, "rank": result.rank, "witness_subpair": subpair.to_json()}, 0)
+        probe = approximation._member_probe(t, pair, e, args.rank, Environment())
+        if probe is None:
+            return ({"found": False, "bound": args.rank}, 1)
+        subpair = approximation._witness(probe, t, e, Environment())
+        return ({"found": True, "rank": probe.k, "witness_subpair": subpair.to_json()}, 0)
 
     if cmd == "check":
         pair = _load_pair(args.pair)

@@ -448,6 +448,8 @@ def parse_element(text: str, pair: PartialPair | None = None) -> CompletionEleme
         e = parse_one()
     except RecursionError:
         raise ValueError("input nested too deeply") from None
+    finally:
+        del parse_one  # parse_one holds itself through its closure cell; free it now
     if pos != len(s):
         fail("trailing input")
     return e

@@ -8,15 +8,13 @@ is decided through a canonical nameless form (de Bruijn indices for bound
 variables, a fixed enumeration of the identifier language for free ones),
 and the same nameless form underlies a total bijection between natural
 numbers and alpha-classes of terms.  Encoding goes through the nameless
-tree; decoding reads a code straight into a named term.  One builder is the
-code walk for terms and for their printed text: it takes its node
-constructors (variable, application, abstraction chain), so it builds terms
-for godel_decode and enumerate_closed_terms, and prints the closed terms
-that closed_term_texts lists (the CLI's enum-terms) without building a term.
-The listings visit no open code: the codes of closed terms are generated
-directly, by recursion on the number of enclosing binders and a bound on the
-code.  print_term folds the same three printing rules over a term, so
-parenthesisation lives in one place.
+tree; decoding reads a code straight into a named term.  The listings
+(enumerate_closed_terms, and closed_term_texts behind the CLI's enum-terms)
+visit no open code and decode none: one recursion on the number of enclosing
+binders and a bound on the code generates the closed codes and builds each
+node as its code is generated, with node constructors that either build a
+term or print its text.  print_term folds the same printing rules over a
+term, so parenthesisation lives in one place.
 
 Everything here is pure; values are safe to share between threads.  The
 one module-level table, the intern table, holds its terms weakly, so it
@@ -32,6 +30,7 @@ from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
+from operator import itemgetter
 from typing import Callable, Union
 
 
@@ -345,9 +344,9 @@ def print_term(t: LambdaTerm) -> str:
     return _printed(t)[1]
 
 
-def _printed(t: LambdaTerm) -> tuple[str, str]:
+def _printed(t: LambdaTerm) -> tuple[int, str]:
     if isinstance(t, Var):
-        return _var_text(t.name)
+        return (0, t.name)
     if isinstance(t, App):
         args = []
         while isinstance(t, App):  # an application spine is walked in a loop, not recursed into
@@ -355,32 +354,34 @@ def _printed(t: LambdaTerm) -> tuple[str, str]:
             t = t.fun
         out = _printed(t)
         for arg in reversed(args):
-            out = _app_text(out, _printed(arg))
+            out = (2, _app_text(out, _printed(arg)))
         return out
     binders = []
     while isinstance(t, Abs):  # an abstraction chain is walked in a loop, not recursed into
         binders.append(t.binder)
         t = t.body
-    return _lam_text(binders, _printed(t))
+    return (1, _lam_text(" ".join(binders), _printed(t)))
 
 
-# The printing rules, one per node kind, over (kind, text) pairs.  print_term
-# folds them over a term; closed_term_texts hands them to the code builder as
-# its node constructors, so a listing is printed without building a term.
+# The printing rules for the two compound kinds, over (code, text) entries: a
+# node's kind is its code mod 3, 0 for a variable (whose text is its name), 1
+# for an abstraction and 2 for an application.  print_term folds them over a
+# term, tagging each node with its kind; closed_term_texts hands them to the
+# closed-code recursion as its node constructors, so a listing is printed as
+# its codes are generated, without building a term.
 
 
-def _var_text(name: str) -> tuple[str, str]:
-    return ("var", name)
+def _app_text(fun: tuple[int, str], arg: tuple[int, str]) -> str:
+    # an abstraction is bracketed as a function, anything but a variable as an argument
+    if fun[0] % 3 == 1:
+        return f"({fun[1]}) {arg[1]}" if arg[0] % 3 == 0 else f"({fun[1]}) ({arg[1]})"
+    return f"{fun[1]} {arg[1]}" if arg[0] % 3 == 0 else f"{fun[1]} ({arg[1]})"
 
 
-def _app_text(fun: tuple[str, str], arg: tuple[str, str]) -> tuple[str, str]:
-    f = "(" + fun[1] + ")" if fun[0] == "abs" else fun[1]
-    a = arg[1] if arg[0] == "var" else "(" + arg[1] + ")"
-    return ("app", f + " " + a)
-
-
-def _lam_text(binders: list[str], body: tuple[str, str]) -> tuple[str, str]:
-    return ("abs", "\\" + " ".join(binders) + "." + body[1])
+def _lam_text(binders: str, body: tuple[int, str]) -> str:
+    if body[0] % 3 == 1:  # \a over \b.b prints as \a b.b
+        return f"\\{binders} {body[1][1:]}"
+    return f"\\{binders}.{body[1]}"
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +624,7 @@ def godel_decode(n: int) -> LambdaTerm:
     if n < 0:
         raise ValueError("codes are non-negative")
     free = set()
+    depths = 0
     stack = [(n, 0)]
     while stack:
         code, depth = stack.pop()
@@ -632,130 +634,129 @@ def godel_decode(n: int) -> LambdaTerm:
                 free.add(q - depth)
         elif r == 1:
             stack.append((q, depth + 1))
+            depths = max(depths, depth + 1)
         else:
             stack += [(part, depth) for part in _cantor_unpair(q)]
-    skipped = sorted(free)
-
-    def binder(d: int) -> str:
-        # the d-th natural outside `free`: step past each free one at or below it
-        for f in skipped:
-            if f > d:
-                break
-            d += 1
-        return ident_of_nat(d)
-
-    return _builder(Var, App, _abs_chain, binder)(n, 0)
+    names = [ident_of_nat(i) for i in range(depths + len(free)) if i not in free][:depths]
+    return _decoded(n, 0, names, {})
 
 
-def _abs_chain(binders: list[str], body: LambdaTerm) -> LambdaTerm:
-    for b in reversed(binders):
-        body = Abs(b, body)
-    return body
+def _decoded(code: int, depth: int, names: list[str], memo: dict) -> LambdaTerm:
+    """The term of `code` under `depth` binders, the binder at depth d named
+    names[d]; a free variable keeps its identifier.
+
+    The term depends on (code, depth) alone, so application parts, whose
+    codes are about the square root of their parent's, are memoized under
+    that pair in `memo`, which the caller owns and drops.
+    """
+    top = depth
+    q, r = divmod(code, 3)
+    while r == 1:  # an abstraction chain is walked in a loop, not recursed into
+        depth += 1
+        q, r = divmod(q, 3)
+    if r == 0:
+        node = Var(names[depth - 1 - q] if q < depth else ident_of_nat(q - depth))
+    else:
+        parts = []
+        for part in _cantor_unpair(q):
+            key = (part, depth)
+            if key not in memo:
+                memo[key] = _decoded(part, depth, names, memo)
+            parts.append(memo[key])
+        node = App(*parts)
+    while depth > top:
+        depth -= 1
+        node = Abs(names[depth], node)
+    return node
 
 
 def enumerate_closed_terms(limit: int) -> list[LambdaTerm]:
     """The first `limit` closed terms in code order."""
-    return _first_closed(limit, Var, App, _abs_chain)
+    return _first_closed(limit, Var, _abs_node, _app_node)
 
 
 def closed_term_texts(limit: int) -> list[str]:
     """print_term of each of the first `limit` closed terms in code order,
-    printed straight from their codes: no term is built or walked."""
-    return [text for _, text in _first_closed(limit, _var_text, _app_text, _lam_text)]
+    printed as their codes are generated: no term is built or walked."""
+    return _first_closed(limit, str, _lam_text, _app_text)
 
 
-def _first_closed(limit: int, var: Callable, app: Callable, lam: Callable) -> list:
-    """The first `limit` closed terms in code order, built with the given
-    node constructors by one builder.
+def _abs_node(binder: str, body: tuple) -> Abs:
+    return Abs(binder, body[1])
 
-    The codes come from _closed_codes, so no open code is visited, under a
-    bound that starts at 8 * limit.  Should that bound hold too few codes,
-    the next is sized from the count it did hold: the closed codes up to b
-    number about b^0.8, so scaling b by 1.1 (limit / count)^1.25 usually
-    needs no third pass.  A closed term has no free identifier to avoid, so
-    its binder at depth d is ident_of_nat(d), as godel_decode names it.
+
+def _app_node(fun: tuple, arg: tuple) -> App:
+    return App(fun[1], arg[1])
+
+
+def _first_closed(limit: int, var: Callable, lam: Callable, app: Callable) -> list:
+    """The first `limit` closed terms in code order, built by _closed_under
+    with the given node constructors.
+
+    The first bound is fitted to the count of closed codes, which grows
+    about as b^0.85 up to b = 3,200 (400 terms) and as b^0.82 beyond: it is
+    2.9 limit^1.17 up to 400 terms and 2.25 limit^1.22 above.  That holds
+    `limit` codes for every limit up to 10^6, the CLI's ceiling, with 2 %
+    to spare on average from 300 to 400 terms and at most 9 % above; the
+    nodes past the limit are built and dropped.  Should a bound hold too
+    few, the next is sized from the count it did hold: scaling it by
+    1.1 (limit / count)^1.25 usually needs no third pass.
     """
     if limit < 0:
         raise ValueError("limit must be non-negative")
-    bound = 8 * limit
-    codes = _closed_codes(bound)
-    while len(codes) < limit:  # a bound >= 8 holds the code 1 of \a.a, so len(codes) > 0
-        bound = int(bound * 1.1 * (limit / len(codes)) ** 1.25)
-        codes = _closed_codes(bound)
-    node_at = _builder(var, app, lam, ident_of_nat)
-    return [node_at(code, 0) for code in codes[:limit]]
+    bound = int(2.9 * limit**1.17 if limit <= 400 else 2.25 * limit**1.22)
+    entries = _closed_under(bound, var, lam, app)
+    while len(entries) < limit:  # a bound >= 1 holds the code 1 of \a.a, so len(entries) > 0
+        bound = int(bound * 1.1 * (limit / len(entries)) ** 1.25)
+        entries = _closed_under(bound, var, lam, app)
+    del entries[limit:]
+    return [node for _, node in entries]
 
 
-def _closed_codes(bound: int) -> list[int]:
-    """The codes <= bound of closed terms, ascending.
+def _closed_under(bound: int, var: Callable, lam: Callable, app: Callable) -> list[tuple]:
+    """The (code, node) entries of the closed terms with code <= bound, in
+    ascending code order.  A closed term has no free identifier to avoid, so
+    its binder at depth d is ident_of_nat(d), as godel_decode names it.  A
+    code up to bound nests at most bound.bit_length() binders."""
+    names = [ident_of_nat(d) for d in range(bound.bit_length())]
+    return _closed(0, bound, names, var, lam, app)
 
-    By structural recursion on (depth d, bound m): the codes closed under d
-    binders up to m are the bound variables 3q with q < d, the abstractions
-    3c + 1 with c closed under d + 1 binders up to (m - 1) // 3, and the
-    applications 3 cantor(i, j) + 2 with i and j closed under d binders,
-    both at most the largest Cantor diagonal w with w(w + 1)/2 <= (m - 2) // 3
-    (a component never exceeds the diagonal of its pair).  Each (d, m) list
-    is built once per call.
+
+_code = itemgetter(0)
+
+
+def _closed(depth: int, m: int, names: list[str], var: Callable, lam: Callable, app: Callable) -> list[tuple]:
+    """The (code, node) entries of the terms closed under `depth` binders
+    with code <= m, in ascending code order, each node built as its code is.
+
+    By structural recursion on (depth, m), after K. Grygiel and P. Lescanne,
+    "Counting and generating lambda terms" (JFP 2013):
+    - the bound variables 3q with q < depth, node var(names[depth - 1 - q]);
+    - the abstractions 3c + 1 with c closed under depth + 1 binders up to
+      (m - 1) // 3, node lam(names[depth], (c, body));
+    - the applications 3 cantor(i, j) + 2 with i and j closed under depth
+      binders, both at most the largest Cantor diagonal w with
+      w(w + 1)/2 <= (m - 2) // 3 (a component never exceeds the diagonal
+      of its pair), node app((i, fun), (j, arg)).
+    A part's kind is its code mod 3, so a constructor reads it off the
+    entry it is given.  Each sub-list is dropped once its parent's entries
+    are built; none is memoized, as few (depth, m) pairs recur in one call.
     """
-    lists: dict[tuple[int, int], list[int]] = {}
-
-    def closed(depth: int, m: int) -> list[int]:
-        key = (depth, m)
-        if key in lists:
-            return lists[key]
-        out = [3 * q for q in range(min(depth, m // 3 + 1))]
-        if m >= 1:
-            out += [3 * c + 1 for c in closed(depth + 1, (m - 1) // 3)]
-        if m >= 2:
-            top = (m - 2) // 3
-            parts = closed(depth, (isqrt(8 * top + 1) - 1) // 2)
-            for i in parts:
-                for j in parts:
-                    s = i + j
-                    pair = s * (s + 1) // 2 + j
-                    if pair > top:  # pair codes grow with j
-                        break
-                    out.append(3 * pair + 2)
-        out.sort()
-        lists[key] = out
-        return out
-
-    return closed(0, bound)
-
-
-def _builder(var: Callable, app: Callable, lam: Callable, binder: Callable[[int], str]):
-    """node_at(code, depth): the node of `code` under `depth` binders, built
-    with the constructors var(name), app(fun, arg) and lam(binders, body); an
-    abstraction chain is one lam call with its binders outermost first.  The
-    binder at depth d is named binder(d), read from a table filled once per
-    depth; a free variable keeps its identifier.
-
-    The node depends on (code, depth) alone, so application children, whose
-    codes are about the square root of their parent's, are memoized under
-    that pair for as long as the builder lives, and the nodes share them.
-    """
-    memo: dict[tuple[int, int], object] = {}
-    names: list[str] = []  # names[d] == binder(d)
-
-    def node_at(code: int, depth: int):
-        top = depth
-        q, r = divmod(code, 3)
-        while r == 1:  # an abstraction chain is walked in a loop, not recursed into
-            depth += 1
-            q, r = divmod(q, 3)
-        if len(names) < depth:
-            names.extend(map(binder, range(len(names), depth)))
-        if r == 0:
-            node = var(names[depth - 1 - q] if q < depth else ident_of_nat(q - depth))
-        else:
-            i, j = _cantor_unpair(q)
-            node = app(child(i, depth), child(j, depth))
-        return node if depth == top else lam(names[top:depth], node)
-
-    def child(code: int, depth: int):
-        key = (code, depth)
-        if key not in memo:
-            memo[key] = node_at(code, depth)
-        return memo[key]
-
-    return node_at
+    out = [(3 * q, var(names[depth - 1 - q])) for q in range(min(depth, m // 3 + 1))]
+    if m >= 1:
+        binder = names[depth]
+        out += [(3 * e[0] + 1, lam(binder, e)) for e in _closed(depth + 1, (m - 1) // 3, names, var, lam, app)]
+    if m >= 2:
+        top = (m - 2) // 3
+        parts = _closed(depth, (isqrt(8 * top + 1) - 1) // 2, names, var, lam, app)
+        for fun in parts:
+            i = fun[0]
+            for arg in parts:
+                j = arg[0]
+                s = i + j
+                pair = s * (s + 1) // 2 + j
+                if pair > top:  # pair codes grow with j
+                    break
+                out.append((3 * pair + 2, app(fun, arg)))
+        out.sort(key=_code)
+    return out

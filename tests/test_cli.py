@@ -12,7 +12,8 @@ import pytest
 import gml
 from gml.cli import COMMANDS, UsageError, main, parse_args
 from gml.pairs import PartialPair
-from oracles import build_parser, closed_terms_by_scan, print_by_cases
+from gml.approximation import Evaluator
+from oracles import build_parser, closed_terms_by_scan, cycles_left_by, print_by_cases
 
 
 @pytest.fixture
@@ -134,6 +135,28 @@ class TestMemberWitness:
         assert doc["found"] and doc["rank"] == 1
         loaded = PartialPair.from_json(doc["witness_subpair"])
         assert len(loaded.atoms) == 2
+
+    def test_witness_is_walked_on_the_probe_that_found_it(self, capsys, monkeypatch, free_file):
+        """One evaluator per probed rank: the probe that finds the element
+        also walks its witness."""
+        ranks = []
+        init = Evaluator.__init__
+
+        def counted(self, pair, k):
+            ranks.append(k)
+            init(self, pair, k)
+
+        monkeypatch.setattr(Evaluator, "__init__", counted)
+        code, doc = run_json(capsys, "witness", "--pair", free_file, "--rank", "2", "\\x.x", "({0},0)")
+        assert code == 0 and doc["rank"] == 1 and ranks == [1]
+        ranks.clear()
+        code, doc = run_json(capsys, "witness", "--pair", free_file, "--rank", "3", "(\\x.x) (\\y.y)", "({0},0)")
+        assert code == 0 and doc["rank"] == 2 and ranks == [1, 2]
+
+    def test_witness_leaves_no_reference_cycle(self, capsys, free_file):
+        argv = ["--json", "witness", "--pair", free_file, "--rank", "3", "(\\x.x) (\\y.y)", "({0},0)"]
+        assert cycles_left_by(lambda: main(argv)) == []
+        assert json.loads(capsys.readouterr().out)["found"]
 
 
 class TestThreeAtomWitness:

@@ -22,7 +22,7 @@ from gml.completion import (
     restriction_atom,
 )
 from gml.pairs import Morphism, PartialPair, automorphisms, is_subpair, union, validate
-from oracles import all_pairs, naive_levels, random_pair
+from oracles import all_pairs, cycles_left_by, naive_levels, random_pair
 
 
 def as_tuple(e):
@@ -299,6 +299,12 @@ class TestElementSyntax:
         for bad in ("", "({0},", "({0}0)", "({0},0))", "zz"):
             with pytest.raises(ValueError):
                 parse_element(bad, free1)
+
+    def test_parse_leaves_no_reference_cycle(self, p1):
+        """The parser's recursive reader is freed when it returns."""
+        p = PartialPair({0, 1}, {(frozenset({0}), 1): 0})
+        assert cycles_left_by(lambda: parse_element("({0,({0},1)},1)", p)) == []
+        assert cycles_left_by(lambda: parse_element("({({0},0)},0)", p1)) == []
 
 
 def test_structural_order_total():

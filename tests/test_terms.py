@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from gml import terms
 from gml.terms import (
-    _closed_codes,
+    _cantor_pair,
+    _closed_under,
     Abs,
     App,
     IDENTITY,
@@ -40,6 +41,7 @@ from oracles import (
     closed_codes_by_filter,
     closed_terms_by_filter,
     closed_terms_by_scan,
+    cycles_left_by,
     decode_nameless,
     named_by_rescan,
     print_by_cases,
@@ -266,6 +268,32 @@ class TestEnumerateClosed:
             for part in (t.fun, t.arg):
                 assert by_value.setdefault(part, part) is part
 
+    def test_no_reference_cycle_outlives_a_listing_or_a_decode(self):
+        """The listings and the decoder recurse through module-level
+        functions, not closures that hold themselves, so what they build is
+        freed as they return."""
+        assert cycles_left_by(lambda: closed_term_texts(400)) == []
+        assert cycles_left_by(lambda: enumerate_closed_terms(400)) == []
+        assert cycles_left_by(lambda: godel_decode(DEEP_CHAIN)) == []
+        assert cycles_left_by(lambda: godel_decode(3 * _cantor_pair(10**20, 10**20) + 2)) == []
+
+
+def _closed_codes(bound: int) -> list[int]:
+    """The codes <= bound that the listings' recursion generates, with
+    constructors that build nothing."""
+    return [code for code, _ in _closed_under(bound, str, _nothing, _nothing)]
+
+
+def _nothing(*parts) -> None:
+    return None
+
+
+@pytest.fixture(scope="module")
+def scan_20000():
+    """The first 20,000 closed terms by a scan of all codes, and their texts."""
+    reference = closed_terms_by_scan(20000)
+    return reference, [print_by_cases(t) for t in reference]
+
 
 class TestClosedCodes:
     def test_codes_are_the_filtered_codes_under_every_bound(self):
@@ -279,7 +307,6 @@ class TestClosedCodes:
             assert closed_term_texts(n) == reference[:n], n
             assert [print_term(t) for t in enumerate_closed_terms(n)] == reference[:n], n
 
-    # at 1,000 and 5,000 the first bound of 8 * limit holds too few codes and is resized
     @pytest.mark.parametrize("n", [400, 1000, 5000])
     def test_listings_match_the_scan(self, n):
         reference, terms = closed_terms_by_scan(n), enumerate_closed_terms(n)
@@ -288,25 +315,52 @@ class TestClosedCodes:
         assert closed_term_texts(n) == texts
         assert [print_term(t) for t in terms] == texts
 
-    def test_long_listing_matches_the_scan(self):
-        assert closed_term_texts(20000) == [print_by_cases(t) for t in closed_terms_by_scan(20000)]
+    def test_long_listing_matches_the_scan(self, scan_20000):
+        assert closed_term_texts(20000) == scan_20000[1]
 
-    def test_a_short_first_bound_costs_one_more_pass(self, monkeypatch):
-        """When 8 * limit holds too few codes, the second bound is sized from
-        the count the first held: two passes, where doubling took three at
-        20,000 and 100,000 terms."""
+    def test_every_listing_is_a_prefix_of_the_scan(self, scan_20000):
+        """Each limit sizes its own first bound, so each listing is checked
+        on its own: every limit up to 600, across the change of fitted law at
+        400 terms, and 50 seeded limits up to 20,000."""
+        reference, texts = scan_20000
+        rng = Random(29)
+        for n in [*range(601), *sorted(rng.sample(range(601, 20001), 50))]:
+            assert closed_term_texts(n) == texts[:n], n
+            assert enumerate_closed_terms(n) == reference[:n], n
+
+    def test_one_pass_holds_the_limit(self, monkeypatch):
+        """The first bound holds the limit, so the recursion runs once: at
+        every limit up to 400 (the sizes of the numeration workload's
+        listings) and at 1,000, 20,000 and 100,000 terms."""
         bounds = []
 
-        def recorded(bound):
+        def recorded(bound, *constructors):
             bounds.append(bound)
-            return _closed_codes(bound)
+            return _closed_under(bound, *constructors)
 
-        monkeypatch.setattr(terms, "_closed_codes", recorded)
-        for n in (1000, 20000, 100000):
+        monkeypatch.setattr(terms, "_closed_under", recorded)
+        for n in [*range(401), 1000, 20000, 100000]:
             bounds.clear()
             texts = closed_term_texts(n)
-            assert len(texts) == n and len(bounds) == 2, (n, bounds)
-        assert texts[-1] == print_term(godel_decode(_closed_codes(bounds[-1])[n - 1]))
+            assert len(texts) == n and len(bounds) == 1, (n, bounds)
+        assert texts[-1] == print_term(godel_decode(_closed_codes(bounds[0])[n - 1]))
+
+    def test_a_short_first_bound_costs_one_more_pass(self, monkeypatch):
+        """Should the first bound hold too few codes, the second is sized
+        from the count it held: two passes, and the same listing."""
+        bounds = []
+
+        def short_first(bound, *constructors):
+            bounds.append(bound)
+            return _closed_under(bound // 4 if len(bounds) == 1 else bound, *constructors)
+
+        for n in (1000, 20000, 100000):
+            expected = closed_term_texts(n)
+            monkeypatch.setattr(terms, "_closed_under", short_first)
+            bounds.clear()
+            texts = closed_term_texts(n)
+            monkeypatch.undo()
+            assert texts == expected and len(bounds) == 2, (n, bounds)
 
 
 class TestPrintFromCodes:
