@@ -59,7 +59,13 @@ serves both readings of an abstraction: enumeration takes the union of its
 groups, the ordered scan sorts each group as it comes; the same subset walk,
 pruned, finds a redex's least supporting key.  A refuted abstraction thus
 costs the argument sets up to its witness, not all of them, while a holding
-inclusion still scans the whole side.
+inclusion still scans the whole side.  The one exception is M <= M with both
+sides one object (terms are hash-consed, so the same text is one term): the
+rank-k_lhs restriction is a subpair of the rank-k_rhs one and every rule is
+positive, so approximations only grow with the rank and the inclusion holds
+unscanned.  Its left side is still read up to its first element, so it
+refuses exactly where that side's guards do, and no right-side evaluator is
+built.  Alpha-variants are distinct objects and are scanned.
 
 Certificates come from the same derivation.  extract_witness_subpair walks
 the term with the memoized membership and enumeration queries and keeps the
@@ -669,6 +675,10 @@ def check_inequation(
     Holds-up-to means the bounded inclusion went through, after a scan of the
     whole left side.  Refusals come where a scan of the whole, sorted left
     side would meet them: the left side's guards run before its first element.
+    When lhs is rhs the inclusion holds by rank monotonicity (k_lhs <= k_rhs):
+    only the left side's first element is taken, so the claim refuses exactly
+    when the left side refuses before it, and the right side is never
+    evaluated.
     The witness's rank is probed once per rank as in member(), with the left
     evaluator at k_lhs, and its subpair is walked on the probe that found it.
     """
@@ -677,8 +687,12 @@ def check_inequation(
     if k_rhs < k_lhs:
         raise ValueError("the right bound must be at least the left bound")
     left = Evaluator(p, k_lhs)
+    candidates = left.ordered(lhs, {}, k_lhs)
+    if lhs is rhs:  # rank monotonicity; the left side's guards run first
+        next(candidates, None)
+        return Verdict("holds_up_to", lhs, rhs, k_lhs, k_rhs)
     ev = Evaluator(p, k_rhs)
-    for candidate in left.ordered(lhs, {}, k_lhs):
+    for candidate in candidates:
         if not ev.contains(rhs, {}, candidate):
             for rank in range(candidate.rank, k_lhs + 1):
                 probe = left if rank == k_lhs else Evaluator(p, rank)

@@ -191,14 +191,18 @@ ALIASES = {"I": IDENTITY, "T": TRUE, "F": FALSE, "Omega": OMEGA}
 
 
 def size(t: LambdaTerm) -> int:
-    """Number of syntax-tree nodes."""
-    n = 1
-    while isinstance(t, Abs):  # an abstraction chain is walked in a loop, not recursed into
+    """Number of syntax-tree nodes, counted from an explicit stack, so
+    neither a binder chain nor an application spine recurses."""
+    n = 0
+    todo = [t]
+    while todo:
+        t = todo.pop()
         n += 1
-        t = t.body
-    if isinstance(t, Var):
-        return n
-    return n + size(t.fun) + size(t.arg)
+        if isinstance(t, Abs):
+            todo.append(t.body)
+        elif isinstance(t, App):
+            todo += (t.fun, t.arg)
+    return n
 
 
 def free_vars(t: LambdaTerm) -> frozenset[str]:
@@ -433,25 +437,37 @@ def nat_of_ident(s: str) -> int:
 
 
 def to_nameless(t: LambdaTerm) -> tuple:
-    def go(t: LambdaTerm, env: dict[str, int], depth: int) -> tuple:
-        if isinstance(t, Var):
-            if t.name in env:
-                return ("v", depth - 1 - env[t.name])
-            return ("v", depth + nat_of_ident(t.name))
-        if isinstance(t, App):
-            return ("a", go(t.fun, env, depth), go(t.arg, env, depth))
-        env = dict(env)  # an abstraction chain is walked in a loop, not recursed into
-        top = depth
-        while isinstance(t, Abs):
-            env[t.binder] = depth
-            depth += 1
-            t = t.body
-        out = go(t, env, depth)
-        for _ in range(depth - top):
-            out = ("l", out)
-        return out
-
-    return go(t, {}, 0)
+    """The nameless form of t, built bottom-up from an explicit stack, so
+    neither a binder chain nor an application spine recurses.  Besides the
+    terms still to convert, the stack holds two kinds of step: None joins
+    the last two forms built into an application, and an int n wraps the
+    last one in n binders."""
+    done: list[tuple] = []
+    todo: list = [(t, {}, 0)]
+    while todo:
+        t, env, depth = todo.pop()
+        if t is None:
+            arg = done.pop()
+            done[-1] = ("a", done[-1], arg)
+        elif isinstance(t, int):
+            out = done[-1]
+            for _ in range(t):
+                out = ("l", out)
+            done[-1] = out
+        elif isinstance(t, Var):
+            name = t.name
+            done.append(("v", depth - 1 - env[name] if name in env else depth + nat_of_ident(name)))
+        elif isinstance(t, App):
+            todo += [(None, env, depth), (t.arg, env, depth), (t.fun, env, depth)]
+        else:
+            env = dict(env)
+            top = depth
+            while isinstance(t, Abs):
+                env[t.binder] = depth
+                depth += 1
+                t = t.body
+            todo += [(depth - top, env, depth), (t, env, depth)]
+    return done[0]
 
 
 def alpha_eq(a: LambdaTerm, b: LambdaTerm) -> bool:
@@ -611,7 +627,12 @@ def _encode_nameless(nt: tuple) -> int:
 
 
 def godel_encode(t: LambdaTerm) -> int:
-    """Code of the alpha-class of t."""
+    """Code of the alpha-class of t.
+
+    The encoder recurses once per application.  That is not the bound that
+    matters: the Cantor pairing about squares the code at each application,
+    so the code of an n-application spine has about 2^n bits, and arithmetic
+    runs out long before the recursion limit is reached."""
     return _encode_nameless(to_nameless(t))
 
 

@@ -8,13 +8,14 @@ enumerator generates nameless trees size by size, and the codec oracles
 decode every natural whole, name binders by rescanning the identifiers, and
 filter by closedness afterwards; the reference listing scans every code and
 gives up open ones at their first free variable; the reference printer reads
-the concrete syntax off a term by cases on its nodes.  Seven exceptions: the
+the concrete syntax off a term by cases on its nodes.  Eight exceptions: the
 witness oracle walks the materialized restriction with the package's own
 finite interpreter (both are checked against the naive oracles above), the
 closure oracle scans keys through the package's apply_coding, the
 abstraction oracle asks the package's evaluator one membership at a time,
 the key oracle enumerates an application's function side with it, the
-inequation oracle scans the package's whole left-side set, the search
+inequation oracle scans the package's whole left-side set, the monotonicity
+oracle compares the package's approximations rank by rank, the search
 oracle checks every component with the package's numeration and inequation
 check, and the isomorphism oracle tries every bijection of two carriers
 with the package's Morphism.  The argument-parser oracle is the argparse
@@ -231,6 +232,34 @@ def check_inequation_by_full_scan(
                 witness=candidate, member_rank=found.rank, witness_subpair=subpair,
             )
     return Verdict("holds_up_to", lhs, rhs, k_lhs, k_rhs)
+
+
+# ---------------------------------------------------------------------------
+# Rank monotonicity: the rank-k restriction is a subpair of the rank-(k+1)
+# one and every interpretation rule is positive, so a closed term's
+# approximation only grows with the rank.  Each step is compared wherever
+# both ranks answer; a refused rank is passed over.
+
+
+def rank_monotone_violations(terms, pairs, max_rank: int) -> tuple[int, list]:
+    """The number of rank steps k -> k + 1 (k + 1 <= max_rank) compared, and
+    the (term, pair, k) at which approx_interpret at rank k is not inside
+    approx_interpret at rank k + 1."""
+    steps, violations = 0, []
+    for p in pairs:
+        for t in terms:
+            below = None
+            for k in range(max_rank + 1):
+                try:
+                    here = approx_interpret(t, p, Environment(), k)
+                except CeilingExceeded:
+                    here = None
+                if below is not None and here is not None:
+                    steps += 1
+                    if not below <= here:
+                        violations.append((t, p, k - 1))
+                below = here
+    return steps, violations
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import gc
+import json
 from collections import Counter
 from random import Random
 
@@ -34,10 +35,12 @@ from gml.semantics import Environment, interpret
 from gml.terms import FALSE, IDENTITY, OMEGA, TRUE, Abs, App, Var, parse
 from oracles import (
     abstraction_by_membership,
+    all_pairs,
     check_inequation_by_full_scan,
     closed_terms_up_to,
     random_pair,
     random_term,
+    rank_monotone_violations,
     restriction_witness,
     supporting_keys_by_enumeration,
 )
@@ -78,6 +81,16 @@ class TestApproxInterpret:
                     current = approx_interpret(t, p, k=k)
                     assert previous <= current
                     previous = current
+
+    def test_monotone_in_rank_on_every_small_term(self):
+        """Every closed term of size <= 6 over every pair of <= 1 atom and
+        <= 2 coded triples, and over seeded 2-atom pairs: the approximation
+        at rank k lies inside the one at rank k + 1, for k + 1 <= 3, wherever
+        both ranks answer.  Reflexive inclusions hold unscanned because of it."""
+        pairs = all_pairs(1, 2) + _seeded_pairs(83, 2, 3)
+        steps, violations = rank_monotone_violations(closed_terms_up_to(6), pairs, 3)
+        assert violations == []
+        assert steps > 1000
 
     def test_oracle_equivalence(self, p1, free1, free2):
         terms = [
@@ -712,6 +725,79 @@ class TestWitnessOrderScan:
         assert err == "bound too large: abstraction over level 2 needs 2^10242·10242 keys, ceiling is 1000000\n"
         assert len(err) < 200
         assert asked and max(asked) <= 1
+
+
+class TestReflexiveInclusion:
+    """M <= M with both sides one term holds by rank monotonicity: the left
+    side is read up to its first element, for its guards, and the right side
+    is never evaluated."""
+
+    def test_one_evaluator_at_the_left_bound(self, monkeypatch, p1, free1, free2):
+        ranks = []
+        init = Evaluator.__init__
+
+        def counted(self, pair, k):
+            ranks.append(k)
+            init(self, pair, k)
+
+        monkeypatch.setattr(Evaluator, "__init__", counted)
+        for p in (p1, free1, free2):
+            for t in (IDENTITY, TRUE, OMEGA, parse("(\\x.x x) (\\y.y)")):
+                for k_lhs, k_rhs in ((2, 4), (1, 3), (0, 0)):
+                    ranks.clear()
+                    assert check_inequation(t, t, p, k_lhs, k_rhs).kind == "holds_up_to"
+                    assert ranks == [k_lhs], (t, p, k_lhs)
+
+    def test_scans_nothing_after_the_first_element(self, monkeypatch, free1):
+        """The left side's first element is the last one taken: the groups
+        of \\x.x over the free atom at rank 2 are asked for up to the first
+        that is not empty, and no membership is asked at all."""
+        groups = Evaluator._abstraction
+        every = list(groups(Evaluator(free1, 2), IDENTITY, {}, 2))
+        first = next(i for i, group in enumerate(every) if group) + 1
+        asked = []
+        contains = Evaluator.contains
+
+        def counted_contains(self, t, env, e):
+            asked.append(("contains", self.k))
+            return contains(self, t, env, e)
+
+        def counted_groups(self, t, env, trim):
+            for group in groups(self, t, env, trim):
+                asked.append(("group", self.k))
+                yield group
+
+        monkeypatch.setattr(Evaluator, "contains", counted_contains)
+        monkeypatch.setattr(Evaluator, "_abstraction", counted_groups)
+        assert check_inequation(IDENTITY, IDENTITY, free1).kind == "holds_up_to"
+        assert asked == [("group", 2)] * first and first < len(every)
+
+    def test_verdicts_match_full_scan(self):
+        """Every closed term of size <= 6 against itself, over every pair of
+        <= 1 atom and <= 2 coded triples and over seeded 2-atom pairs: the
+        verdict JSON, or the refusal, of the whole-left-side scan."""
+        terms = closed_terms_up_to(6)
+        for p in all_pairs(1, 2) + _seeded_pairs(84, 2, 3):
+            for t in terms:
+                got = _outcome(lambda: check_inequation(t, t, p).to_json(p))
+                assert got == _outcome(lambda: check_inequation_by_full_scan(t, t, p).to_json(p)), (t, p)
+
+    def test_holds_where_the_right_side_refuses(self, capsys, pair_file, free1):
+        """\\x.(\\a b.b) x x against itself on the free atom: the rank-4 right
+        side would refuse its level-2 abstraction, but the claim holds by
+        monotonicity, in the library and on the command line.  An
+        alpha-variant is a different term, so it is scanned and refuses."""
+        t = parse("\\x.(\\a b.b) x x")
+        assert check_inequation(t, t, free1).kind == "holds_up_to"
+        claim = "\\x.(\\a b.b) x x <= \\x.(\\a b.b) x x"
+        assert main(["--json", "check", "--pair", pair_file(free1), claim]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == "holds_up_to"
+        variant = parse("\\y.(\\c d.d) y y")
+        with pytest.raises(ApproximationInfeasible) as refused:
+            check_inequation(t, variant, free1)
+        assert str(refused.value) == "abstraction over level 2 needs 2^25·25 keys, ceiling is 1000000"
+        with pytest.raises(ApproximationInfeasible):
+            check_inequation(variant, t, free1)
 
 
 class TestMemoDiscipline:

@@ -204,6 +204,15 @@ class TestGodelCodec:
         assert free_vars(named) == {"free"}
         assert alpha_eq(godel_decode(code), named) and size(named) == 1203
 
+    def test_long_application_spine(self):
+        """A spine of 2,001 applications is counted and compared without
+        recursing once per application."""
+        term = parse("\\x y.x" + " y" * 2001)
+        assert size(term) == 4005
+        assert alpha_eq(term, parse("\\a b.a" + " b" * 2001))
+        assert not alpha_eq(term, parse("\\a b.a" + " b" * 2000))
+        assert not alpha_eq(term, parse("\\a b.b" + " b" * 2001))
+
     def test_decode_zero_is_first_variable(self):
         assert godel_decode(0) == Var("a")
         assert godel_decode(1) == Abs("a", Var("a"))
