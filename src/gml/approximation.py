@@ -58,14 +58,29 @@ first, each with its results sorted.  That one walk (Evaluator._abstraction)
 serves both readings of an abstraction: enumeration takes the union of its
 groups, the ordered scan sorts each group as it comes; the same subset walk,
 pruned, finds a redex's least supporting key.  A refuted abstraction thus
-costs the argument sets up to its witness, not all of them, while a holding
-inclusion still scans the whole side.  The one exception is M <= M with both
-sides one object (terms are hash-consed, so the same text is one term): the
-rank-k_lhs restriction is a subpair of the rank-k_rhs one and every rule is
-positive, so approximations only grow with the rank and the inclusion holds
-unscanned.  Its left side is still read up to its first element, so it
-refuses exactly where that side's guards do, and no right-side evaluator is
-built.  Alpha-variants are distinct objects and are scanned.
+costs the argument sets up to its witness, not all of them.
+
+The walk is pruned by monotonicity for \\x.B <= \\y.C when both bodies are
+set-level, built from variables and applications only: under explicit sets
+such a body never enumerates a level, reduces a redex or reaches Omega, so
+evaluating it never refuses.  The walk's subtree of argument sets extending
+chosen by elements of rest is passed over when B under chosen + rest, cut
+one rank down, gives no result that C lacks under chosen at rank k_rhs.
+Each set S of the subtree lies between the two, and meaning is monotone in
+the environment, so every element (S, a) of its group has a in C under S:
+the subtree holds no witness.  The least witness, the verdict and every
+refusal are those of the whole scan, since the left side's guards run before
+the first group and the right side's evaluation of C cannot refuse; a
+holding inclusion, and the sets before a witness, cost only the subtrees the
+bound fails to close.  Other claims scan their left side whole.
+
+M <= M with both sides one object (terms are hash-consed, so the same text
+is one term) is not scanned at all: the rank-k_lhs restriction is a subpair
+of the rank-k_rhs one and every rule is positive, so approximations only
+grow with the rank and the inclusion holds.  Its left side is still read up
+to its first element, so it refuses exactly where that side's guards do, and
+no right-side evaluator is built.  Alpha-variants are distinct objects and
+are scanned.
 
 Certificates come from the same derivation.  extract_witness_subpair walks
 the term with the memoized membership and enumeration queries and keeps the
@@ -120,14 +135,16 @@ class ApproximationInfeasible(CeilingExceeded):
 def _subsets(items: tuple, viable=None):
     """The subsets of items, as tuples in items' order, depth first: a set
     comes right before its extensions, which is lexicographic order with a
-    proper prefix first.  When viable(chosen + items[i:]) is false the walk
-    passes over every set that extends chosen by elements of items[i:]."""
+    proper prefix first.  When viable(chosen, items[i:]) is false the walk
+    passes over every set that extends chosen by elements of items[i:]: a
+    monotone test of chosen + items[i:], the largest of them, or a bound
+    that compares it with chosen, the least, prunes that whole subtree."""
     yield ()
     # each entry is a set already visited and the position its loop resumes at
     stack = [((), 0)]
     while stack:
         chosen, i = stack.pop()
-        if i == len(items) or (viable is not None and not viable(chosen + items[i:])):
+        if i == len(items) or (viable is not None and not viable(chosen, items[i:])):
             continue
         child = chosen + (items[i],)
         stack += [(chosen, i + 1), (child, i + 1)]
@@ -282,13 +299,15 @@ class Evaluator:
                 out.add(res)
         return frozenset(out)
 
-    def _abstraction(self, t: Abs, env: dict, trim: int):
+    def _abstraction(self, t: Abs, env: dict, trim: int, bound=None):
         """interp(t) cut to rank <= trim, in groups: first the coded atoms,
         the values of the coded keys whose result the body gives under their
         argument set; then, for each argument tuple over the sorted level one
         rank down in _subsets order, the pair elements with those arguments.
         One enumeration of the body cut to that rank gives a tuple's results,
         less those the tuple is coded with, read from coded_results once.
+        bound, when given, is _subsets' viable test: the tuples it passes
+        over yield no group at all.
 
         The coded atoms and the level are computed before the first group is
         yielded.  At trim = k that level is the largest any query of this
@@ -299,7 +318,7 @@ class Evaluator:
             for v, (args, res) in self.inverse.items()
             if self.contains(t.body, {**env, t.binder: args}, res)
         }
-        arg_tuples = _subsets(self._level(trim - 1)) if trim >= 1 else ()
+        arg_tuples = _subsets(self._level(trim - 1), bound) if trim >= 1 else ()
         yield coded
         for args in arg_tuples:
             args_set = frozenset(args)
@@ -309,16 +328,17 @@ class Evaluator:
                 results = results - collapsed
             yield [pair_of_sorted(args, alpha) for alpha in results]
 
-    def ordered(self, t: LambdaTerm, env: dict, trim: int):
+    def ordered(self, t: LambdaTerm, env: dict, trim: int, bound=None):
         """interp(t, B_k, env) cut to rank <= trim, in sort_key order.
 
         At an abstraction the set is never built: its groups come in the
         order sort_key compares them in (the coded atoms, then the argument
         tuples lexicographically, a prefix first), each group sorted by
-        result.  Other terms are one group, enumerated whole.
+        result.  The argument tuples bound passes over (see _abstraction)
+        are left out.  Other terms are one group, enumerated whole.
         """
         trim = min(trim, self.k)
-        groups = self._abstraction(t, env, trim) if isinstance(t, Abs) else [self.enumerate(t, env, trim)]
+        groups = self._abstraction(t, env, trim, bound) if isinstance(t, Abs) else [self.enumerate(t, env, trim)]
         for group in groups:
             yield from sorted(group, key=CompletionElement.sort_key)
 
@@ -329,17 +349,21 @@ class Evaluator:
 
         A variable is looked up and an abstraction inverts the coding before
         any memo key is built: those rules cost less than the key.  Only
-        applications, whose answer comes from a search, are memoized."""
+        applications, whose answer comes from a search, are memoized.  An
+        abstraction chain is walked in a loop, so its length takes no stack."""
         if e.rank > self.k:
             return False
+        while isinstance(t, Abs):
+            key = self.preimage(e)
+            if key is None:
+                return False
+            env = {**env, t.binder: key[0]}
+            t, e = t.body, key[1]
         if isinstance(t, Var):
             value = env.get(t.name, ())
             if type(value) is LazyValue:  # an exact type test: this is the hot path
                 return e.rank <= value.trim and self.contains(value.term, value.env, e)
             return e in value
-        if isinstance(t, Abs):
-            key = self.preimage(e)
-            return key is not None and self.contains(t.body, {**env, t.binder: key[0]}, key[1])
         key = self._key(t, env, e)
         got = self._contains_memo.get(key)
         if got is not None:
@@ -422,7 +446,7 @@ class Evaluator:
                 )
             return self.contains(fun.body, {**env, fun.binder: frozenset(args)}, e)
 
-        for args in _subsets(cands, holds):
+        for args in _subsets(cands, lambda chosen, rest: holds(chosen + rest)):
             if holds(args) and e not in self.coded_results.get(frozenset(args), ()):
                 w = pair_of(args, e)
                 yield w.args, w
@@ -657,6 +681,42 @@ class Verdict:
         return doc
 
 
+def _set_level(t: LambdaTerm) -> bool:
+    """t is an abstraction whose body is built from variables and
+    applications only.  Under explicit sets such a body never enumerates a
+    level, reduces a redex or reaches Omega, so the evaluator answers it
+    without refusing."""
+    if not isinstance(t, Abs):
+        return False
+    todo = [t.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, App):
+            todo += (node.fun, node.arg)
+        elif not isinstance(node, Var):
+            return False
+    return True
+
+
+def _inclusion_bound(left: Evaluator, right: Evaluator, lhs: Abs, rhs: Abs):
+    """The viable test of the scan of lhs against rhs, both set-level: the
+    argument tuples extending chosen by elements of rest may hold a witness
+    only if B, lhs's body, under chosen + rest (on the left evaluator, cut
+    one rank down as the scan's groups are) has a result that C, rhs's body,
+    lacks under chosen (on the right evaluator).  Both bodies are monotone in
+    their variable, so otherwise every group of the subtree lies in rhs."""
+    trim = left.k - 1
+
+    def viable(chosen: tuple, rest: tuple) -> bool:
+        least = {rhs.binder: frozenset(chosen)}
+        for alpha in left.enumerate(lhs.body, {lhs.binder: frozenset(chosen + rest)}, trim):
+            if not right.contains(rhs.body, least, alpha):
+                return True
+        return False
+
+    return viable
+
+
 def check_inequation(
     lhs: LambdaTerm,
     rhs: LambdaTerm,
@@ -673,8 +733,13 @@ def check_inequation(
     evaluator rejects.  That element is the canonically least witness; it is
     returned with its membership rank and a re-verified witness subpair.
     Holds-up-to means the bounded inclusion went through, after a scan of the
-    whole left side.  Refusals come where a scan of the whole, sorted left
-    side would meet them: the left side's guards run before its first element.
+    whole left side.  When both sides are set-level abstractions
+    (_set_level), the scan passes over the argument sets that _inclusion_bound
+    shows to hold no witness, so the verdict and the least witness are still
+    the whole scan's.  Refusals come where a scan of the whole, sorted left
+    side would meet them: the left side's guards run before its first
+    element, and the bound, evaluating set-level bodies on explicit sets,
+    never refuses.
     When lhs is rhs the inclusion holds by rank monotonicity (k_lhs <= k_rhs):
     only the left side's first element is taken, so the claim refuses exactly
     when the left side refuses before it, and the right side is never
@@ -687,12 +752,12 @@ def check_inequation(
     if k_rhs < k_lhs:
         raise ValueError("the right bound must be at least the left bound")
     left = Evaluator(p, k_lhs)
-    candidates = left.ordered(lhs, {}, k_lhs)
     if lhs is rhs:  # rank monotonicity; the left side's guards run first
-        next(candidates, None)
+        next(left.ordered(lhs, {}, k_lhs), None)
         return Verdict("holds_up_to", lhs, rhs, k_lhs, k_rhs)
     ev = Evaluator(p, k_rhs)
-    for candidate in candidates:
+    bound = _inclusion_bound(left, ev, lhs, rhs) if _set_level(lhs) and _set_level(rhs) else None
+    for candidate in left.ordered(lhs, {}, k_lhs, bound):
         if not ev.contains(rhs, {}, candidate):
             for rank in range(candidate.rank, k_lhs + 1):
                 probe = left if rank == k_lhs else Evaluator(p, rank)

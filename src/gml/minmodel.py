@@ -99,9 +99,10 @@ def _prime_power(n: int) -> Optional[tuple[int, int]]:
     """(p, e) with n = p**e and e >= 1, or None."""
     if n < 2:
         return None
-    i = 1
+    i = 0
     while True:
-        p = kth_prime(i)
+        # the sieved primes read in place; kth_prime sieves on or refuses
+        p = _PRIMES[i] if i < len(_PRIMES) else kth_prime(i + 1)
         if p * p > n:
             break
         if n % p == 0:
@@ -309,13 +310,21 @@ def relocation_morphism(k: int) -> Morphism:
     return Morphism(source, PartialPair(move.values(), coding), move)
 
 
-def _component(n: int) -> Optional[int]:
-    """The index of the component whose carrier holds n, or None."""
+def _located(n: int) -> Optional[tuple[int, int, PartialPair]]:
+    """(k, x, enumerate_pair(k)) when n = p_k**(x+1) for an atom x of the
+    k-th pair, so that n lies in the k-th component's carrier; else None."""
     pe = _prime_power(n)
     if pe is None:
         return None
     k = prime_index(pe[0])
-    return k if pe[1] - 1 in enumerate_pair(k).atoms else None
+    source = enumerate_pair(k)
+    return (k, pe[1] - 1, source) if pe[1] - 1 in source.atoms else None
+
+
+def _component(n: int) -> Optional[int]:
+    """The index of the component whose carrier holds n, or None."""
+    located = _located(n)
+    return None if located is None else located[0]
 
 
 def is_in_P(n: int) -> bool:
@@ -346,17 +355,32 @@ def component_of(n: int) -> int:
 # collapses coded keys to their atoms, so its result is a big-model element
 # whenever every atom it names lies in the carrier.  Carriers are disjoint,
 # so a key is looked up in the component of its result atom and a value in
-# its own component.
+# its own component.  Both lookups read the component's unrelocated pair
+# through the exponent map n = p_k**(x+1), so no relocated pair is built.
 
 
 def _coded_value(key: tuple[frozenset[int], int]) -> Optional[int]:
-    k = _component(key[1])
-    return None if k is None else relocate(k).coding.get(key)
+    located = _located(key[1])
+    if located is None:
+        return None
+    k, res, source = located
+    p = kth_prime(k)
+    exponent = {p ** (x + 1): x for x in source.atoms}
+    args = frozenset(exponent.get(a, -1) for a in key[0])
+    v = source.coding.get((args, res))
+    return None if v is None else p ** (v + 1)
 
 
 def _coded_key(n: int) -> Optional[tuple[frozenset[int], int]]:
-    k = _component(n)
-    return None if k is None else relocate(k).inverse.get(n)
+    located = _located(n)
+    if located is None:
+        return None
+    k, x, source = located
+    key = source.inverse.get(x)
+    if key is None:
+        return None
+    p = kth_prime(k)
+    return frozenset(p ** (a + 1) for a in key[0]), p ** (key[1] + 1)
 
 
 class _Carrier:

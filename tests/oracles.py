@@ -398,6 +398,21 @@ def closed_terms_up_to(max_size: int) -> list[LambdaTerm]:
     return out
 
 
+def set_level_abstractions(max_size: int) -> list[LambdaTerm]:
+    """The closed abstractions of size <= max_size whose body holds only
+    variables and applications, in closed_terms_up_to order."""
+
+    def flat(nt: tuple) -> bool:
+        return nt[0] == "v" or (nt[0] == "a" and flat(nt[1]) and flat(nt[2]))
+
+    return [
+        named_by_rescan(nt)
+        for size in range(2, max_size + 1)
+        for nt in _closed_nameless(size, 0)
+        if nt[0] == "l" and flat(nt[1])
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Goedel codec by its definition: decode a natural to the whole nameless tree
 # (Var(n) = 3n, Abs(b) = 3b + 1, App(f, a) = 3 cantor(f, a) + 2), name it, and

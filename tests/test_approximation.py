@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 from collections import Counter
 from random import Random
@@ -42,6 +43,7 @@ from oracles import (
     random_term,
     rank_monotone_violations,
     restriction_witness,
+    set_level_abstractions,
     supporting_keys_by_enumeration,
 )
 
@@ -762,8 +764,8 @@ class TestReflexiveInclusion:
             asked.append(("contains", self.k))
             return contains(self, t, env, e)
 
-        def counted_groups(self, t, env, trim):
-            for group in groups(self, t, env, trim):
+        def counted_groups(self, t, env, trim, bound):
+            for group in groups(self, t, env, trim, bound):
                 asked.append(("group", self.k))
                 yield group
 
@@ -798,6 +800,106 @@ class TestReflexiveInclusion:
         assert str(refused.value) == "abstraction over level 2 needs 2^25·25 keys, ceiling is 1000000"
         with pytest.raises(ApproximationInfeasible):
             check_inequation(variant, t, free1)
+
+
+def _subsets_by_filter(items: tuple, viable) -> list:
+    """The sets _subsets(items, viable) walks to, picked from every subset
+    in lexicographic order (a prefix first): a set is reached when viable
+    held, for each element it adds to its prefix, at every position from
+    the one after the prefix's last element up to that element's."""
+    out = []
+    for positions in sorted(c for m in range(len(items) + 1) for c in itertools.combinations(range(len(items)), m)):
+        start, ok = 0, True
+        for t, j in enumerate(positions):
+            chosen = tuple(items[q] for q in positions[:t])
+            ok = ok and all(viable(chosen, items[i:]) for i in range(start, j + 1))
+            start = j + 1
+        if ok:
+            out.append(tuple(items[q] for q in positions))
+    return out
+
+
+class TestPrunedInclusion:
+    """Between two set-level abstractions \\x.B <= \\y.C the scan passes over
+    the argument sets extending chosen by elements of rest once B under
+    chosen + rest has no result C lacks under chosen: both are monotone, so
+    no set there holds a witness."""
+
+    def test_verdicts_match_full_scan(self):
+        """A seeded slice of tools/pruned_scan_sweep.py: the nine set-level
+        closed abstractions of size <= 9, over every pair of <= 2 atoms and
+        <= 2 coded triples, at (kM, kN) = (2, 4) and (1, 3)."""
+        terms = set_level_abstractions(9)
+        assert len(terms) == 9
+        cases = [
+            (lhs, rhs, p, ranks)
+            for lhs in terms
+            for rhs in terms
+            if lhs is not rhs
+            for p in all_pairs(2, 2)
+            for ranks in ((2, 4), (1, 3))
+        ]
+        kinds = Counter()
+        for lhs, rhs, p, (k_lhs, k_rhs) in Random(85).sample(cases, 600):
+            want = _outcome(
+                lambda: [
+                    check_inequation_by_full_scan(a, b, p, k_lhs, k_rhs).to_json(p) for a, b in ((lhs, rhs), (rhs, lhs))
+                ]
+            )
+            forward = _outcome(lambda: check_inequation(lhs, rhs, p, k_lhs, k_rhs).to_json(p))
+            assert forward == _outcome(
+                lambda: check_inequation_by_full_scan(lhs, rhs, p, k_lhs, k_rhs).to_json(p)
+            ), (lhs, rhs, p, k_lhs)
+            got = _outcome(lambda: [v.to_json(p) for v in check_equation(lhs, rhs, p, k_lhs, k_rhs)])
+            assert got == want, (lhs, rhs, p, k_lhs)
+            kinds[forward["kind"] if isinstance(forward, dict) else "refused"] += 1
+        assert kinds["fails_with_evidence"] > 100 and kinds["holds_up_to"] > 100
+
+    def test_pruning_engages(self, monkeypatch):
+        """On one two-atom pair the full walk enumerates the left body 87 and
+        131 times before the witness; the pruned walk, far fewer."""
+        p = PartialPair({0, 1}, {(frozenset(), 0): 1, (frozenset({1}), 1): 0})
+        enumerate_ = Evaluator.enumerate
+        for claim, unpruned in (("\\x.x (x x) <= \\x.x x", 87), ("\\x.x x x <= \\x.x", 131)):
+            lhs, rhs = (parse(side) for side in claim.split("<="))
+            asked = []
+
+            def counted(self, t, env, trim):
+                if t is lhs.body:
+                    asked.append(trim)
+                return enumerate_(self, t, env, trim)
+
+            monkeypatch.setattr(Evaluator, "enumerate", counted)
+            verdict = check_inequation(lhs, rhs, p)
+            monkeypatch.setattr(Evaluator, "enumerate", enumerate_)
+            assert verdict.to_json(p) == check_inequation_by_full_scan(lhs, rhs, p).to_json(p)
+            assert verdict.failed and 0 < len(asked) < unpruned // 3, (claim, len(asked))
+
+    def test_subsets_walk_matches_filter(self):
+        """_subsets(items, viable) reaches exactly the sets the filter of all
+        subsets keeps, in the same order, for arbitrary viable tests; for a
+        monotone holds test (passed chosen + rest) and for an inclusion bound
+        F(chosen + rest) <= G(chosen) with F, G monotone, it keeps every set
+        that holds, or that breaks the inclusion, of all subsets."""
+        rng = Random(86)
+
+        def monotone(items):  # S -> the v whose trigger set lies inside S
+            triggers = [frozenset(rng.sample(items, rng.randint(0, len(items)))) for _ in range(4)]
+            return lambda s: frozenset(v for v, need in enumerate(triggers) if need <= set(s))
+
+        for _ in range(300):
+            items = tuple(range(rng.randint(0, 6)))
+            table = {}
+            viable = lambda chosen, rest: table.setdefault((chosen, rest), rng.random() < 0.7)  # noqa: E731
+            assert list(approximation._subsets(items, viable)) == _subsets_by_filter(items, viable)
+            everything = _subsets_by_filter(items, lambda chosen, rest: True)
+            assert list(approximation._subsets(items)) == everything
+            holds = monotone(items)
+            walked = approximation._subsets(items, lambda chosen, rest: bool(holds(chosen + rest)))
+            assert [s for s in walked if holds(s)] == [s for s in everything if holds(s)]
+            f, g = monotone(items), monotone(items)
+            walked = approximation._subsets(items, lambda chosen, rest: not f(chosen + rest) <= g(chosen))
+            assert [s for s in walked if not f(s) <= g(s)] == [s for s in everything if not f(s) <= g(s)]
 
 
 class TestMemoDiscipline:

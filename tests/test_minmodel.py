@@ -39,7 +39,7 @@ from gml.minmodel import (
     search_counterexample,
 )
 from gml.pairs import Morphism, PartialPair, is_subpair, validate
-from gml.terms import FALSE, IDENTITY, OMEGA, TRUE, parse, print_term
+from gml.terms import FALSE, IDENTITY, OMEGA, TRUE, godel_decode, parse, print_term
 
 from oracles import (
     closed_terms_up_to,
@@ -261,6 +261,30 @@ class TestUniversalCoding:
             assert text == element_str(e)
             assert parse_element(text, PRIME_CODED) is e
 
+    def test_lookups_match_relocated_pairs(self):
+        """The coding and its inverse, read through the exponent map, agree
+        with the relocated pair on every key over each of components 1-300
+        and on keys that mix in an atom outside the component; an atom no
+        key codes, a power past the carrier and a non-power have no key."""
+        coded = 0
+        for k in range(1, 301):
+            r = relocate(k)
+            p = kth_prime(k)
+            carrier = sorted(r.atoms)
+            strays = [max(carrier) * p, 6, 2 if p != 2 else 3]  # past the carrier, no power, foreign
+            for m in range(len(carrier) + 1):
+                for args in itertools.combinations(carrier, m):
+                    for res in carrier:
+                        key = (frozenset(args), res)
+                        assert PRIME_CODED.coding.get(key) == r.coding.get(key), (k, key)
+                        coded += key in r.coding
+                        for stray in strays:
+                            assert PRIME_CODED.coding.get((frozenset(args) | {stray}, res)) is None, (k, key, stray)
+            for n in carrier + strays[:1]:
+                assert PRIME_CODED.inverse.get(n) == r.inverse.get(n), (k, n)
+        assert coded > 300
+        assert PRIME_CODED.inverse.get(6) is None and PRIME_CODED.coding.get((frozenset(), 6)) is None
+
     def test_lift_rejects_foreign_atoms(self):
         with pytest.raises(ValueError):  # 6 is no prime power
             lift_morphism(Morphism(PartialPair({0}), PRIME_CODED, {0: 6}))
@@ -312,6 +336,12 @@ class TestSearch:
     def test_open_terms_rejected(self):
         with pytest.raises(ValueError):
             search_counterexample(parse("x"), IDENTITY, 5)
+
+    def test_long_binder_chain_answers(self):
+        """Membership walks an abstraction chain in a loop, so a 1,200-binder
+        term against itself is searched at the default recursion limit."""
+        t = godel_decode((3**1200 - 1) // 2)
+        assert search_counterexample(t, t, 3) is None
 
 
 def _checked_components(monkeypatch, refuse: frozenset = frozenset()) -> list[int]:
