@@ -20,7 +20,8 @@ through exact structural rules and answers membership queries recursively.
     argument set trimmed one rank down;
   * a general application inverts the coding over the function-side set, so
     the argument side is only ever queried pointwise, or, when it is a
-    variable bound to an explicit set, by one subset test per key;
+    variable bound to an explicit set, by one subset test per key; it is
+    written once, as Evaluator.supporting_keys;
   * a self-application combinator applied to itself collapses: a coded key
     can only code back into its own argument set at rank 0, so the result
     is carved out of the coded triples alone, at every rank.
@@ -41,13 +42,12 @@ more than either rule and such entries were almost never hit again.  A key
 is the term itself and the values bound to the free names the term
 carries: terms are hash-consed, so structurally equal terms are one object
 and share entries, while frozensets compare by content and lazy values by
-identity.  The coding is inverted once per evaluator, into a table from each
-coded atom to its key over base elements, which every atom inversion reads,
-and a table from each coded argument set to its coded results, which an
-abstraction reads once per argument set.  What depends on the pair alone,
-its validation report and its completion levels, is computed once per pair
-and kept in PartialPair.derived, so the several evaluators of one check
-share it; the ceiling guard still runs on every level request.
+identity.  What depends on the pair alone is computed once per pair and
+kept in PartialPair.derived, so the evaluators of one check share it: the
+validation report, the completion levels (the ceiling guard still runs on
+every level request) and the coding over base elements, inverted into
+tables from each coded atom to its key, each result to its coded keys and
+each coded argument set to its coded results.
 
 An inequation M <= N is refuted by the least element of M's approximation
 that N's lacks, so check_inequation reads M's side in witness order
@@ -93,6 +93,8 @@ closed form over the lower levels, so the restriction is never built; the
 small subpair is then re-verified by the independent finite interpreter,
 semantics.interpret.  Abstraction and redex witnesses over three atoms at
 rank 2, whose restriction would hold billions of elements, answer this way.
+Each walks the evaluator that _least_probe, the one membership-rank probe
+loop, found the witness's least rank on.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ from .completion import (
 )
 from . import pairs
 from .pairs import PartialPair, validate
-from .semantics import Environment, interpret
+from .semantics import EMPTY_ENV, Environment, interpret
 from .terms import Abs, App, LambdaTerm, Var, is_closed, print_term
 
 # No longer called here, but perfbench/spans.py patches these names on this
@@ -190,16 +192,17 @@ class Evaluator:
             raise ValueError("invalid pair: " + "; ".join(report.violations))
         self.pair = pair
         self.k = k
-        # the coding inverted once, over base elements: atom -> (args, res)
-        self.inverse: dict[int, tuple[frozenset[BaseElement], BaseElement]] = {
-            v: (frozenset(map(base, a)), base(alpha)) for v, (a, alpha) in pair.inverse.items()
-        }
-        self.coded_by_res: dict[int, list[tuple[frozenset[BaseElement], BaseElement]]] = {}
-        # argument set -> the results it is coded with (those keys collapse to atoms)
-        self.coded_results: dict[frozenset[BaseElement], set[BaseElement]] = {}
-        for v, (args, res) in self.inverse.items():
-            self.coded_by_res.setdefault(res.atom, []).append((args, base(v)))
-            self.coded_results.setdefault(args, set()).add(res)
+        tables = pair.derived.get("coding tables")
+        if tables is None:  # built once per pair, over base elements
+            inverse = {v: (frozenset(map(base, a)), base(alpha)) for v, (a, alpha) in pair.inverse.items()}
+            by_res, results = {}, {}
+            for v, (args, res) in inverse.items():
+                by_res.setdefault(res.atom, []).append((args, base(v)))
+                results.setdefault(args, set()).add(res)
+            tables = pair.derived.setdefault("coding tables", (inverse, by_res, results))
+        # coded atom -> key (args, res); result atom -> the keys (args, value)
+        # coded with it; argument set -> its coded results (which collapse)
+        self.inverse, self.coded_by_res, self.coded_results = tables
         self._contains_memo: dict = {}
         self._enum_memo: dict = {}
         self._lazy_cache: dict = {}
@@ -373,8 +376,8 @@ class Evaluator:
         return out
 
     def _contains(self, t: App, env: dict, e: CompletionElement) -> bool:
-        """A redex reduces; otherwise the first supporting key decides, in
-        the order supporting_keys gives them."""
+        """Omega applied to itself collapses and a redex reduces; otherwise
+        the first key supporting_keys yields decides."""
         if t.omega:
             return e in self._omega_set(t.fun, env)
         if isinstance(t.fun, Abs) and self.k >= 1:
@@ -382,21 +385,14 @@ class Evaluator:
                 return False
             argument = self._lazy(t.arg, env, self.k - 1)
             return self.contains(t.fun.body, {**env, t.fun.binder: argument}, e)
-        if isinstance(e, BaseElement):
-            for args, value in self.coded_by_res.get(e.atom, ()):
-                if self.contains(t.fun, env, value) and self._holds_all(t.arg, env, args):
-                    return True
-        if e.rank > self.k - 1:
-            return False
-        for w in self.enumerate(t.fun, env, self.k):
-            if isinstance(w, PairElement) and w.res is e and self._holds_all(t.arg, env, w.args):
-                return True
-        return False
+        return next(self.supporting_keys(t, env, e), None) is not None
 
     def supporting_keys(self, t: App, env: dict, e: CompletionElement):
         """The keys (args, value) putting e in interp(t): value in the
-        function side, args inside the argument side.  Coded keys come first,
-        then the uncoded keys, whose value is the pair element (args, e).
+        function side, args inside the argument side.  This is the one
+        application rule: membership (_contains) asks it for a first key and
+        the witness walk for the least.  Coded keys come first, then the
+        uncoded keys, whose value is the pair element (args, e).
 
         At a redex (\\x.B) N the uncoded keys are the (S, e) with S a subset
         of A, the elements of rank <= k-1 that N contains, and e in B under
@@ -414,7 +410,7 @@ class Evaluator:
         as a least key with thousands of arguments would need.
 
         Other function sides yield the pair elements they enumerate, in no
-        particular order.  contains() never takes the redex branch: it
+        particular order.  _contains never takes the redex branch: it
         reduces a redex first, and at k = 0 the rank test excludes it.
         """
         if isinstance(e, BaseElement):
@@ -529,7 +525,7 @@ def member(
 
     The environment is checked as approx_interpret checks it, except that
     ranks above a probe are allowed: it is trimmed to rank <= k at each
-    probe level k, and each probe is a fresh evaluator.
+    probe level k, and each probe is a fresh evaluator (_least_probe).
     """
     probe = _member_probe(t, p, e, max_rank, env)
     return MemberResult(probe is not None, None if probe is None else probe.k, max_rank)
@@ -538,16 +534,25 @@ def member(
 def _member_probe(
     t: LambdaTerm, p: PartialPair, e: CompletionElement, max_rank: int, env: Environment
 ) -> Evaluator | None:
-    """member's checks and probes: the probe whose approximation of t holds
-    e, at the least rank (its k) up to max_rank, or None.  A witness is
-    walked on that probe, so the membership is derived once."""
+    """member's checks, then _least_probe: the probe whose approximation of
+    t holds e at the least rank (its k) up to max_rank, or None."""
     if max_rank < 0:
         raise ValueError("rank bound must be non-negative")
     if not element_valid(p, e):
         raise ValueError(f"element {element_str(e, p)} is not valid over the pair")
     _validated_env(p, env, None)
+    return _least_probe(t, p, e, max_rank, env)
+
+
+def _least_probe(
+    t: LambdaTerm, p: PartialPair, e: CompletionElement, max_rank: int, env: Environment, top=None
+) -> Evaluator | None:
+    """The one membership-rank probe: the evaluator holding e in t at the
+    least rank from e.rank up to max_rank, or None.  Each rank is a fresh
+    evaluator under env trimmed to it, but top, a caller's evaluator at
+    max_rank, answers that rank.  A witness is walked on the probe found."""
     for rank in range(e.rank, max_rank + 1):
-        probe = Evaluator(p, rank)
+        probe = top if top is not None and rank == max_rank else Evaluator(p, rank)
         if probe.contains(t, _env_values(env, rank), e):
             return probe
     return None
@@ -626,9 +631,7 @@ def _witness(ev: Evaluator, t: LambdaTerm, e: CompletionElement, env: Environmen
         {(frozenset(atom[x] for x in args), atom[res]): atom[v] for (args, res), v in coding.items()},
         labels={atom[x]: element_str(x, ev.pair) for x in elements},
     )
-    narrowed = Environment(
-        {name: frozenset(atom[x] for x in xs if x in atom) for name, xs in env.items()}
-    )
+    narrowed = Environment({name: [atom[x] for x in xs if x in atom] for name, xs in env.items()})
     if not validate(witness).ok or atom[e] not in interpret(t, witness, narrowed):
         raise AssertionError("witness subpair failed re-verification")
     return witness
@@ -744,8 +747,8 @@ def check_inequation(
     only the left side's first element is taken, so the claim refuses exactly
     when the left side refuses before it, and the right side is never
     evaluated.
-    The witness's rank is probed once per rank as in member(), with the left
-    evaluator at k_lhs, and its subpair is walked on the probe that found it.
+    The witness's rank comes from _least_probe, as in member(), with the left
+    evaluator answering k_lhs; its subpair is walked on the probe found.
     """
     if not is_closed(lhs) or not is_closed(rhs):
         raise ValueError("inequation checking expects closed terms")
@@ -759,11 +762,8 @@ def check_inequation(
     bound = _inclusion_bound(left, ev, lhs, rhs) if _set_level(lhs) and _set_level(rhs) else None
     for candidate in left.ordered(lhs, {}, k_lhs, bound):
         if not ev.contains(rhs, {}, candidate):
-            for rank in range(candidate.rank, k_lhs + 1):
-                probe = left if rank == k_lhs else Evaluator(p, rank)
-                if probe.contains(lhs, {}, candidate):
-                    break
-            else:
+            probe = _least_probe(lhs, p, candidate, k_lhs, EMPTY_ENV, left)
+            if probe is None:
                 raise AssertionError("left side element missing from its own evaluator")
             return Verdict(
                 "fails_with_evidence",
@@ -772,8 +772,8 @@ def check_inequation(
                 k_lhs,
                 k_rhs,
                 witness=candidate,
-                member_rank=rank,
-                witness_subpair=_witness(probe, lhs, candidate, Environment()),
+                member_rank=probe.k,
+                witness_subpair=_witness(probe, lhs, candidate, EMPTY_ENV),
             )
     return Verdict("holds_up_to", lhs, rhs, k_lhs, k_rhs)
 

@@ -49,8 +49,9 @@ class PartialPair:
     `inverse` maps each coded value back to its key (the first such key in
     coding order when the coding is not injective).  `derived` holds data
     that other modules derive from the pair, filled lazily on first use
-    (the approximation evaluator keeps the validation report and the
-    completion levels there); the pair is immutable, so no entry goes stale.
+    (the approximation evaluator keeps the validation report, its coding
+    tables and the completion levels there); the pair is immutable, so no
+    entry goes stale.
     """
 
     __slots__ = ("atoms", "coding", "inverse", "labels", "derived", "_hash")

@@ -12,10 +12,12 @@ recursion:
 Both quantifiers range over the coded keys only, which is equivalent to the
 subset formulation and exponentially cheaper.  Free variables default to the
 empty set.  Interpretation is primitive recursion on the term; redexes are
-interpreted as-is, never normalized first.  Within one call, each subterm's
-meaning is memoized under the subterm itself and the environment restricted
-to its free names, which the node carries: terms are hash-consed, so equal
-subterms share an entry.
+interpreted as-is, never normalized first.  interpret walks the term from an
+explicit stack over plain dicts of bindings, so nesting takes no Python
+stack, and shares no code with the rank-bounded evaluator it re-verifies.
+Within one call, each subterm's meaning is memoized under the subterm itself
+and the values bound to the free names the node carries: terms are
+hash-consed, so equal subterms share an entry.
 """
 
 from __future__ import annotations
@@ -54,10 +56,6 @@ class Environment:
         updated = dict(self._map)
         updated[name] = frozenset(values)
         return Environment(updated)
-
-    def restrict(self, names: Iterable[str]) -> "Environment":
-        names = set(names)
-        return Environment({n: v for n, v in self._map.items() if n in names})
 
     def items(self):
         return self._map.items()
@@ -127,37 +125,36 @@ def interpret(t: LambdaTerm, p: PartialPair, env: Environment = EMPTY_ENV) -> fr
     keys_by_args: dict[frozenset[int], list[tuple[int, int]]] = {}
     for (a, alpha), v in p.coding.items():
         keys_by_args.setdefault(a, []).append((alpha, v))
+    groups = tuple(keys_by_args.items())
 
-    memo: dict[tuple[LambdaTerm, Environment], frozenset[int]] = {}
-
-    def go(node: LambdaTerm, env: Environment) -> frozenset[int]:
+    memo: dict[tuple, frozenset[int]] = {}
+    meanings: list[frozenset[int]] = []  # of the subterms walked, in walk order
+    # a frame's memo key is None until its subterms are pushed above it
+    todo = [(t, dict(env.items()), None)]
+    while todo:
+        node, rho, key = todo.pop()
         if isinstance(node, Var):
-            return env.get(node.name)
-        key = (node, env.restrict(node.free))
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(node, App):
-            arg_set = go(node.arg, env)
-            fun_set = go(node.fun, env)
-            out = frozenset(
-                alpha
-                for (a, alpha), v in p.coding.items()
-                if a <= arg_set and v in fun_set
-            )
+            meanings.append(rho.get(node.name, frozenset()))
+        elif key is None:
+            key = (node, *map(rho.get, node.free))
+            if key in memo:
+                meanings.append(memo[key])
+            elif isinstance(node, App):
+                todo += [(node, rho, key), (node.fun, rho, None), (node.arg, rho, None)]
+            else:  # the bodies pushed last first, so they are walked in groups' order
+                todo.append((node, rho, key))
+                todo += [(node.body, {**rho, node.binder: a}, None) for a, _ in reversed(groups)]
         else:
-            collected = []
-            for a, entries in keys_by_args.items():
-                body_set = go(node.body, env.bind(node.binder, a))
-                collected.extend(v for alpha, v in entries if alpha in body_set)
-            out = frozenset(collected)
-        memo[key] = out
-        return out
-
-    try:
-        return go(t, env)
-    finally:
-        del go  # go holds itself through its closure cell; free it now
+            if isinstance(node, App):
+                fun_set, arg_set = meanings.pop(), meanings.pop()
+                out = frozenset(alpha for (a, alpha), v in p.coding.items() if a <= arg_set and v in fun_set)
+            else:
+                start = len(meanings) - len(groups)
+                bodies = zip(groups, meanings[start:])
+                out = frozenset(v for (_, keys), body in bodies for alpha, v in keys if alpha in body)
+                del meanings[start:]
+            meanings.append(memo.setdefault(key, out))
+    return meanings[0]
 
 
 def omega_characterization(p: PartialPair) -> frozenset[int]:

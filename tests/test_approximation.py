@@ -912,7 +912,8 @@ class TestMemoDiscipline:
         """contains(t, e) is membership of e in enumerate(t), for every
         element up to the rank bound, at top level and under a redex, where
         the variable is bound to a LazyValue of t, and for a free variable
-        bound to every element up to the bound, alone and as an argument."""
+        bound to every element up to the bound, alone and as an argument.
+        Omega, alone and applied, takes the self-application collapse."""
         cases = [(p, k) for p in ONE_ATOM_PAIRS + _seeded_pairs(8, 2, 2) for k in (0, 1, 2)]
         wrappers = [
             lambda t: t,
@@ -921,6 +922,7 @@ class TestMemoDiscipline:
             lambda t: App(t, Var("z")),
         ]
         terms = [Var("z")] + [wrap(t) for t in closed_terms_up_to(5) for wrap in wrappers]
+        terms += [OMEGA, App(OMEGA, Var("z")), App(parse("\\x.x x"), Var("z"))]
         checked = 0
         for p, k in cases:
             universe = elements_up_to(p, k)
@@ -1004,6 +1006,7 @@ class TestMemoDiscipline:
         for p in ONE_ATOM_PAIRS + _seeded_pairs(8, 2, 3) + _seeded_pairs(10, 3, 2):
             ev = Evaluator(p, 1)
             assert set(ev.inverse) == set(p.coding.values())
+            assert Evaluator(p, 2).coded_results is ev.coded_results  # built once per pair
             for e in elements_up_to(p, 1):
                 assert ev.preimage(e) == coding_preimage(p, e), (p, e)
 

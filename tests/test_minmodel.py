@@ -343,6 +343,14 @@ class TestSearch:
         t = godel_decode((3**1200 - 1) // 2)
         assert search_counterexample(t, t, 3) is None
 
+    def test_long_binder_chain_refuted(self):
+        """The finite checker walks from an explicit stack, so the witness
+        refuting a 1,200-binder term against the identity is re-verified at
+        the default recursion limit."""
+        t = godel_decode((3**1200 - 1) // 2)
+        index, verdict = search_counterexample(t, IDENTITY, 3)
+        assert (index, element_str(verdict.witness), verdict.member_rank) == (3, "({},0)", 1)
+
 
 def _checked_components(monkeypatch, refuse: frozenset = frozenset()) -> list[int]:
     """Patch the search's inequation check to record the index of every

@@ -135,7 +135,7 @@ def test_subpair_fixture_sanity(p1, free1):
 
 class TestLifetime:
     def test_no_reference_cycle_outlives_the_checker(self):
-        """interpret's recursive walk is freed when it returns, so neither it
+        """interpret leaves no reference cycle when it returns, so neither it
         nor a certificate re-checked by it leaves work for the collector."""
         pair = PartialPair({0, 1}, {(frozenset({0}), 1): 0})
         lhs, rhs = parse("(\\x.x) (\\y.y y)"), parse("\\z.z")
