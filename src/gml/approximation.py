@@ -61,26 +61,35 @@ pruned, finds a redex's least supporting key.  A refuted abstraction thus
 costs the argument sets up to its witness, not all of them.
 
 The walk is pruned by monotonicity for \\x.B <= \\y.C when both bodies are
-set-level, built from variables and applications only: under explicit sets
-such a body never enumerates a level, reduces a redex or reaches Omega, so
-evaluating it never refuses.  The walk's subtree of argument sets extending
-chosen by elements of rest is passed over when B under chosen + rest, cut
-one rank down, gives no result that C lacks under chosen at rank k_rhs.
-Each set S of the subtree lies between the two, and meaning is monotone in
-the environment, so every element (S, a) of its group has a in C under S:
-the subtree holds no witness.  The least witness, the verdict and every
-refusal are those of the whole scan, since the left side's guards run before
-the first group and the right side's evaluation of C cannot refuse; a
-holding inclusion, and the sets before a witness, cost only the subtrees the
-bound fails to close.  Other claims scan their left side whole.
+normal, holding no redex (and so no Omega).  Every application in such a
+body has a variable at the head of its spine, so under explicit sets B
+builds a level only to enumerate the abstraction chain at its top, each one
+rank below the scan's first group, whose level the guards already passed,
+and C, queried for membership only, inverts the coding at each abstraction
+and builds no level: evaluating either never refuses.  The walk's subtree
+of argument sets extending chosen by elements of rest is passed over when B
+under chosen + rest, cut one rank down, gives no result that C lacks under
+chosen at rank k_rhs.  Each set S of the subtree lies between the two, and
+meaning is monotone in the environment, so every element (S, a) of its
+group has a in C under S: the subtree holds no witness.  The least witness,
+the verdict and every refusal are those of the whole scan; a holding
+inclusion, and the sets before a witness, cost only the subtrees the bound
+fails to close.  Other claims scan their left side whole.
 
-M <= M with both sides one object (terms are hash-consed, so the same text
-is one term) is not scanned at all: the rank-k_lhs restriction is a subpair
-of the rank-k_rhs one and every rule is positive, so approximations only
-grow with the rank and the inclusion holds.  Its left side is still read up
-to its first element, so it refuses exactly where that side's guards do, and
-no right-side evaluator is built.  Alpha-variants are distinct objects and
-are scanned.
+M <= N is not scanned at all when one side reaches the other by at most
+k_rhs - k_lhs one-step beta reductions, M <= M being the 0-step case.  Every
+rule is positive and the rank-k restriction is a subpair of the rank-(k+1)
+one, so approximations grow with the rank; a reduction grows the rank-k
+approximation (a redex binds its variable one rank down, its contractum at
+rank k), and an expansion costs at most one rank (the contractum at rank k
+lies in the redex at rank k+1).  Sides are compared by identity: terms are
+hash-consed, so a reduct is the other side exactly when it is structurally
+equal to it, names included, and alpha-variants are scanned.  The left side
+is still read up to its first element, so the claim refuses exactly where
+that side's guards do, and no right-side evaluator is built; a claim whose
+whole scan would refuse after that element, on either side, now holds.  The
+reducts are walked from explicit stacks under the element ceiling, once per
+search.
 
 Certificates come from the same derivation.  extract_witness_subpair walks
 the term with the memoized membership and enumeration queries and keeps the
@@ -100,6 +109,7 @@ loop, found the witness's least rank on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .completion import (
@@ -119,7 +129,7 @@ from .completion import (
 from . import pairs
 from .pairs import PartialPair, validate
 from .semantics import EMPTY_ENV, Environment, interpret
-from .terms import Abs, App, LambdaTerm, Var, is_closed, print_term
+from .terms import Abs, App, LambdaTerm, Var, _reducts, is_closed, is_normal, print_term
 
 # No longer called here, but perfbench/spans.py patches these names on this
 # module to trace calls into the completion and pair layers.
@@ -233,14 +243,21 @@ class Evaluator:
         """The elements of rank <= j in sort_key order, so that argument
         tuples drawn from it in order are already sorted.
 
-        The level sizes are counted in closed form first, so a level whose
-        keys exceed the ceiling is refused before it is built."""
+        The level sizes are counted in closed form first, once per call, so
+        a level whose keys exceed the ceiling is refused before it is built.
+        The sorted level is kept in pair.derived beside the (rank, structure)
+        ordered one levels_up_to keeps, and is built from it once per pair."""
         n = count_up_to(self.pair, j)
         if 2**n * n > pairs.DEFAULT_CEILING:
             raise ApproximationInfeasible(
                 f"abstraction over level {j} needs 2^{n}·{n} keys, ceiling is {pairs.DEFAULT_CEILING}"
             )
-        return tuple(sorted(levels_up_to(self.pair, j), key=CompletionElement.sort_key))
+        key = ("sorted level", j)
+        got = self.pair.derived.get(key)
+        if got is None:
+            level = tuple(sorted(levels_up_to(self.pair, j), key=CompletionElement.sort_key))
+            got = self.pair.derived.setdefault(key, level)
+        return got
 
     def preimage(self, e: CompletionElement):
         """coding_preimage(self.pair, e), an atom's key read from the table."""
@@ -684,30 +701,24 @@ class Verdict:
         return doc
 
 
-def _set_level(t: LambdaTerm) -> bool:
-    """t is an abstraction whose body is built from variables and
-    applications only.  Under explicit sets such a body never enumerates a
-    level, reduces a redex or reaches Omega, so the evaluator answers it
-    without refusing."""
-    if not isinstance(t, Abs):
-        return False
-    todo = [t.body]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, App):
-            todo += (node.fun, node.arg)
-        elif not isinstance(node, Var):
-            return False
-    return True
+def _normal_abstraction(t: LambdaTerm) -> bool:
+    """t is an abstraction whose body holds no redex, and so no Omega.
+    Every application in such a body has a variable at the head of its
+    spine, so under explicit sets the evaluator builds a level only to
+    enumerate the abstraction chain at the body's top, one rank below each
+    binder, and answers membership in any other abstraction by inverting
+    the coding; it never reduces a redex."""
+    return isinstance(t, Abs) and is_normal(t)
 
 
 def _inclusion_bound(left: Evaluator, right: Evaluator, lhs: Abs, rhs: Abs):
-    """The viable test of the scan of lhs against rhs, both set-level: the
-    argument tuples extending chosen by elements of rest may hold a witness
-    only if B, lhs's body, under chosen + rest (on the left evaluator, cut
-    one rank down as the scan's groups are) has a result that C, rhs's body,
-    lacks under chosen (on the right evaluator).  Both bodies are monotone in
-    their variable, so otherwise every group of the subtree lies in rhs."""
+    """The viable test of the scan of lhs against rhs, both normal
+    abstractions: the argument tuples extending chosen by elements of rest
+    may hold a witness only if B, lhs's body, under chosen + rest (on the
+    left evaluator, cut one rank down as the scan's groups are) has a result
+    that C, rhs's body, lacks under chosen (on the right evaluator).  Both
+    bodies are monotone in their variable, so otherwise every group of the
+    subtree lies in rhs."""
     trim = left.k - 1
 
     def viable(chosen: tuple, rest: tuple) -> bool:
@@ -718,6 +729,59 @@ def _inclusion_bound(left: Evaluator, right: Evaluator, lhs: Abs, rhs: Abs):
         return False
 
     return viable
+
+
+def _beta_related(lhs: LambdaTerm, rhs: LambdaTerm, steps: int) -> bool:
+    """One side is the other or reaches it by at most `steps` one-step beta
+    reductions, so the inclusion between them holds in either direction at
+    any ranks k <= k' with k' - k >= steps.
+
+    Compared by identity: terms are hash-consed, so a reduct is the other
+    side exactly when it is structurally equal to it, names included;
+    alpha-variants count as distinct.  Two arguments prove the inclusion,
+    both from positivity (every interpretation rule is monotone in the sets
+    it is given) and rank monotonicity.  At a fixed rank k a redex
+    (\\x.B) A is B under x bound to A's rank-(k-1) approximation, cut to rank
+    k-1, which lies inside B[x := A] at rank k, where x stands for A's rank-k
+    approximation: so a reduction only grows the rank-k approximation, and
+    M <= N holds at (k, k') when M reduces to N.  Conversely B[x := A] at
+    rank k lies in the redex at rank k+1, so each expansion costs one rank,
+    and M <= N holds when N reduces to M in at most k' - k steps.
+
+    The redexes are found from explicit stacks, so a term with none builds
+    no reduct and takes no Python stack, and the nodes each direction's reducts
+    build are charged to the element ceiling: a direction that passes it
+    gives up, and leaves the claim to the scan.  Only the last question is
+    kept, with the ceiling it was answered under, so a search that asks it
+    for every component decides it once, and either direction of an
+    equation asks the same question."""
+    return lhs is rhs or _related(frozenset((lhs, rhs)), steps, pairs.DEFAULT_CEILING)
+
+
+@lru_cache(maxsize=1)
+def _related(sides: frozenset, steps: int, ceiling: int) -> bool:
+    first, second = sides
+    return _reaches(first, second, steps, ceiling) or _reaches(second, first, steps, ceiling)
+
+
+def _reaches(source: LambdaTerm, target: LambdaTerm, steps: int, budget: int) -> bool:
+    """source reduces to target in at most `steps` one-step reductions,
+    found before the reducts built pass `budget` nodes."""
+    frontier, seen = [source], {source}
+    for _ in range(steps):
+        reached = []
+        for t in frontier:
+            for reduct, built in _reducts(t):
+                budget -= built
+                if budget < 0:
+                    return False
+                if reduct is target:
+                    return True
+                if reduct not in seen:
+                    seen.add(reduct)
+                    reached.append(reduct)
+        frontier = reached
+    return False
 
 
 def check_inequation(
@@ -736,17 +800,18 @@ def check_inequation(
     evaluator rejects.  That element is the canonically least witness; it is
     returned with its membership rank and a re-verified witness subpair.
     Holds-up-to means the bounded inclusion went through, after a scan of the
-    whole left side.  When both sides are set-level abstractions
-    (_set_level), the scan passes over the argument sets that _inclusion_bound
-    shows to hold no witness, so the verdict and the least witness are still
-    the whole scan's.  Refusals come where a scan of the whole, sorted left
-    side would meet them: the left side's guards run before its first
-    element, and the bound, evaluating set-level bodies on explicit sets,
-    never refuses.
-    When lhs is rhs the inclusion holds by rank monotonicity (k_lhs <= k_rhs):
-    only the left side's first element is taken, so the claim refuses exactly
-    when the left side refuses before it, and the right side is never
-    evaluated.
+    whole left side.  When both sides are normal abstractions
+    (_normal_abstraction), the scan passes over the argument sets that
+    _inclusion_bound shows to hold no witness, so the verdict and the least
+    witness are still the whole scan's.  Refusals come where a scan of the
+    whole, sorted left side would meet them: the left side's guards run
+    before its first element, the bound's left body only builds levels
+    below the one they passed, and its right body builds none.
+    When one side reaches the other by at most k_rhs - k_lhs one-step beta
+    reductions (_beta_related; lhs is rhs is the 0-step case), the inclusion
+    holds without a scan: only the left side's first element is taken, so
+    the claim refuses exactly when the left side refuses before it, and the
+    right side is never evaluated.
     The witness's rank comes from _least_probe, as in member(), with the left
     evaluator answering k_lhs; its subpair is walked on the probe found.
     """
@@ -755,11 +820,11 @@ def check_inequation(
     if k_rhs < k_lhs:
         raise ValueError("the right bound must be at least the left bound")
     left = Evaluator(p, k_lhs)
-    if lhs is rhs:  # rank monotonicity; the left side's guards run first
+    if _beta_related(lhs, rhs, k_rhs - k_lhs):  # the left side's guards run first
         next(left.ordered(lhs, {}, k_lhs), None)
         return Verdict("holds_up_to", lhs, rhs, k_lhs, k_rhs)
     ev = Evaluator(p, k_rhs)
-    bound = _inclusion_bound(left, ev, lhs, rhs) if _set_level(lhs) and _set_level(rhs) else None
+    bound = _inclusion_bound(left, ev, lhs, rhs) if _normal_abstraction(lhs) and _normal_abstraction(rhs) else None
     for candidate in left.ordered(lhs, {}, k_lhs, bound):
         if not ev.contains(rhs, {}, candidate):
             probe = _least_probe(lhs, p, candidate, k_lhs, EMPTY_ENV, left)

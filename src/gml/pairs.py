@@ -50,7 +50,8 @@ class PartialPair:
     coding order when the coding is not injective).  `derived` holds data
     that other modules derive from the pair, filled lazily on first use
     (the approximation evaluator keeps the validation report, its coding
-    tables and the completion levels there); the pair is immutable, so no
+    tables and the completion levels, in (rank, structure) and in sort_key
+    order, there); the pair is immutable, so no
     entry goes stale.
     """
 

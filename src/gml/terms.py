@@ -500,17 +500,43 @@ def _fresh_name(avoid: frozenset[str]) -> str:
 def substitute(t: LambdaTerm, x: str, s: LambdaTerm) -> LambdaTerm:
     """Capture-avoiding substitution t[x := s]; t itself when x is not free
     in it."""
-    if x not in t.free:
-        return t
-    if isinstance(t, Var):
-        return s
-    if isinstance(t, App):
-        return App(substitute(t.fun, x, s), substitute(t.arg, x, s))
-    if t.binder in s.free:
-        fresh = _fresh_name(t.body.free | s.free | {x})
-        renamed = substitute(t.body, t.binder, Var(fresh))
-        return Abs(fresh, substitute(renamed, x, s))
-    return Abs(t.binder, substitute(t.body, x, s))
+    return _substituted(t, x, s)[0]
+
+
+def _substituted(t: LambdaTerm, x: str, s: LambdaTerm) -> tuple[LambdaTerm, int]:
+    """t[x := s] and the number of nodes its construction built.
+
+    Built bottom-up from an explicit stack, as to_nameless is, so neither a
+    deep body nor a long spine recurses: None joins the last two terms built
+    into an application, and a name wraps the last one in an abstraction.
+    A binder that would capture a free name of s is renamed first, by a
+    substitution of its own."""
+    built = 0
+    done: list[LambdaTerm] = []
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        if t is None:
+            arg = done.pop()
+            done[-1] = App(done[-1], arg)
+            built += 1
+        elif isinstance(t, str):
+            done[-1] = Abs(t, done[-1])
+            built += 1
+        elif x not in t.free:
+            done.append(t)
+        elif isinstance(t, Var):
+            done.append(s)
+        elif isinstance(t, App):
+            todo += (None, t.arg, t.fun)
+        elif t.binder in s.free:
+            fresh = _fresh_name(t.body.free | s.free | {x})
+            renamed, n = _substituted(t.body, t.binder, Var(fresh))
+            built += n + 1
+            todo += (fresh, renamed)
+        else:
+            todo += (t.binder, t.body)
+    return done[0], built
 
 
 def _step(t: LambdaTerm) -> LambdaTerm | None:
@@ -544,17 +570,52 @@ def _step(t: LambdaTerm) -> LambdaTerm | None:
     return t
 
 
+def is_normal(t: LambdaTerm) -> bool:
+    """t holds no beta redex, tested from an explicit stack."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, App):
+            if isinstance(t.fun, Abs):
+                return False
+            todo += (t.arg, t.fun)
+        elif isinstance(t, Abs):
+            todo.append(t.body)
+    return True
+
+
 def one_step_reducts(t: LambdaTerm) -> list[LambdaTerm]:
     """All terms reachable by contracting a single redex anywhere in t."""
-    out: list[LambdaTerm] = []
-    if isinstance(t, App):
-        if isinstance(t.fun, Abs):
-            out.append(substitute(t.fun.body, t.fun.binder, t.arg))
-        out.extend(App(f, t.arg) for f in one_step_reducts(t.fun))
-        out.extend(App(t.fun, a) for a in one_step_reducts(t.arg))
-    elif isinstance(t, Abs):
-        out.extend(Abs(t.binder, b) for b in one_step_reducts(t.body))
-    return out
+    return [reduct for reduct, _ in _reducts(t)]
+
+
+def _reducts(t: LambdaTerm):
+    """The one-step reducts of t, each with the number of nodes its
+    construction built, redex by redex in pre-order (a redex before the
+    redexes inside it, the function side before the argument).  The redexes
+    are found from an explicit stack, and a contractum is put back in place
+    by rebuilding the nodes on its path, innermost first, so neither a long
+    spine nor a deep binder chain recurses."""
+    todo = [(t, None)]  # a node and its path: (parent, node is the parent's function side, parent's path)
+    while todo:
+        node, path = todo.pop()
+        if isinstance(node, Abs):
+            todo.append((node.body, (node, False, path)))
+            continue
+        if not isinstance(node, App):
+            continue
+        todo += ((node.arg, (node, False, path)), (node.fun, (node, True, path)))
+        if not isinstance(node.fun, Abs):
+            continue
+        out, built = _substituted(node.fun.body, node.fun.binder, node.arg)
+        while path is not None:
+            parent, on_fun, path = path
+            if isinstance(parent, Abs):
+                out = Abs(parent.binder, out)
+            else:
+                out = App(out, parent.arg) if on_fun else App(parent.fun, out)
+            built += 1
+        yield out, built
 
 
 class ReductionStatus(Enum):

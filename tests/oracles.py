@@ -8,7 +8,8 @@ enumerator generates nameless trees size by size, and the codec oracles
 decode every natural whole, name binders by rescanning the identifiers, and
 filter by closedness afterwards; the reference listing scans every code and
 gives up open ones at their first free variable; the reference printer reads
-the concrete syntax off a term by cases on its nodes.  Eight exceptions: the
+the concrete syntax off a term by cases on its nodes, and substitution and
+one-step reduction follow their recursive clauses.  Nine exceptions: the
 witness oracle walks the materialized restriction with the package's own
 finite interpreter (both are checked against the naive oracles above), the
 closure oracle scans keys through the package's apply_coding, the
@@ -18,7 +19,9 @@ inequation oracle scans the package's whole left-side set, the monotonicity
 oracle compares the package's approximations rank by rank, the search
 oracle checks every component with the package's numeration and inequation
 check, and the isomorphism oracle tries every bijection of two carriers
-with the package's Morphism.  The argument-parser oracle is the argparse
+with the package's Morphism, and the beta-related claims are a closed
+term and the terms the package's one_step_reducts reaches from it, so that
+their names are the package's.  The argument-parser oracle is the argparse
 parser the command line was read with before its declarative table.
 """
 
@@ -53,7 +56,7 @@ from gml.completion import (
 )
 from gml.pairs import Morphism, PartialPair, union
 from gml.semantics import Environment, interpret
-from gml.terms import Abs, App, LambdaTerm, Var, ident_of_nat, is_closed
+from gml.terms import Abs, App, LambdaTerm, Var, ident_of_nat, is_closed, one_step_reducts
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +213,13 @@ def supporting_keys_by_enumeration(ev: Evaluator, t: App, env: dict, e):
 # package.  A refusal anywhere in the left side comes before any verdict.
 
 
+@lru_cache(maxsize=1)
+def _whole_left_side(lhs: LambdaTerm, p: PartialPair, k_lhs: int, ceiling: int) -> tuple:
+    """The rank-k_lhs approximation of lhs in structural order, kept for the
+    next scan of the same left side under the same ceiling."""
+    return tuple(sorted(approx_interpret(lhs, p, Environment(), k_lhs), key=lambda e: e.sort_key()))
+
+
 def check_inequation_by_full_scan(
     lhs: LambdaTerm,
     rhs: LambdaTerm,
@@ -221,9 +231,8 @@ def check_inequation_by_full_scan(
         raise ValueError("inequation checking expects closed terms")
     if k_rhs < k_lhs:
         raise ValueError("the right bound must be at least the left bound")
-    lhs_set = approx_interpret(lhs, p, Environment(), k_lhs)
     ev = Evaluator(p, k_rhs)
-    for candidate in sorted(lhs_set, key=lambda e: e.sort_key()):
+    for candidate in _whole_left_side(lhs, p, k_lhs, pairs.DEFAULT_CEILING):
         if not ev.contains(rhs, {}, candidate):
             found = member(lhs, p, candidate, k_lhs)
             subpair = extract_witness_subpair(lhs, p, candidate, found.rank)
@@ -413,6 +422,41 @@ def set_level_abstractions(max_size: int) -> list[LambdaTerm]:
     ]
 
 
+def redex_free_abstractions(max_size: int) -> list[LambdaTerm]:
+    """The closed abstractions of size <= max_size in which no application
+    has an abstraction as its function side, in closed_terms_up_to order."""
+
+    def redex_free(nt: tuple) -> bool:
+        if nt[0] == "v":
+            return True
+        if nt[0] == "l":
+            return redex_free(nt[1])
+        return nt[1][0] != "l" and redex_free(nt[1]) and redex_free(nt[2])
+
+    return [
+        named_by_rescan(nt)
+        for size in range(2, max_size + 1)
+        for nt in _closed_nameless(size, 0)
+        if nt[0] == "l" and redex_free(nt)
+    ]
+
+
+def beta_related_claims(max_size: int, steps: int) -> list[tuple[LambdaTerm, LambdaTerm]]:
+    """(t, r) and (r, t) for each closed term t of size <= max_size and each
+    term r other than t that one_step_reducts reaches from t in 1 to steps
+    rounds, in closed_terms_up_to order and then round by round."""
+    out: dict = {}
+    for t in closed_terms_up_to(max_size):
+        frontier = [t]
+        for _ in range(steps):
+            frontier = [r for u in frontier for r in one_step_reducts(u)]
+            for r in frontier:
+                if r is not t:
+                    out.setdefault((t, r), None)
+                    out.setdefault((r, t), None)
+    return list(out)
+
+
 # ---------------------------------------------------------------------------
 # Goedel codec by its definition: decode a natural to the whole nameless tree
 # (Var(n) = 3n, Abs(b) = 3b + 1, App(f, a) = 3 cantor(f, a) + 2), name it, and
@@ -539,6 +583,39 @@ def print_by_cases(t: LambdaTerm) -> str:
     if isinstance(t.arg, (Abs, App)):
         arg = f"({arg})"
     return f"{fun} {arg}"
+
+
+# ---------------------------------------------------------------------------
+# Substitution and one-step reduction by their recursive clauses: a binder
+# that would capture a free name of the substituted term is renamed to the
+# first of x0, x1, ... free in neither the body nor that term, nor the
+# substituted name, and the reducts come redex by redex, a redex first, then
+# those in its function side, then those in its argument.
+
+
+def substitute_by_cases(t: LambdaTerm, x: str, s: LambdaTerm) -> LambdaTerm:
+    if x not in t.free:
+        return t
+    if isinstance(t, Var):
+        return s
+    if isinstance(t, App):
+        return App(substitute_by_cases(t.fun, x, s), substitute_by_cases(t.arg, x, s))
+    if t.binder in s.free:
+        avoid = t.body.free | s.free | {x}
+        fresh = next(f"x{i}" for i in itertools.count() if f"x{i}" not in avoid)
+        renamed = substitute_by_cases(t.body, t.binder, Var(fresh))
+        return Abs(fresh, substitute_by_cases(renamed, x, s))
+    return Abs(t.binder, substitute_by_cases(t.body, x, s))
+
+
+def reducts_by_cases(t: LambdaTerm) -> list[LambdaTerm]:
+    if isinstance(t, Abs):
+        return [Abs(t.binder, b) for b in reducts_by_cases(t.body)]
+    if isinstance(t, Var):
+        return []
+    out = [substitute_by_cases(t.fun.body, t.fun.binder, t.arg)] if isinstance(t.fun, Abs) else []
+    out += [App(f, t.arg) for f in reducts_by_cases(t.fun)]
+    return out + [App(t.fun, a) for a in reducts_by_cases(t.arg)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import gc
 import itertools
 import json
+import sys
 from collections import Counter
 from random import Random
 
 import pytest
 
-from gml import approximation, completion
+from gml import approximation, completion, minmodel, pairs
 from gml.approximation import (
     ApproximationInfeasible,
     BOUNDED_REFUTATION_NOTE,
@@ -33,15 +34,18 @@ from gml.completion import (
 )
 from gml.pairs import PartialPair, automorphisms, is_subpair, union, validate
 from gml.semantics import Environment, interpret
-from gml.terms import FALSE, IDENTITY, OMEGA, TRUE, Abs, App, Var, parse
+from gml.minmodel import enumerate_pair, search_counterexample
+from gml.terms import FALSE, IDENTITY, OMEGA, TRUE, Abs, App, Var, godel_decode, parse
 from oracles import (
     abstraction_by_membership,
     all_pairs,
+    beta_related_claims,
     check_inequation_by_full_scan,
     closed_terms_up_to,
     random_pair,
     random_term,
     rank_monotone_violations,
+    redex_free_abstractions,
     restriction_witness,
     set_level_abstractions,
     supporting_keys_by_enumeration,
@@ -875,6 +879,45 @@ class TestPrunedInclusion:
             assert verdict.to_json(p) == check_inequation_by_full_scan(lhs, rhs, p).to_json(p)
             assert verdict.failed and 0 < len(asked) < unpruned // 3, (claim, len(asked))
 
+    def test_redex_free_verdicts_match_full_scan(self):
+        """A seeded slice of tools/pruned_scan_sweep.py: the 17 redex-free
+        closed abstractions of size <= 5, whose bodies may hold abstractions,
+        over every pair of <= 2 atoms and <= 2 coded triples, at (kM, kN) =
+        (2, 4) and (1, 3)."""
+        terms = redex_free_abstractions(5)
+        assert len(terms) == 17
+        cases = [
+            (lhs, rhs, p, ranks) for lhs in terms for rhs in terms for p in all_pairs(2, 2) for ranks in ((2, 4), (1, 3))
+        ]
+        kinds = Counter()
+        for lhs, rhs, p, (k_lhs, k_rhs) in Random(88).sample(cases, 1500):
+            got = _outcome(lambda: check_inequation(lhs, rhs, p, k_lhs, k_rhs).to_json(p))
+            assert got == _outcome(lambda: check_inequation_by_full_scan(lhs, rhs, p, k_lhs, k_rhs).to_json(p)), (
+                lhs, rhs, p, k_lhs,
+            )
+            kinds[got["kind"] if isinstance(got, dict) else "refused"] += 1
+        assert kinds["fails_with_evidence"] > 300 and kinds["holds_up_to"] > 100
+
+    def test_pruning_engages_under_an_inner_abstraction(self, monkeypatch):
+        """\\x0.x0 (\\x1.x1) has an abstraction in its body, so the whole left
+        side was scanned, enumerating its body 264 times on component 8
+        before the witness; the pruned walk, far fewer."""
+        lhs, rhs = parse("\\x0.x0 x0 x0"), parse("\\x0.x0 (\\x1.x1)")
+        p = enumerate_pair(8)
+        enumerate_ = Evaluator.enumerate
+        asked = []
+
+        def counted(self, t, env, trim):
+            if t is lhs.body:
+                asked.append(trim)
+            return enumerate_(self, t, env, trim)
+
+        monkeypatch.setattr(Evaluator, "enumerate", counted)
+        verdict = check_inequation(lhs, rhs, p)
+        monkeypatch.setattr(Evaluator, "enumerate", enumerate_)
+        assert verdict.to_json(p) == check_inequation_by_full_scan(lhs, rhs, p).to_json(p)
+        assert verdict.failed and 0 < len(asked) < 264 // 3, len(asked)
+
     def test_subsets_walk_matches_filter(self):
         """_subsets(items, viable) reaches exactly the sets the filter of all
         subsets keeps, in the same order, for arbitrary viable tests; for a
@@ -900,6 +943,105 @@ class TestPrunedInclusion:
             f, g = monotone(items), monotone(items)
             walked = approximation._subsets(items, lambda chosen, rest: not f(chosen + rest) <= g(chosen))
             assert [s for s in walked if not f(s) <= g(s)] == [s for s in everything if not f(s) <= g(s)]
+
+
+class TestBetaRelatedInclusion:
+    """M <= N holds without a scan when one side reaches the other, compared
+    by identity, in at most kN - kM one-step reductions: reduction grows an
+    approximation at a fixed rank and each expansion costs one rank."""
+
+    def test_verdicts_match_full_scan(self):
+        """A seeded slice of tools/pruned_scan_sweep.py: closed terms of size
+        <= 7 against their one- and two-step reducts, both ways, over every
+        pair of <= 2 atoms and <= 2 coded triples, at (kM, kN) = (2, 4) and
+        (2, 3).  The one difference allowed is a refusal answered
+        holds_up_to, and never at (2, 3), where two steps pass the slack.
+        Claims of lambda-beta hold almost everywhere."""
+        claims = beta_related_claims(7, 2)
+        assert len(claims) == 176
+        cases = [(lhs, rhs, p, ranks) for lhs, rhs in claims for p in all_pairs(2, 2) for ranks in ((2, 4), (2, 3))]
+        kinds = Counter()
+        for lhs, rhs, p, (k_lhs, k_rhs) in Random(87).sample(cases, 900):
+            got = _outcome(lambda: check_inequation(lhs, rhs, p, k_lhs, k_rhs).to_json(p))
+            want = _outcome(lambda: check_inequation_by_full_scan(lhs, rhs, p, k_lhs, k_rhs).to_json(p))
+            if got != want:
+                assert isinstance(want, tuple) and got["kind"] == "holds_up_to" and k_rhs == 4, (lhs, rhs, p, k_rhs)
+                kinds["proved"] += 1
+            kinds[got["kind"] if isinstance(got, dict) else "refused"] += 1
+        # at (2, 3) a claim two steps apart is scanned, and some fail there
+        assert kinds["fails_with_evidence"] > 0 and kinds["holds_up_to"] > 800 and kinds["proved"] > 0
+
+    def test_equation_reads_one_left_element_per_direction(self, monkeypatch, free2):
+        """Both directions of \\x0.x0 = (\\x0.x0) (\\x0.x0) hold: each builds its
+        left evaluator only and takes the first element of its left side."""
+        ranks, taken = [], []
+        init, ordered = Evaluator.__init__, Evaluator.ordered
+
+        def counted_init(self, pair, k):
+            ranks.append(k)
+            init(self, pair, k)
+
+        def counted_ordered(self, t, env, trim, bound=None):
+            for e in ordered(self, t, env, trim, bound):
+                taken.append(t)
+                yield e
+
+        monkeypatch.setattr(Evaluator, "__init__", counted_init)
+        monkeypatch.setattr(Evaluator, "ordered", counted_ordered)
+        lhs, rhs = parse("\\x0.x0"), parse("(\\x0.x0) (\\x0.x0)")
+        assert [v.kind for v in check_equation(lhs, rhs, free2)] == ["holds_up_to"] * 2
+        assert ranks == [2, 2] and taken == [lhs, rhs]
+
+    def test_search_decides_the_relation_once(self, monkeypatch):
+        """A search over 14 components asks the relation at every component
+        it checks, and decides it at the first."""
+        checked = []
+        real = minmodel.check_inequation
+
+        def recording(lhs, rhs, p, *bounds):
+            checked.append(p)
+            return real(lhs, rhs, p, *bounds)
+
+        monkeypatch.setattr(minmodel, "check_inequation", recording)
+        approximation._related.cache_clear()
+        m = parse("\\x0.x0 x0")
+        assert search_counterexample(m, App(IDENTITY, m), 13) is None
+        info = approximation._related.cache_info()
+        assert len(checked) > 1 and (info.misses, info.hits) == (1, len(checked) - 1)
+
+    def test_holds_where_the_full_scan_refuses(self, capsys, pair_file, free1):
+        """(\\a.a a) (\\a.a) reduces to \\a.a in two steps, so the claim holds on
+        the free atom, in the library and on the command line, where the
+        full scan's right side refuses its level-2 abstraction."""
+        lhs, rhs = parse("\\a.a"), parse("(\\a.a a) (\\a.a)")
+        assert check_inequation(lhs, rhs, free1).kind == "holds_up_to"
+        with pytest.raises(ApproximationInfeasible) as refused:
+            check_inequation_by_full_scan(lhs, rhs, free1)
+        assert str(refused.value) == "abstraction over level 2 needs 2^25·25 keys, ceiling is 1000000"
+        assert main(["--json", "check", "--pair", pair_file(free1), "\\a.a <= (\\a.a a) (\\a.a)"]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == "holds_up_to"
+
+    def test_three_steps_pass_the_slack(self):
+        """(\\a.a) (\\a.a a) (\\a b.b) reduces to \\b.b in three steps, one more
+        than kN - kM, so the claim is scanned, and refuted on component 2."""
+        found = search_counterexample(parse("\\b.b"), parse("(\\a.a) (\\a.a a) (\\a b.b)"), 2)
+        assert found is not None and found[0] == 2 and found[1].failed
+
+    def test_reduct_walk_is_stack_safe_and_charged_to_the_ceiling(self, monkeypatch):
+        """A 2,001-application spine of identities is two steps from the
+        spine two applications shorter, at the default recursion limit; the
+        nodes the walk rebuilds (about 4,000) are charged to the ceiling,
+        and past it the claim is left to the scan.  The 1,200-binder chain
+        holds no redex, so no reduct of it is built."""
+        assert sys.getrecursionlimit() <= 1000
+        spines = [IDENTITY]
+        for _ in range(2001):
+            spines.append(App(spines[-1], IDENTITY))
+        assert approximation._beta_related(spines[-1], spines[-3], 2)
+        assert not approximation._beta_related(spines[-1], spines[-4], 2)
+        assert not approximation._beta_related(godel_decode((3**1200 - 1) // 2), IDENTITY, 2)
+        monkeypatch.setattr(pairs, "DEFAULT_CEILING", 3000)
+        assert not approximation._beta_related(spines[-1], spines[-3], 2)
 
 
 class TestMemoDiscipline:
@@ -1009,6 +1151,26 @@ class TestMemoDiscipline:
             assert Evaluator(p, 2).coded_results is ev.coded_results  # built once per pair
             for e in elements_up_to(p, 1):
                 assert ev.preimage(e) == coding_preimage(p, e), (p, e)
+
+    def test_sorted_level_built_once_per_pair(self, monkeypatch, free2):
+        """_level keeps its sort_key-ordered tuple in pair.derived: a second
+        evaluator over the pair reads it back after one closed-form count,
+        and the guard still reads the ceiling on every call."""
+        level = Evaluator(free2, 2)._level(1)
+        assert list(level) == sorted(elements_up_to(free2, 1), key=CompletionElement.sort_key)
+        counts = []
+        count = completion.count_up_to
+
+        def counted(p, k):
+            counts.append(k)
+            return count(p, k)
+
+        monkeypatch.setattr(approximation, "count_up_to", counted)
+        monkeypatch.setattr(completion, "count_up_to", counted)
+        assert Evaluator(free2, 2)._level(1) is level and counts == [1]
+        monkeypatch.setattr(pairs, "DEFAULT_CEILING", 100)
+        with pytest.raises(ApproximationInfeasible):
+            Evaluator(free2, 2)._level(1)
 
     def test_three_atom_abstraction_still_refuses(self):
         with pytest.raises(ApproximationInfeasible) as refused:

@@ -31,11 +31,13 @@ from gml.terms import (
     ident_of_nat,
     is_closed,
     nat_of_ident,
+    is_normal,
     normalize,
     one_step_reducts,
     parse,
     print_term,
     size,
+    substitute,
 )
 from oracles import (
     closed_codes_by_filter,
@@ -46,6 +48,8 @@ from oracles import (
     named_by_rescan,
     print_by_cases,
     random_term,
+    reducts_by_cases,
+    substitute_by_cases,
 )
 
 DEEP_CHAIN = (3**1200 - 1) // 2  # 1,200 binders around the innermost one's variable
@@ -166,6 +170,46 @@ class TestNormalize:
         binder = out.term.binder
         assert binder != "y"
         assert out.term.body == Var("y")
+
+
+class TestReducts:
+    def test_match_the_recursive_clauses(self):
+        """one_step_reducts and substitute, walked from explicit stacks, give
+        the terms the recursive clauses give, in the same order and with the
+        same fresh names, on terms whose names invite capture."""
+        rng = Random(101)
+        names = ("x", "y", "x0", "x1")
+        reducts = 0
+        for _ in range(3000):
+            t = random_term(rng, 16, names)
+            want = reducts_by_cases(t)
+            assert one_step_reducts(t) == want, print_term(t)
+            assert is_normal(t) == (not want)
+            s = random_term(rng, 5, names)
+            assert substitute(t, "x", s) is substitute_by_cases(t, "x", s), (print_term(t), print_term(s))
+            reducts += len(want)
+        assert reducts > 1000
+
+    def test_deep_terms_at_the_default_recursion_limit(self):
+        """The 1,200-binder chain holds no redex; a 2,001-application spine
+        of identities has one, at its head, whose contraction drops one
+        application; and a redex whose body is a 2,001-application spine
+        contracts to the spine over its argument."""
+        assert sys.getrecursionlimit() <= 1000
+        chain = godel_decode(DEEP_CHAIN)
+        assert is_normal(chain) and one_step_reducts(chain) == []
+
+        def spine(head, arg, n):
+            for _ in range(n):
+                head = App(head, arg)
+            return head
+
+        long = spine(IDENTITY, IDENTITY, 2001)
+        assert not is_normal(long)
+        assert one_step_reducts(long) == [spine(IDENTITY, IDENTITY, 2000)]
+        redex = App(Abs("x", spine(Var("x"), Var("x"), 2001)), Var("z"))
+        assert one_step_reducts(redex) == [spine(Var("z"), Var("z"), 2001)]
+        assert normalize(redex, 1).term is spine(Var("z"), Var("z"), 2001)
 
 
 class TestGodelCodec:

@@ -1,16 +1,29 @@
-"""Compare the pruned inclusion scan with the whole-left-side scan, exhaustively.
+"""Compare the shortcuts of the inclusion check with the whole-left-side scan, exhaustively.
 
     python3 tools/pruned_scan_sweep.py
 
-`check_inequation` passes over the argument sets of a set-level abstraction
-(its body built from variables and applications only) that cannot hold a
-witness.  This sweep takes every ordered pair of distinct set-level closed
-abstractions of size <= 9 (`\\a.a` to `\\a.a a a a`, 72 pairs), every
-partial pair of `tests/oracles.all_pairs(2, 2)` (77 pairs) and the rank
-settings (kM, kN) = (2, 4) and (1, 3), and compares the verdict JSON, or the
-refusal, of `check_inequation` with `oracles.check_inequation_by_full_scan`.
-It prints the first mismatch with its input and exits 1; otherwise it prints
-the number of checks and exits 0.  It is stdlib only.
+`check_inequation` passes over the argument sets of a normal abstraction
+(one whose body holds no redex) that cannot hold a witness, and answers a
+claim whose sides are one step-bounded beta reduction apart without a scan.
+This sweep compares the verdict JSON, or the refusal, of `check_inequation`
+with `oracles.check_inequation_by_full_scan` on every partial pair of
+`tests/oracles.all_pairs(2, 2)` (77 pairs), over three claim sets:
+
+  * set-level: every ordered pair of distinct closed abstractions of size
+    <= 9 whose body holds only variables and applications (72 claims), at
+    (kM, kN) = (2, 4) and (1, 3);
+  * redex-free: every ordered pair of the 17 closed redex-free abstractions
+    of size <= 5 (`oracles.redex_free_abstractions`, 289 claims), at (2, 4)
+    and (1, 3);
+  * beta-related: every closed term of size <= 7 against each term it
+    reduces to in one or two steps, both ways (`oracles.beta_related_claims`,
+    176 claims), at (2, 4) and at (2, 3), where the two-step reducts are past
+    the slack.
+
+The one difference allowed is a refusal of the full scan answered
+`holds_up_to`, which the sweep counts.  It prints the first other mismatch
+with its input and exits 1; otherwise it prints the counts and exits 0.  It
+is stdlib only.
 """
 
 from __future__ import annotations
@@ -24,9 +37,13 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 from gml.approximation import check_inequation  # noqa: E402
 from gml.completion import CeilingExceeded  # noqa: E402
 from gml.terms import print_term  # noqa: E402
-from oracles import all_pairs, check_inequation_by_full_scan, set_level_abstractions  # noqa: E402
-
-RANKS = ((2, 4), (1, 3))
+from oracles import (  # noqa: E402
+    all_pairs,
+    beta_related_claims,
+    check_inequation_by_full_scan,
+    redex_free_abstractions,
+    set_level_abstractions,
+)
 
 
 def outcome(run):
@@ -37,23 +54,53 @@ def outcome(run):
         return type(exc).__name__, str(exc)
 
 
+def sweeps() -> list[tuple[str, list, tuple]]:
+    """(name, claims, rank settings) of each claim set.  Claims with one left
+    side are adjacent, so the full scan enumerates it once for them all."""
+    flat = set_level_abstractions(9)
+    normal = redex_free_abstractions(5)
+    related = beta_related_claims(7, 2)
+    first = {}
+    for lhs, _ in related:
+        first.setdefault(lhs, len(first))
+    return [
+        ("set-level", [(lhs, rhs) for lhs in flat for rhs in flat if lhs is not rhs], ((2, 4), (1, 3))),
+        ("redex-free", [(lhs, rhs) for lhs in normal for rhs in normal], ((2, 4), (1, 3))),
+        ("beta-related", sorted(related, key=lambda claim: first[claim[0]]), ((2, 4), (2, 3))),
+    ]
+
+
+def compare(lhs, rhs, p, k_lhs: int, k_rhs: int) -> str | None:
+    """"same" when the check and the full scan agree, "proved" when the
+    check holds where the full scan refuses, None on any other difference,
+    which is printed."""
+    got = outcome(lambda: check_inequation(lhs, rhs, p, k_lhs, k_rhs).to_json(p))
+    want = outcome(lambda: check_inequation_by_full_scan(lhs, rhs, p, k_lhs, k_rhs).to_json(p))
+    if got == want:
+        return "same"
+    if isinstance(want, tuple) and isinstance(got, dict) and got["kind"] == "holds_up_to":
+        return "proved"
+    print(f"mismatch: {print_term(lhs)} <= {print_term(rhs)}, kM={k_lhs}, kN={k_rhs}")
+    print(f"pair: {p.to_json()}")
+    print(f"check:     {got}")
+    print(f"full scan: {want}")
+    return None
+
+
 def main() -> int:
-    terms = set_level_abstractions(9)
-    claims = [(lhs, rhs) for lhs in terms for rhs in terms if lhs is not rhs]
-    count = 0
-    for p in all_pairs(2, 2):
-        for k_lhs, k_rhs in RANKS:
-            for lhs, rhs in claims:
-                got = outcome(lambda: check_inequation(lhs, rhs, p, k_lhs, k_rhs).to_json(p))
-                want = outcome(lambda: check_inequation_by_full_scan(lhs, rhs, p, k_lhs, k_rhs).to_json(p))
-                if got != want:
-                    print(f"mismatch: {print_term(lhs)} <= {print_term(rhs)}, kM={k_lhs}, kN={k_rhs}")
-                    print(f"pair: {p.to_json()}")
-                    print(f"pruned scan: {got}")
-                    print(f"full scan:   {want}")
-                    return 1
-                count += 1
-    print(f"{count} checks over {len(claims)} claims agree with the full scan")
+    for name, claims, ranks in sweeps():
+        counts = {"same": 0, "proved": 0}
+        for p in all_pairs(2, 2):
+            for k_lhs, k_rhs in ranks:
+                for lhs, rhs in claims:
+                    result = compare(lhs, rhs, p, k_lhs, k_rhs)
+                    if result is None:
+                        return 1
+                    counts[result] += 1
+        print(
+            f"{name}: {counts['same']} checks over {len(claims)} claims agree with the full scan, "
+            f"{counts['proved']} more hold where it refuses"
+        )
     return 0
 
 
