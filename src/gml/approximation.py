@@ -51,30 +51,35 @@ each coded argument set to its coded results.
 
 An inequation M <= N is refuted by the least element of M's approximation
 that N's lacks, so check_inequation reads M's side in witness order
-(sort_key order) and stops at the first element N's evaluator rejects.  At
-an abstraction that order is lazy: the coded atoms, then the argument sets
-over the sorted lower level depth first, lexicographically with a prefix
-first, each with its results sorted.  That one walk (Evaluator._abstraction)
-serves both readings of an abstraction: enumeration takes the union of its
-groups, the ordered scan sorts each group as it comes; the same subset walk,
-pruned, finds a redex's least supporting key.  A refuted abstraction thus
-costs the argument sets up to its witness, not all of them.
+(sort_key order) and stops at the first element N's evaluator rejects.  M
+is first followed through its head (Evaluator._head, a loop in the manner
+of Krivine's machine): a redex binds its variable lazily one rank down, as
+enumeration reduces it, and a variable bound that way stands for its
+value's term.  At an abstraction reached so, the order is lazy: the coded
+atoms, then the argument sets over the sorted lower level depth first,
+lexicographically with a prefix first, each with its results sorted.  That
+one walk (Evaluator._abstraction) serves both readings of an abstraction:
+enumeration takes the union of its groups, the ordered scan sorts each
+group as it comes; the same subset walk, pruned, finds a redex's least
+supporting key.  A refuted abstraction thus costs the argument sets up to
+its witness, not all of them.
 
-The walk is pruned by monotonicity for \\x.B <= \\y.C when both bodies are
-normal, holding no redex (and so no Omega).  Every application in such a
-body has a variable at the head of its spine, so under explicit sets B
-builds a level only to enumerate the abstraction chain at its top, each one
-rank below the scan's first group, whose level the guards already passed,
-and C, queried for membership only, inverts the coding at each abstraction
-and builds no level: evaluating either never refuses.  The walk's subtree
-of argument sets extending chosen by elements of rest is passed over when B
-under chosen + rest, cut one rank down, gives no result that C lacks under
-chosen at rank k_rhs.  Each set S of the subtree lies between the two, and
-meaning is monotone in the environment, so every element (S, a) of its
-group has a in C under S: the subtree holds no witness.  The least witness,
-the verdict and every refusal are those of the whole scan; a holding
-inclusion, and the sets before a witness, cost only the subtrees the bound
-fails to close.  Other claims scan their left side whole.
+The walk is pruned by monotonicity (branch and bound) whenever both sides
+reach abstractions, \\x.B under the left's reached environment and \\y.C
+under the right's, and the left side's trim is at most the right side's,
+so every element the scan reads lies within the right side's.  The walk's
+subtree of argument sets extending chosen by elements of rest is passed
+over when B under chosen + rest, cut one rank below the left trim, gives no
+result that C lacks under chosen.  Each set S of the subtree lies between
+the two, and meaning is monotone in the environment, lazy values included,
+so every element (S, a) of its group has a in C under S: the subtree holds
+no witness.  An evaluation of the bound that refuses, or meets the
+recursion limit, proves nothing and prunes nothing, so the bound adds no
+refusal; where it answers, it may pass over sets whose evaluation would
+refuse, and the claim then answers where the whole scan refuses.  Wherever
+the whole scan answers, the verdict and the least witness are its own; a
+holding inclusion, and the sets before a witness, cost only the subtrees
+the bound fails to close.  Other claims are scanned unpruned.
 
 M <= N is not scanned at all when one side reaches the other by at most
 k_rhs - k_lhs one-step beta reductions, M <= M being the 0-step case.  Every
@@ -84,12 +89,14 @@ approximation (a redex binds its variable one rank down, its contractum at
 rank k), and an expansion costs at most one rank (the contractum at rank k
 lies in the redex at rank k+1).  Sides are compared by identity: terms are
 hash-consed, so a reduct is the other side exactly when it is structurally
-equal to it, names included, and alpha-variants are scanned.  The left side
-is still read up to its first element, so the claim refuses exactly where
-that side's guards do, and no right-side evaluator is built; a claim whose
-whole scan would refuse after that element, on either side, now holds.  The
-reducts are walked from explicit stacks under the element ceiling, once per
-search.
+equal to it, names included, and alpha-variants are scanned.  No right-side
+evaluator is built, and the left side is read only when one of its guards
+could refuse (_unguarded decides that in closed form from the size of the
+level one rank below k_lhs and the ceiling): then it is read up to its
+first element, so the claim refuses exactly where that side's guards do.
+A claim whose whole scan would refuse after that element, on either side,
+holds.  The reducts are walked from explicit stacks under the element
+ceiling, once per search.
 
 Certificates come from the same derivation.  extract_witness_subpair walks
 the term with the memoized membership and enumeration queries and keeps the
@@ -129,7 +136,7 @@ from .completion import (
 from . import pairs
 from .pairs import PartialPair, validate
 from .semantics import EMPTY_ENV, Environment, interpret
-from .terms import Abs, App, LambdaTerm, Var, _reducts, is_closed, is_normal, print_term
+from .terms import Abs, App, LambdaTerm, Var, _reducts, is_closed, print_term
 
 # No longer called here, but perfbench/spans.py patches these names on this
 # module to trace calls into the completion and pair layers.
@@ -243,10 +250,11 @@ class Evaluator:
         """The elements of rank <= j in sort_key order, so that argument
         tuples drawn from it in order are already sorted.
 
-        The level sizes are counted in closed form first, once per call, so
-        a level whose keys exceed the ceiling is refused before it is built.
-        The sorted level is kept in pair.derived beside the (rank, structure)
-        ordered one levels_up_to keeps, and is built from it once per pair."""
+        The level sizes are counted in closed form first, so a level whose
+        keys exceed the ceiling is refused before it is built.  The sorted
+        level is kept in pair.derived beside the (rank, structure) ordered
+        one levels_up_to keeps, and is built from it once per pair; only
+        then is the level counted again, by levels_up_to's own guard."""
         n = count_up_to(self.pair, j)
         if 2**n * n > pairs.DEFAULT_CEILING:
             raise ApproximationInfeasible(
@@ -348,16 +356,38 @@ class Evaluator:
                 results = results - collapsed
             yield [pair_of_sorted(args, alpha) for alpha in results]
 
+    def _head(self, t: LambdaTerm, env: dict, trim: int) -> tuple[LambdaTerm, dict, int]:
+        """The term, environment and trim that t under env, cut to rank <=
+        trim, reaches through its head, with the same approximation: a redex
+        (\\x.B) A, not Omega, at k >= 1 is B with x bound to A one rank down
+        and the trim cut to k-1, as _enumerate reduces it; a variable bound
+        to a LazyValue is that value's term under its environment, cut to
+        its trim as well, as enumerate reads it.  The walk stops at anything
+        else, an abstraction among them.  It is a loop in the manner of
+        Krivine's machine, so a long head takes no stack, and it evaluates
+        nothing: it only binds lazy values."""
+        while True:
+            if isinstance(t, App) and not t.omega and isinstance(t.fun, Abs) and self.k >= 1:
+                env = {**env, t.fun.binder: self._lazy(t.arg, env, self.k - 1)}
+                t, trim = t.fun.body, min(trim, self.k - 1)
+            elif isinstance(t, Var) and type(env.get(t.name)) is LazyValue:
+                value = env[t.name]
+                t, env, trim = value.term, value.env, min(trim, value.trim)
+            else:
+                return t, env, trim
+
     def ordered(self, t: LambdaTerm, env: dict, trim: int, bound=None):
         """interp(t, B_k, env) cut to rank <= trim, in sort_key order.
 
-        At an abstraction the set is never built: its groups come in the
+        t is first followed through its head (_head).  At an abstraction
+        reached that way the set is never built: its groups come in the
         order sort_key compares them in (the coded atoms, then the argument
         tuples lexicographically, a prefix first), each group sorted by
         result.  The argument tuples bound passes over (see _abstraction)
-        are left out.  Other terms are one group, enumerated whole.
+        are left out.  Any other term reached is one group, enumerated
+        whole, which is what enumerating t would compute.
         """
-        trim = min(trim, self.k)
+        t, env, trim = self._head(t, env, min(trim, self.k))
         groups = self._abstraction(t, env, trim, bound) if isinstance(t, Abs) else [self.enumerate(t, env, trim)]
         for group in groups:
             yield from sorted(group, key=CompletionElement.sort_key)
@@ -701,34 +731,54 @@ class Verdict:
         return doc
 
 
-def _normal_abstraction(t: LambdaTerm) -> bool:
-    """t is an abstraction whose body holds no redex, and so no Omega.
-    Every application in such a body has a variable at the head of its
-    spine, so under explicit sets the evaluator builds a level only to
-    enumerate the abstraction chain at the body's top, one rank below each
-    binder, and answers membership in any other abstraction by inverting
-    the coding; it never reduces a redex."""
-    return isinstance(t, Abs) and is_normal(t)
-
-
-def _inclusion_bound(left: Evaluator, right: Evaluator, lhs: Abs, rhs: Abs):
-    """The viable test of the scan of lhs against rhs, both normal
-    abstractions: the argument tuples extending chosen by elements of rest
-    may hold a witness only if B, lhs's body, under chosen + rest (on the
-    left evaluator, cut one rank down as the scan's groups are) has a result
-    that C, rhs's body, lacks under chosen (on the right evaluator).  Both
-    bodies are monotone in their variable, so otherwise every group of the
-    subtree lies in rhs."""
-    trim = left.k - 1
+def _inclusion_bound(left: Evaluator, right: Evaluator, lhs: LambdaTerm, rhs: LambdaTerm):
+    """The viable test of the scan of closed lhs against closed rhs, or
+    None.  Each side is followed through its head on its own evaluator
+    (Evaluator._head) to a term, its environment and its trim.  There is a
+    test when both terms reached are abstractions, \\x.B and \\y.C, and the
+    left trim is at most the right one, so that every element the scan
+    reads lies within the right side's trim: the argument tuples extending
+    chosen by elements of rest may hold a witness only if B under chosen +
+    rest (on the left evaluator, cut one rank below the left trim as the
+    scan's groups are) has a result that C lacks under chosen (on the right
+    evaluator).  Interpretation is monotone in the environment, so otherwise
+    every group of the subtree lies in the right side.  An evaluation that
+    refuses, or meets the recursion limit, proves nothing and prunes
+    nothing, so the bound adds no refusal to the scan."""
+    lhs, left_env, trim = left._head(lhs, {}, left.k)
+    rhs, right_env, right_trim = right._head(rhs, {}, right.k)
+    if not (isinstance(lhs, Abs) and isinstance(rhs, Abs)) or trim > right_trim:
+        return None
 
     def viable(chosen: tuple, rest: tuple) -> bool:
-        least = {rhs.binder: frozenset(chosen)}
-        for alpha in left.enumerate(lhs.body, {lhs.binder: frozenset(chosen + rest)}, trim):
-            if not right.contains(rhs.body, least, alpha):
-                return True
+        least = {**right_env, rhs.binder: frozenset(chosen)}
+        try:
+            for alpha in left.enumerate(lhs.body, {**left_env, lhs.binder: frozenset(chosen + rest)}, trim - 1):
+                if not right.contains(rhs.body, least, alpha):
+                    return True
+        except (CeilingExceeded, RecursionError):
+            return True
         return False
 
     return viable
+
+
+def _unguarded(p: PartialPair, k: int) -> bool:
+    """No guard of a rank-k evaluator over p can fire, decided in closed
+    form from the size n of level k-1, the largest level any of its queries
+    builds, under the ceiling read now.  Counting that level runs the
+    element ceiling's guard on it and on the levels below; an abstraction's
+    key guard asks for at most 2^n·n keys; and one redex key search tests
+    at most 2^n sets and 2^(n+1) - 1 bounds, each charging at most n + 1 to
+    its work counter, so it charges less than 3·2^n·(n+1) in all.  A rank-0
+    evaluator builds no level and searches no key."""
+    if k == 0:
+        return True
+    try:
+        n = count_up_to(p, k - 1)
+    except CeilingExceeded:
+        return False
+    return 3 * 2**n * (n + 1) <= pairs.DEFAULT_CEILING
 
 
 def _beta_related(lhs: LambdaTerm, rhs: LambdaTerm, steps: int) -> bool:
@@ -795,23 +845,25 @@ def check_inequation(
     the rank-k_rhs approximation of rhs.
 
     The left side comes in witness order (structural, sort_key order) from
-    Evaluator.ordered, which reads an abstraction lazily, argument set by
-    argument set, and the scan stops at the first element the right side's
-    evaluator rejects.  That element is the canonically least witness; it is
-    returned with its membership rank and a re-verified witness subpair.
-    Holds-up-to means the bounded inclusion went through, after a scan of the
-    whole left side.  When both sides are normal abstractions
-    (_normal_abstraction), the scan passes over the argument sets that
-    _inclusion_bound shows to hold no witness, so the verdict and the least
-    witness are still the whole scan's.  Refusals come where a scan of the
-    whole, sorted left side would meet them: the left side's guards run
-    before its first element, the bound's left body only builds levels
-    below the one they passed, and its right body builds none.
+    Evaluator.ordered, which follows it through its head and reads an
+    abstraction reached that way lazily, argument set by argument set, and
+    the scan stops at the first element the right side's evaluator rejects.
+    That element is the canonically least witness; it is returned with its
+    membership rank and a re-verified witness subpair.  Holds-up-to means
+    the bounded inclusion went through, after a scan of the whole left side.
+    When both sides reach abstractions through their heads (Evaluator._head)
+    and the left trim is at most the right one, the scan passes over the
+    argument sets that _inclusion_bound shows to hold no witness, so
+    wherever the whole scan answers, the verdict and the least witness are
+    its own.  The left side's guards run before its first element, and a
+    bound evaluation that refuses prunes nothing, so the check refuses only
+    where the whole scan refuses.
     When one side reaches the other by at most k_rhs - k_lhs one-step beta
     reductions (_beta_related; lhs is rhs is the 0-step case), the inclusion
-    holds without a scan: only the left side's first element is taken, so
-    the claim refuses exactly when the left side refuses before it, and the
-    right side is never evaluated.
+    holds without a scan and the right side is never evaluated.  The left
+    side's first element is taken only when one of its guards could fire
+    (_unguarded), so the claim refuses exactly when the left side refuses
+    before that element.
     The witness's rank comes from _least_probe, as in member(), with the left
     evaluator answering k_lhs; its subpair is walked on the probe found.
     """
@@ -820,11 +872,12 @@ def check_inequation(
     if k_rhs < k_lhs:
         raise ValueError("the right bound must be at least the left bound")
     left = Evaluator(p, k_lhs)
-    if _beta_related(lhs, rhs, k_rhs - k_lhs):  # the left side's guards run first
-        next(left.ordered(lhs, {}, k_lhs), None)
+    if _beta_related(lhs, rhs, k_rhs - k_lhs):
+        if not _unguarded(p, k_lhs):  # the left side's guards run as its scan would run them
+            next(left.ordered(lhs, {}, k_lhs), None)
         return Verdict("holds_up_to", lhs, rhs, k_lhs, k_rhs)
     ev = Evaluator(p, k_rhs)
-    bound = _inclusion_bound(left, ev, lhs, rhs) if _normal_abstraction(lhs) and _normal_abstraction(rhs) else None
+    bound = _inclusion_bound(left, ev, lhs, rhs)
     for candidate in left.ordered(lhs, {}, k_lhs, bound):
         if not ev.contains(rhs, {}, candidate):
             probe = _least_probe(lhs, p, candidate, k_lhs, EMPTY_ENV, left)

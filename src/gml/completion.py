@@ -203,13 +203,15 @@ def elements_up_to(p: PartialPair, k: int) -> tuple[CompletionElement, ...]:
 
 def levels_up_to(p: PartialPair, k: int) -> tuple[CompletionElement, ...]:
     """elements_up_to(p, k), built once per pair and kept in p.derived, under
-    the ceiling guard on every call.  A wrapper put on the module's
-    elements_up_to (perfbench's tracer, a test) sees each build."""
-    count_up_to(p, k)
+    the ceiling guard on every call: the level is counted once per call, by
+    elements_up_to when it builds the level and here when it is kept.  A
+    wrapper put on the module's elements_up_to (perfbench's tracer, a test)
+    sees each build."""
     key = ("elements_up_to", k)
     got = p.derived.get(key)
     if got is None:
-        got = p.derived.setdefault(key, elements_up_to(p, k))
+        return p.derived.setdefault(key, elements_up_to(p, k))
+    count_up_to(p, k)
     return got
 
 

@@ -570,20 +570,6 @@ def _step(t: LambdaTerm) -> LambdaTerm | None:
     return t
 
 
-def is_normal(t: LambdaTerm) -> bool:
-    """t holds no beta redex, tested from an explicit stack."""
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        if isinstance(t, App):
-            if isinstance(t.fun, Abs):
-                return False
-            todo += (t.arg, t.fun)
-        elif isinstance(t, Abs):
-            todo.append(t.body)
-    return True
-
-
 def one_step_reducts(t: LambdaTerm) -> list[LambdaTerm]:
     """All terms reachable by contracting a single redex anywhere in t."""
     return [reduct for reduct, _ in _reducts(t)]

@@ -8,21 +8,23 @@ enumerator generates nameless trees size by size, and the codec oracles
 decode every natural whole, name binders by rescanning the identifiers, and
 filter by closedness afterwards; the reference listing scans every code and
 gives up open ones at their first free variable; the reference printer reads
-the concrete syntax off a term by cases on its nodes, and substitution and
-one-step reduction follow their recursive clauses.  Nine exceptions: the
-witness oracle walks the materialized restriction with the package's own
-finite interpreter (both are checked against the naive oracles above), the
-closure oracle scans keys through the package's apply_coding, the
-abstraction oracle asks the package's evaluator one membership at a time,
-the key oracle enumerates an application's function side with it, the
-inequation oracle scans the package's whole left-side set, the monotonicity
-oracle compares the package's approximations rank by rank, the search
-oracle checks every component with the package's numeration and inequation
-check, and the isomorphism oracle tries every bijection of two carriers
-with the package's Morphism, and the beta-related claims are a closed
-term and the terms the package's one_step_reducts reaches from it, so that
-their names are the package's.  The argument-parser oracle is the argparse
-parser the command line was read with before its declarative table.
+the concrete syntax off a term by cases on its nodes, substitution and
+one-step reduction follow their recursive clauses, and the terms whose head
+reaches an abstraction are found by contracting the redex at the top with
+that substitution.  Nine exceptions: the witness oracle walks the
+materialized restriction with the package's own finite interpreter (both are
+checked against the naive oracles above), the closure oracle scans keys
+through the package's apply_coding, the abstraction oracle asks the
+package's evaluator one membership at a time, the key oracle enumerates an
+application's function side with it, the inequation oracle scans the
+package's whole left-side set, the monotonicity oracle compares the
+package's approximations rank by rank, the search oracle checks every
+component with the package's numeration and inequation check, and the
+isomorphism oracle tries every bijection of two carriers with the package's
+Morphism, and the beta-related claims are a closed term and the terms the
+package's one_step_reducts reaches from it, so that their names are the
+package's.  The argument-parser oracle is the argparse parser the command
+line was read with before its declarative table.
 """
 
 from __future__ import annotations
@@ -439,6 +441,22 @@ def redex_free_abstractions(max_size: int) -> list[LambdaTerm]:
         for nt in _closed_nameless(size, 0)
         if nt[0] == "l" and redex_free(nt)
     ]
+
+
+def head_reaching_terms(max_size: int) -> list[LambdaTerm]:
+    """The closed terms of size <= max_size that reach an abstraction by
+    contracting the redex at the top, syntactically with
+    substitute_by_cases, at most ten times (a term like Omega never does),
+    in closed_terms_up_to order.  An abstraction reaches itself."""
+
+    def reaches(t: LambdaTerm) -> bool:
+        for _ in range(10):
+            if not (isinstance(t, App) and isinstance(t.fun, Abs)):
+                break
+            t = substitute_by_cases(t.fun.body, t.fun.binder, t.arg)
+        return isinstance(t, Abs)
+
+    return [t for t in closed_terms_up_to(max_size) if reaches(t)]
 
 
 def beta_related_claims(max_size: int, steps: int) -> list[tuple[LambdaTerm, LambdaTerm]]:

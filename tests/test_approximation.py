@@ -42,6 +42,7 @@ from oracles import (
     beta_related_claims,
     check_inequation_by_full_scan,
     closed_terms_up_to,
+    head_reaching_terms,
     random_pair,
     random_term,
     rank_monotone_violations,
@@ -655,10 +656,14 @@ class TestWitnessOrderScan:
         element for element the sorted enumeration, and a refusal where the
         enumeration refuses.  Every element is valid, so no coded key slips
         through as a pair.  On two atoms at rank 2 the terms past size 6 are
-        a seeded sample, which keeps the test to seconds."""
-        terms = closed_terms_up_to(8)
+        a seeded sample, which keeps the test to seconds, plus every
+        application of size <= 8 whose head reaches an abstraction and two
+        larger ones, where the walk passes a variable bound to a redex."""
+        nested = [parse("(\\a.a) ((\\b.b) (\\c d.d))"), parse("(\\a.(\\b.b) a) (\\c.c c)")]
+        terms = closed_terms_up_to(8) + nested
         small = closed_terms_up_to(6)
-        sample = small + Random(81).sample(terms[len(small):], 40)
+        heads = [t for t in head_reaching_terms(8) if isinstance(t, App)] + nested
+        sample = list(dict.fromkeys(small + Random(81).sample(terms[len(small):], 40) + heads))
         cases = [(p, k, terms) for p in ONE_ATOM_PAIRS for k in (0, 1, 2)]
         cases += [(p, k, sample if k == 2 else terms) for p in _seeded_pairs(8, 2, 2) for k in (0, 1, 2)]
         count = 0
@@ -754,15 +759,15 @@ class TestReflexiveInclusion:
                     assert check_inequation(t, t, p, k_lhs, k_rhs).kind == "holds_up_to"
                     assert ranks == [k_lhs], (t, p, k_lhs)
 
-    def test_scans_nothing_after_the_first_element(self, monkeypatch, free1):
-        """The left side's first element is the last one taken: the groups
-        of \\x.x over the free atom at rank 2 are asked for up to the first
-        that is not empty, and no membership is asked at all."""
-        groups = Evaluator._abstraction
-        every = list(groups(Evaluator(free1, 2), IDENTITY, {}, 2))
-        first = next(i for i, group in enumerate(every) if group) + 1
+    def test_scans_nothing_after_the_first_element(self, monkeypatch, free1, free2):
+        """No guard of the rank-2 left evaluator can fire on one or two free
+        atoms, so \\x.x <= \\x.x asks for no group of its left side, takes no
+        element and asks no membership.  Under a ceiling low enough that a
+        guard could fire, though none does, the left side's first element
+        is the last one taken, as before: the groups of \\x.x are asked for
+        up to the first that is not empty, and no membership is asked."""
+        groups, contains, ordered = Evaluator._abstraction, Evaluator.contains, Evaluator.ordered
         asked = []
-        contains = Evaluator.contains
 
         def counted_contains(self, t, env, e):
             asked.append(("contains", self.k))
@@ -773,10 +778,24 @@ class TestReflexiveInclusion:
                 asked.append(("group", self.k))
                 yield group
 
-        monkeypatch.setattr(Evaluator, "contains", counted_contains)
-        monkeypatch.setattr(Evaluator, "_abstraction", counted_groups)
-        assert check_inequation(IDENTITY, IDENTITY, free1).kind == "holds_up_to"
-        assert asked == [("group", 2)] * first and first < len(every)
+        def counted_ordered(self, t, env, trim, bound=None):
+            for e in ordered(self, t, env, trim, bound):
+                asked.append(("element", self.k))
+                yield e
+
+        for p, ceiling in ((free1, 50), (free2, 20_000)):
+            every = list(groups(Evaluator(p, 2), IDENTITY, {}, 2))
+            first = next(i for i, group in enumerate(every) if group) + 1
+            with monkeypatch.context() as patched:
+                patched.setattr(Evaluator, "contains", counted_contains)
+                patched.setattr(Evaluator, "_abstraction", counted_groups)
+                patched.setattr(Evaluator, "ordered", counted_ordered)
+                asked.clear()
+                assert check_inequation(IDENTITY, IDENTITY, p).kind == "holds_up_to"
+                assert asked == [], p
+                patched.setattr(pairs, "DEFAULT_CEILING", ceiling)
+                assert check_inequation(IDENTITY, IDENTITY, p).kind == "holds_up_to"
+                assert asked == [("group", 2)] * first + [("element", 2)] and first < len(every), p
 
     def test_verdicts_match_full_scan(self):
         """Every closed term of size <= 6 against itself, over every pair of
@@ -824,10 +843,10 @@ def _subsets_by_filter(items: tuple, viable) -> list:
 
 
 class TestPrunedInclusion:
-    """Between two set-level abstractions \\x.B <= \\y.C the scan passes over
-    the argument sets extending chosen by elements of rest once B under
-    chosen + rest has no result C lacks under chosen: both are monotone, so
-    no set there holds a witness."""
+    """When both sides reach abstractions \\x.B and \\y.C through their head
+    redexes, the scan passes over the argument sets extending chosen by
+    elements of rest once B under chosen + rest has no result C lacks under
+    chosen: both are monotone, so no set there holds a witness."""
 
     def test_verdicts_match_full_scan(self):
         """A seeded slice of tools/pruned_scan_sweep.py: the nine set-level
@@ -918,6 +937,96 @@ class TestPrunedInclusion:
         assert verdict.to_json(p) == check_inequation_by_full_scan(lhs, rhs, p).to_json(p)
         assert verdict.failed and 0 < len(asked) < 264 // 3, len(asked)
 
+    def test_head_reaching_verdicts_match_full_scan(self):
+        """A seeded slice of tools/pruned_scan_sweep.py: the 20 closed terms
+        of size <= 5 whose head reaches an abstraction (abstractions whose
+        bodies may hold redexes, and one redex), over every pair of <= 2
+        atoms and <= 2 coded triples, at (kM, kN) = (2, 4) and (1, 3),
+        through check_inequation and check_equation.  The one difference
+        allowed is a refusal of the full scan where the check answers."""
+        terms = head_reaching_terms(5)
+        assert len(terms) == 20
+        cases = [
+            (lhs, rhs, p, ranks)
+            for lhs in terms
+            for rhs in terms
+            if lhs is not rhs
+            for p in all_pairs(2, 2)
+            for ranks in ((2, 4), (1, 3))
+        ]
+        kinds = Counter()
+        for lhs, rhs, p, (k_lhs, k_rhs) in Random(89).sample(cases, 500):
+            got, refusals = [], []
+            for a, b in ((lhs, rhs), (rhs, lhs)):
+                one = _outcome(lambda: check_inequation(a, b, p, k_lhs, k_rhs).to_json(p))
+                want = _outcome(lambda: check_inequation_by_full_scan(a, b, p, k_lhs, k_rhs).to_json(p))
+                assert one == want or (isinstance(want, tuple) and isinstance(one, dict)), (a, b, p, k_lhs)
+                kinds[one["kind"] if isinstance(one, dict) else "refused"] += 1
+                got.append(one)
+                refusals += [one] if isinstance(one, tuple) else []
+            equation = _outcome(lambda: [v.to_json(p) for v in check_equation(lhs, rhs, p, k_lhs, k_rhs)])
+            assert equation == (refusals[0] if refusals else got), (lhs, rhs, p, k_lhs)
+        assert kinds["fails_with_evidence"] > 200 and kinds["holds_up_to"] > 100, kinds
+
+    def test_pruning_engages_through_head_redexes(self, monkeypatch):
+        """The right side of \\x0.\\x1.x1 (\\x2.x2) <= (\\x0.x0) (\\x0.\\x1.x1)
+        reaches an abstraction through its head redex, and the right body of
+        \\x0.x0 x0 x0 <= \\x0.(\\x1.x1) (\\x1.x1) holds a redex, so both were
+        scanned whole: both claims hold, after enumerating the left body
+        1,024 times on two free atoms and 512 times on two atoms coding
+        ({0}, 0) to 0.  The pruned walk, far fewer.  A left side whose head
+        is a redex was enumerated whole: (\\x0.x0) (\\x0.\\x1.x1) at rank 3
+        enumerated the body it reaches 1,024 times before its witness
+        against \\x0.\\x1.x1 (\\x2.x2) at rank 5; the lazy scan, far fewer."""
+        enumerate_ = Evaluator.enumerate
+        free2, coded = PartialPair({0, 1}), PartialPair({0, 1}, {(frozenset({0}), 0): 0})
+        cases = (
+            ("\\x0.\\x1.x1 (\\x2.x2) <= (\\x0.x0) (\\x0.\\x1.x1)", free2, (2, 4), "holds_up_to", 1024),
+            ("\\x0.x0 x0 x0 <= \\x0.(\\x1.x1) (\\x1.x1)", coded, (2, 4), "holds_up_to", 512),
+            ("(\\x0.x0) (\\x0.\\x1.x1) <= \\x0.\\x1.x1 (\\x2.x2)", free2, (3, 5), "fails_with_evidence", 1024),
+        )
+        for claim, p, ranks, kind, unpruned in cases:
+            lhs, rhs = (parse(side) for side in claim.split("<="))
+            body = Evaluator(p, ranks[0])._head(lhs, {}, ranks[0])[0].body
+            asked = []
+
+            def counted(self, t, env, trim):
+                if t is body:
+                    asked.append(trim)
+                return enumerate_(self, t, env, trim)
+
+            monkeypatch.setattr(Evaluator, "enumerate", counted)
+            verdict = check_inequation(lhs, rhs, p, *ranks)
+            monkeypatch.setattr(Evaluator, "enumerate", enumerate_)
+            assert verdict.to_json(p) == check_inequation_by_full_scan(lhs, rhs, p, *ranks).to_json(p)
+            assert verdict.kind == kind and 0 < len(asked) < unpruned // 3, (claim, len(asked))
+
+    def test_refusing_bound_prunes_nothing(self, monkeypatch):
+        """On one atom coding ({0}, 0) to 0, under a ceiling of 7, the right
+        body of \\x.x <= \\y.(\\a.a) (\\b.b) y refuses level 1 at rank 3
+        when y is bound to the empty set, as the bound binds it, though never
+        under the sets the scan binds: a refusing bound counts as viable, so
+        the claim holds, as its full scan does.  At (2, 4) the scan itself
+        refuses, with the full scan's message."""
+        monkeypatch.setattr(pairs, "DEFAULT_CEILING", 7)
+        p = PartialPair({0}, {(frozenset({0}), 0): 0})
+        lhs, rhs = parse("\\x.x"), parse("\\y.(\\a.a) (\\b.b) y")
+        refused, level = [], Evaluator._level
+
+        def recorded(self, j):
+            try:
+                return level(self, j)
+            except ApproximationInfeasible:
+                refused.append((self.k, j))
+                raise
+
+        monkeypatch.setattr(Evaluator, "_level", recorded)
+        for ranks, kind in (((1, 3), "holds_up_to"), ((2, 4), ApproximationInfeasible)):
+            refused.clear()
+            got = _outcome(lambda: check_inequation(lhs, rhs, p, *ranks).to_json(p))
+            assert got == _outcome(lambda: check_inequation_by_full_scan(lhs, rhs, p, *ranks).to_json(p)), ranks
+            assert refused and (got["kind"] if isinstance(got, dict) else got[0]) == kind, (ranks, got)
+
     def test_subsets_walk_matches_filter(self):
         """_subsets(items, viable) reaches exactly the sets the filter of all
         subsets keeps, in the same order, for arbitrary viable tests; for a
@@ -971,15 +1080,24 @@ class TestBetaRelatedInclusion:
         # at (2, 3) a claim two steps apart is scanned, and some fail there
         assert kinds["fails_with_evidence"] > 0 and kinds["holds_up_to"] > 800 and kinds["proved"] > 0
 
-    def test_equation_reads_one_left_element_per_direction(self, monkeypatch, free2):
-        """Both directions of \\x0.x0 = (\\x0.x0) (\\x0.x0) hold: each builds its
-        left evaluator only and takes the first element of its left side."""
+    def test_equation_reads_one_left_element_per_direction(self, monkeypatch, free1, free2):
+        """Both directions of \\x0.x0 = (\\x0.x0) (\\x0.x0) hold, each building
+        its left evaluator only.  No guard of that evaluator can fire on one
+        or two free atoms, so neither direction asks for a group of its left
+        side or takes an element of it.  Under a ceiling low enough that a
+        guard could fire, each takes the first element of its left side, as
+        before."""
         ranks, taken = [], []
-        init, ordered = Evaluator.__init__, Evaluator.ordered
+        init, groups, ordered = Evaluator.__init__, Evaluator._abstraction, Evaluator.ordered
 
         def counted_init(self, pair, k):
             ranks.append(k)
             init(self, pair, k)
+
+        def counted_groups(self, t, env, trim, bound=None):
+            for group in groups(self, t, env, trim, bound):
+                taken.append("group")
+                yield group
 
         def counted_ordered(self, t, env, trim, bound=None):
             for e in ordered(self, t, env, trim, bound):
@@ -989,8 +1107,17 @@ class TestBetaRelatedInclusion:
         monkeypatch.setattr(Evaluator, "__init__", counted_init)
         monkeypatch.setattr(Evaluator, "ordered", counted_ordered)
         lhs, rhs = parse("\\x0.x0"), parse("(\\x0.x0) (\\x0.x0)")
-        assert [v.kind for v in check_equation(lhs, rhs, free2)] == ["holds_up_to"] * 2
-        assert ranks == [2, 2] and taken == [lhs, rhs]
+        for p, ceiling in ((free1, 50), (free2, 20_000)):
+            with monkeypatch.context() as patched:
+                patched.setattr(Evaluator, "_abstraction", counted_groups)
+                ranks.clear(), taken.clear()
+                assert [v.kind for v in check_equation(lhs, rhs, p)] == ["holds_up_to"] * 2
+                assert ranks == [2, 2] and taken == [], p
+            with monkeypatch.context() as patched:
+                patched.setattr(pairs, "DEFAULT_CEILING", ceiling)
+                ranks.clear(), taken.clear()
+                assert [v.kind for v in check_equation(lhs, rhs, p)] == ["holds_up_to"] * 2
+                assert ranks == [2, 2] and taken == [lhs, rhs], p
 
     def test_search_decides_the_relation_once(self, monkeypatch):
         """A search over 14 components asks the relation at every component

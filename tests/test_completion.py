@@ -134,6 +134,26 @@ class TestElementsUpTo:
             count_up_to(p1, 2)
         assert str(refused.value) == "level 2 would hold 2^2·2 elements, ceiling is 5"
 
+    def test_kept_level_counted_once_per_call(self, monkeypatch):
+        """levels_up_to builds a level once per pair and counts it once per
+        call: through elements_up_to's guard when it builds the level, by
+        itself when the level is kept, reading the ceiling each time."""
+        counts = []
+        count = completion.count_up_to
+
+        def counted(p, k):
+            counts.append(k)
+            return count(p, k)
+
+        monkeypatch.setattr(completion, "count_up_to", counted)
+        p = PartialPair({0, 1})
+        level = completion.levels_up_to(p, 1)
+        assert counts == [1] and len(level) == 10
+        assert completion.levels_up_to(p, 1) is level and counts == [1, 1]
+        monkeypatch.setattr(pairs, "DEFAULT_CEILING", 5)
+        with pytest.raises(CeilingExceeded):
+            completion.levels_up_to(p, 1)
+
     def test_validity(self, p1):
         for e in elements_up_to(p1, 2):
             assert element_valid(p1, e)

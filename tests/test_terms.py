@@ -31,7 +31,6 @@ from gml.terms import (
     ident_of_nat,
     is_closed,
     nat_of_ident,
-    is_normal,
     normalize,
     one_step_reducts,
     parse,
@@ -184,7 +183,6 @@ class TestReducts:
             t = random_term(rng, 16, names)
             want = reducts_by_cases(t)
             assert one_step_reducts(t) == want, print_term(t)
-            assert is_normal(t) == (not want)
             s = random_term(rng, 5, names)
             assert substitute(t, "x", s) is substitute_by_cases(t, "x", s), (print_term(t), print_term(s))
             reducts += len(want)
@@ -197,7 +195,7 @@ class TestReducts:
         contracts to the spine over its argument."""
         assert sys.getrecursionlimit() <= 1000
         chain = godel_decode(DEEP_CHAIN)
-        assert is_normal(chain) and one_step_reducts(chain) == []
+        assert one_step_reducts(chain) == []
 
         def spine(head, arg, n):
             for _ in range(n):
@@ -205,7 +203,6 @@ class TestReducts:
             return head
 
         long = spine(IDENTITY, IDENTITY, 2001)
-        assert not is_normal(long)
         assert one_step_reducts(long) == [spine(IDENTITY, IDENTITY, 2000)]
         redex = App(Abs("x", spine(Var("x"), Var("x"), 2001)), Var("z"))
         assert one_step_reducts(redex) == [spine(Var("z"), Var("z"), 2001)]
