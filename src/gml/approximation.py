@@ -5,7 +5,10 @@ restriction of the completion.  Restrictions explode doubly exponentially,
 so the evaluator here never materializes one: it computes the same sets
 through exact structural rules and answers membership queries recursively.
 
-  * variables look up the environment;
+  * a variable looks up the environment.  A value is an explicit set of
+    elements of rank <= k, or a LazyValue, which stands for its term's
+    interpretation under its environment cut to its trim: a variable bound
+    to one is that term, so cut (the lazy variable rule);
   * an abstraction enumerates coded keys plus the uncoded keys one rank
     down (this is the only place a level is materialized, ceiling-guarded:
     the level's size is counted in closed form first, and a level with more
@@ -14,10 +17,11 @@ through exact structural rules and answers membership queries recursively.
     one enumeration of the body cut to that rank, which holds exactly the
     lower-level results the body gives for it; that enumeration reaches no
     level above the one materialized;
-  * an applied abstraction reduces: because interpretation is monotone in
-    the environment and every key over the previous level is available in
-    the restriction, the redex equals the body evaluated under the full
-    argument set trimmed one rank down;
+  * an applied abstraction (\\x.B) A other than Omega reduces at k >= 1
+    (the redex rule): because interpretation is monotone in the environment
+    and every key over the previous level is available in the restriction,
+    the redex equals B under x bound lazily to A one rank down, cut to rank
+    k-1;
   * a general application inverts the coding over the function-side set, so
     the argument side is only ever queried pointwise, or, when it is a
     variable bound to an explicit set, by one subset test per key; it is
@@ -26,43 +30,47 @@ through exact structural rules and answers membership queries recursively.
     can only code back into its own argument set at rank 0, so the result
     is carved out of the coded triples alone, at every rank.
 
+The redex rule and the lazy variable rule are the head rules, and
+Evaluator._head is the one place either is applied: a loop in the manner of
+Krivine's machine that follows a term through its head to a term,
+environment and trim with the same approximation, binding lazy values and
+evaluating nothing.  Every query starts there, so enumeration, membership,
+the ordered scan and its bound read a redex alike; membership first answers
+a variable bound to an explicit set, which costs less than the walk.
+
 Every rule is an equality, verified against the materialized restriction in
 the test suite at small ranks.  When no rule applies within the element
 ceiling the evaluator refuses with ApproximationInfeasible rather than
 approximate: enumeration results are exact, and non-membership claims are
 always tagged with the rank bound they were checked at.
 
-Environment values are explicit frozensets or LazyValues, which stand for
-a trimmed interpretation set and are answered by the variable rules.  Only the
-queries whose answer comes from a search are memoized per evaluator: those
-on applications, and the enumeration of abstractions.  A variable is
-answered by its environment lookup, and membership in an abstraction by
-inverting the coding, before any memo key is built, because the key costs
-more than either rule and such entries were almost never hit again.  A key
-is the term itself and the values bound to the free names the term
-carries: terms are hash-consed, so structurally equal terms are one object
-and share entries, while frozensets compare by content and lazy values by
-identity.  What depends on the pair alone is computed once per pair and
-kept in PartialPair.derived, so the evaluators of one check share it: the
-validation report, the completion levels (the ceiling guard still runs on
-every level request) and the coding over base elements, inverted into
-tables from each coded atom to its key, each result to its coded keys and
-each coded argument set to its coded results.
+Only the queries whose answer comes from a search are memoized per
+evaluator, on the term the head walk reaches: those on applications, and
+the enumeration of abstractions.  A variable is answered by its environment
+lookup, and membership in an abstraction by inverting the coding, before
+any memo key is built, because the key costs more than either rule and such
+entries were almost never hit again.  A key is the term itself and the
+values bound to the free names the term carries: terms are hash-consed, so
+structurally equal terms are one object and share entries, while frozensets
+compare by content and lazy values by identity.  What depends on the pair
+alone is computed once per pair and kept in PartialPair.derived, so the
+evaluators of one check share it: the validation report, the completion
+levels (the ceiling guard still runs on every level request) and the coding
+over base elements, inverted into tables from each coded atom to its key,
+each result to its coded keys and each coded argument set to its coded
+results.
 
 An inequation M <= N is refuted by the least element of M's approximation
 that N's lacks, so check_inequation reads M's side in witness order
 (sort_key order) and stops at the first element N's evaluator rejects.  M
-is first followed through its head (Evaluator._head, a loop in the manner
-of Krivine's machine): a redex binds its variable lazily one rank down, as
-enumeration reduces it, and a variable bound that way stands for its
-value's term.  At an abstraction reached so, the order is lazy: the coded
-atoms, then the argument sets over the sorted lower level depth first,
-lexicographically with a prefix first, each with its results sorted.  That
-one walk (Evaluator._abstraction) serves both readings of an abstraction:
-enumeration takes the union of its groups, the ordered scan sorts each
-group as it comes; the same subset walk, pruned, finds a redex's least
-supporting key.  A refuted abstraction thus costs the argument sets up to
-its witness, not all of them.
+is first followed through its head (Evaluator._head).  At an abstraction
+reached so, the order is lazy: the coded atoms, then the argument sets over
+the sorted lower level depth first, lexicographically with a prefix first,
+each with its results sorted.  That one walk (Evaluator._abstraction)
+serves both readings of an abstraction: enumeration takes the union of its
+groups, the ordered scan sorts each group as it comes; the same subset
+walk, pruned, finds a redex's least supporting key.  A refuted abstraction
+thus costs the argument sets up to its witness, not all of them.
 
 The walk is pruned by monotonicity (branch and bound) whenever both sides
 reach abstractions, \\x.B under the left's reached environment and \\y.C
@@ -172,7 +180,7 @@ def _subsets(items: tuple, viable=None):
 
 class LazyValue:
     """An environment value standing for interp(term, env) cut to rank <=
-    trim, in the evaluator that made it, whose variable rules answer it.
+    trim, in the evaluator that made it; only Evaluator._head reads it.
 
     It holds no reference to that evaluator, so an evaluator and its memos
     are freed as soon as the call that built it returns, with no cycle left
@@ -196,7 +204,8 @@ class Evaluator:
     lower rank.  So a variable bound to an explicit set is answered at set
     level, with no per-element query: enumerated at rank k it is the set
     itself, and an argument set lies in it exactly when it is a subset.  A
-    LazyValue is queried element by element.
+    variable bound to a LazyValue is followed to its term (_head) and
+    queried element by element.
     """
 
     def __init__(self, pair: PartialPair, k: int):
@@ -283,20 +292,16 @@ class Evaluator:
     # -- enumeration -----------------------------------------------------------
 
     def enumerate(self, t: LambdaTerm, env: dict, trim: int) -> frozenset:
-        """interp(t, B_k, env) cut to rank <= trim, as an explicit set.
+        """interp(t, B_k, env) cut to rank <= trim, as an explicit set, t
+        first followed through its head (_head), so a lazily bound variable
+        is read at the trim asked for, not at its value's own.
 
-        A variable's value is read directly, with no memo entry: an explicit
-        set needs no cut at trim = k, nor a lazy value's enumeration at its
-        own trim or above, and either is returned as it is."""
-        trim = min(trim, self.k)
+        A variable reached is bound to an explicit set, and is returned as
+        it is at trim = k, with no memo entry."""
+        t, env, trim = self._head(t, env, min(trim, self.k))
         if isinstance(t, Var):
             value = env.get(t.name, frozenset())
-            cut = self.k
-            if type(value) is LazyValue:
-                value, cut = self.enumerate(value.term, value.env, value.trim), value.trim
-            if trim >= cut:
-                return value
-            return frozenset(e for e in value if e.rank <= trim)
+            return value if trim >= self.k else frozenset(e for e in value if e.rank <= trim)
         key = self._key(t, env, trim)
         got = self._enum_memo.get(key)
         if got is not None:
@@ -308,17 +313,10 @@ class Evaluator:
     def _enumerate(self, t: LambdaTerm, env: dict, trim: int) -> frozenset:
         if isinstance(t, Abs):
             return frozenset(e for group in self._abstraction(t, env, trim) for e in group)
-
-        # application
         if t.omega:
             return frozenset(e for e in self._omega_set(t.fun, env) if e.rank <= trim)
-        if isinstance(t.fun, Abs) and self.k >= 1:
-            argument = self._lazy(t.arg, env, self.k - 1)
-            inner = {**env, t.fun.binder: argument}
-            return self.enumerate(t.fun.body, inner, min(trim, self.k - 1))
-        fun_set = self.enumerate(t.fun, env, self.k)
         out = set()
-        for w in fun_set:
+        for w in self.enumerate(t.fun, env, self.k):
             key = self.preimage(w)
             if key is None:
                 continue
@@ -358,11 +356,9 @@ class Evaluator:
 
     def _head(self, t: LambdaTerm, env: dict, trim: int) -> tuple[LambdaTerm, dict, int]:
         """The term, environment and trim that t under env, cut to rank <=
-        trim, reaches through its head, with the same approximation: a redex
-        (\\x.B) A, not Omega, at k >= 1 is B with x bound to A one rank down
-        and the trim cut to k-1, as _enumerate reduces it; a variable bound
-        to a LazyValue is that value's term under its environment, cut to
-        its trim as well, as enumerate reads it.  The walk stops at anything
+        trim, reaches by the head rules (the redex rule and the lazy variable
+        rule of the module docstring), with the same approximation.  This is
+        the one place either rule is applied.  The walk stops at anything
         else, an abstraction among them.  It is a loop in the manner of
         Krivine's machine, so a long head takes no stack, and it evaluates
         nothing: it only binds lazy values."""
@@ -397,47 +393,47 @@ class Evaluator:
     def contains(self, t: LambdaTerm, env: dict, e: CompletionElement) -> bool:
         """Whether e lies in interp(t, B_k, env).
 
-        A variable is looked up and an abstraction inverts the coding before
-        any memo key is built: those rules cost less than the key.  Only
-        applications, whose answer comes from a search, are memoized.  An
-        abstraction chain is walked in a loop, so its length takes no stack."""
+        One loop follows t through its head (_head) and into each
+        abstraction it reaches, by inverting the coding, so neither a long
+        head nor an abstraction chain takes stack.  A variable bound to an
+        explicit set is looked up at the top of the loop, before the head
+        walk, and an abstraction inverts the coding before any memo key is
+        built: those rules cost less than the walk or the key.  Only the
+        application reached, whose answer comes from a search, is memoized:
+        Omega's collapse, or the first key supporting_keys yields."""
         if e.rank > self.k:
             return False
-        while isinstance(t, Abs):
-            key = self.preimage(e)
-            if key is None:
+        while True:
+            if isinstance(t, Abs):
+                key = self.preimage(e)
+                if key is None:
+                    return False
+                env = {**env, t.binder: key[0]}
+                t, e = t.body, key[1]
+                continue
+            if isinstance(t, Var):
+                value = env.get(t.name, ())
+                if type(value) is not LazyValue:  # an exact type test: this is the hot path
+                    return e in value
+            t, env, trim = self._head(t, env, self.k)
+            if e.rank > trim:
                 return False
-            env = {**env, t.binder: key[0]}
-            t, e = t.body, key[1]
-        if isinstance(t, Var):
-            value = env.get(t.name, ())
-            if type(value) is LazyValue:  # an exact type test: this is the hot path
-                return e.rank <= value.trim and self.contains(value.term, value.env, e)
-            return e in value
+            if isinstance(t, App):
+                break
         key = self._key(t, env, e)
         got = self._contains_memo.get(key)
-        if got is not None:
-            return got
-        out = self._contains(t, env, e)
-        self._contains_memo[key] = out
-        return out
-
-    def _contains(self, t: App, env: dict, e: CompletionElement) -> bool:
-        """Omega applied to itself collapses and a redex reduces; otherwise
-        the first key supporting_keys yields decides."""
-        if t.omega:
-            return e in self._omega_set(t.fun, env)
-        if isinstance(t.fun, Abs) and self.k >= 1:
-            if e.rank > self.k - 1:
-                return False
-            argument = self._lazy(t.arg, env, self.k - 1)
-            return self.contains(t.fun.body, {**env, t.fun.binder: argument}, e)
-        return next(self.supporting_keys(t, env, e), None) is not None
+        if got is None:
+            if t.omega:
+                got = e in self._omega_set(t.fun, env)
+            else:
+                got = next(self.supporting_keys(t, env, e), None) is not None
+            self._contains_memo[key] = got
+        return got
 
     def supporting_keys(self, t: App, env: dict, e: CompletionElement):
         """The keys (args, value) putting e in interp(t): value in the
         function side, args inside the argument side.  This is the one
-        application rule: membership (_contains) asks it for a first key and
+        application rule: membership (contains) asks it for a first key and
         the witness walk for the least.  Coded keys come first, then the
         uncoded keys, whose value is the pair element (args, e).
 
@@ -457,8 +453,7 @@ class Evaluator:
         as a least key with thousands of arguments would need.
 
         Other function sides yield the pair elements they enumerate, in no
-        particular order.  _contains never takes the redex branch: it
-        reduces a redex first, and at k = 0 the rank test excludes it.
+        particular order.
         """
         if isinstance(e, BaseElement):
             for args, value in self.coded_by_res.get(e.atom, ()):

@@ -9,9 +9,12 @@ and extends the coding totally: a key evaluates to its coded atom when A
 codes it, and to itself (as a pair element) otherwise.  Atoms have rank 0; a
 pair element has rank one more than the largest rank among its parts.
 
-Elements are interned through structural hashing, so equality is identity
-and sets of elements behave canonically.  The interning table is a simple
-content-addressed dict and is safe under CPython's atomic dict operations.
+Elements are interned in content-addressed dicts, keyed by their parts, so
+equal elements are one object and equality is identity.  They hash by
+identity too, so the iteration order of a frozenset of elements follows
+memory addresses: it may differ from one process to the next, and so may
+how soon a loop over such a set stops, though not what the loop finds.  The
+interning tables are safe under CPython's atomic dict operations.
 Level sizes grow doubly exponentially; enumeration past
 pairs.DEFAULT_CEILING raises CeilingExceeded.  The module keeps no level of its
 own: elements_up_to builds afresh on every call, and levels_up_to keeps the

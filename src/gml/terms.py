@@ -33,6 +33,8 @@ from math import isqrt
 from operator import itemgetter
 from typing import Callable, Union
 
+from . import pairs
+
 
 # ---------------------------------------------------------------------------
 # Syntax
@@ -497,14 +499,9 @@ def _fresh_name(avoid: frozenset[str]) -> str:
     raise AssertionError
 
 
-def substitute(t: LambdaTerm, x: str, s: LambdaTerm) -> LambdaTerm:
-    """Capture-avoiding substitution t[x := s]; t itself when x is not free
-    in it."""
-    return _substituted(t, x, s)[0]
-
-
 def _substituted(t: LambdaTerm, x: str, s: LambdaTerm) -> tuple[LambdaTerm, int]:
-    """t[x := s] and the number of nodes its construction built.
+    """The capture-avoiding substitution t[x := s], t itself when x is not
+    free in it, and the number of nodes its construction built.
 
     Built bottom-up from an explicit stack, as to_nameless is, so neither a
     deep body nor a long spine recurses: None joins the last two terms built
@@ -539,8 +536,10 @@ def _substituted(t: LambdaTerm, x: str, s: LambdaTerm) -> tuple[LambdaTerm, int]
     return done[0], built
 
 
-def _step(t: LambdaTerm) -> LambdaTerm | None:
-    """One leftmost-outermost beta step, or None if t is in normal form.
+def _step(t: LambdaTerm) -> tuple[LambdaTerm, int] | None:
+    """One leftmost-outermost beta step and the number of nodes it built,
+    or None if t is in normal form.  The count is the contractum's own
+    (_substituted's) plus the spine and binder nodes rebuilt around it.
 
     The binders around t and its application spine are walked in a loop,
     not recursed into, since a reduct's spine can grow by one application
@@ -554,12 +553,12 @@ def _step(t: LambdaTerm) -> LambdaTerm | None:
         spine.append(t.arg)
         t = t.fun
     if isinstance(t, App):  # the head is the leftmost-outermost redex
-        t = substitute(t.fun.body, t.fun.binder, t.arg)
+        t, built = _substituted(t.fun.body, t.fun.binder, t.arg)
     else:
         for i in reversed(range(len(spine))):  # the leftmost argument first
-            arg = _step(spine[i])
-            if arg is not None:
-                spine[i] = arg
+            stepped = _step(spine[i])
+            if stepped is not None:
+                spine[i], built = stepped
                 break
         else:
             return None
@@ -567,7 +566,7 @@ def _step(t: LambdaTerm) -> LambdaTerm | None:
         t = App(t, arg)
     for b in reversed(binders):
         t = Abs(b, t)
-    return t
+    return t, built + len(spine) + len(binders)
 
 
 def one_step_reducts(t: LambdaTerm) -> list[LambdaTerm]:
@@ -620,20 +619,28 @@ def normalize(t: LambdaTerm, budget: int) -> ReductionResult:
     """At most `budget` leftmost-outermost beta steps.
 
     The leftmost-outermost strategy is normalizing, so NORMAL_FORM is reached
-    whenever the term has a beta-normal form within the budget.
+    whenever the term has a beta-normal form within the budget.  The nodes
+    the steps build are charged to the element ceiling, as the reducts of
+    the beta-related shortcut are: once they pass pairs.DEFAULT_CEILING in
+    all, the reduction raises CeilingExceeded, so a reduct whose spine grows
+    at every step is refused rather than rebuilt for ever longer.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    steps = 0
-    while steps < budget:
-        nxt = _step(t)
-        if nxt is None:
+    steps = built = 0
+    while True:
+        stepped = _step(t)
+        if stepped is None:
             return ReductionResult(ReductionStatus.NORMAL_FORM, t, steps)
-        t = nxt
+        if steps == budget:
+            return ReductionResult(ReductionStatus.BUDGET_EXCEEDED, t, steps)
+        t, n = stepped
         steps += 1
-    if _step(t) is None:
-        return ReductionResult(ReductionStatus.NORMAL_FORM, t, steps)
-    return ReductionResult(ReductionStatus.BUDGET_EXCEEDED, t, steps)
+        built += n
+        if built > pairs.DEFAULT_CEILING:
+            raise pairs.CeilingExceeded(
+                f"{steps} reduction steps build {built} nodes, ceiling is {pairs.DEFAULT_CEILING}"
+            )
 
 
 # ---------------------------------------------------------------------------

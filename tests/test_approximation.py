@@ -115,6 +115,13 @@ class TestApproxInterpret:
                 "(\\x.x x)(\\x.x x)",
                 "\\x.x (x I)",
                 "(\\x y.y x) I I",
+                # redexes: a lazy variable read under an abstraction, nested
+                # redexes, a redex under a binder and Omega inside a redex
+                "(\\x y.x) (\\z.z)",
+                "(\\x.(\\y.y) x) I",
+                "(\\x.x) ((\\y.y) I)",
+                "\\w.(\\x.x w) I",
+                "(\\x.Omega) I",
             )
         ]
         cases = [(p1, 2), (free1, 2), (free2, 1)]
@@ -1252,7 +1259,9 @@ class TestMemoDiscipline:
 
     def test_memo_holds_only_applications(self, monkeypatch):
         """After a check on two atoms, every contains entry is an
-        application's and no enumerate entry is a variable's."""
+        application's and no enumerate entry is a variable's.  No entry of
+        either memo is a redex other than Omega, at rank >= 1: every query
+        follows its term through its head first (Evaluator._head)."""
         made = []
 
         class Recorded(Evaluator):
@@ -1270,6 +1279,23 @@ class TestMemoDiscipline:
             enumerated |= {type(key[0]) for key in ev._enum_memo}
         assert contained == {App}
         assert enumerated and Var not in enumerated
+        redexes = [
+            key[0]
+            for ev in made
+            if ev.k >= 1
+            for key in itertools.chain(ev._contains_memo, ev._enum_memo)
+            if isinstance(key[0], App) and isinstance(key[0].fun, Abs) and not key[0].omega
+        ]
+        assert redexes == []
+
+    def test_lazy_variable_read_at_the_trim_asked_for(self, free1):
+        """(\\x y.x) (\\z.z) at rank 3 binds x lazily to \\z.z at rank 2,
+        and the abstraction \\y.x asks its body at trim 1 for each argument
+        set: \\z.z is enumerated at trim 1 only, not at its value's trim."""
+        ev = Evaluator(free1, 3)
+        ev.enumerate(parse("(\\x y.x) (\\z.z)"), {}, 3)
+        identity = parse("\\z.z")
+        assert [key[-1] for key in ev._enum_memo if key[0] is identity] == [1]
 
     def test_inverse_table_matches_coding_preimage(self):
         for p in ONE_ATOM_PAIRS + _seeded_pairs(8, 2, 3) + _seeded_pairs(10, 3, 2):

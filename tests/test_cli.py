@@ -322,16 +322,21 @@ class TestPairCommands:
         assert doc == {"orbits": [["0", "1"]]}
 
     def test_exhaustive_bounds_refuse_once(self, pair_file, free2):
-        """In a fresh process, a refused automorphism search or completion
-        level exits 1 with one stderr line and nothing on stdout."""
+        """In a fresh process, a refused automorphism search, completion
+        level or reduction exits 1 with one stderr line and nothing on
+        stdout.  A reduction is charged the nodes its steps build, so a
+        spine that grows at every step is refused after 1,413 steps, not
+        rebuilt up to its budget."""
         env = {**os.environ, "PYTHONPATH": str(Path(gml.__file__).parents[1])}
         nine = pair_file(PartialPair(range(9)), "nine.json")
         auts = "bound too large: automorphisms of 9 atoms take 9!·9 checks, ceiling is 1000000\n"
         level = "bound too large: level 3 would hold 2^10242·10242+2 elements, ceiling is 1000000\n"
+        reduce = "bound too large: 1413 reduction steps build 1000404 nodes, ceiling is 1000000\n"
         for argv, err in (
             (["pair", "auts", "--pair", nine], auts),
             (["pair", "orbits", "--pair", nine], auts),
             (["complete", "--pair", pair_file(free2, "free2.json"), "--rank", "3"], level),
+            (["reduce", "--budget", "1000000", "(\\x.x x x)(\\x.x x x)"], reduce),
         ):
             done = subprocess.run(
                 [sys.executable, "-m", "gml.cli", *argv],
@@ -397,6 +402,7 @@ class TestOneCeiling:
             (["pair", "auts", "--pair", three], "automorphisms of 3 atoms take 3!·3 checks, ceiling is 10"),
             (["enum-terms", "20"], "20 terms asked for, ceiling is 10"),
             (["reduce", "--budget", "20", "Omega"], "20 steps asked for, ceiling is 10"),
+            (["reduce", "--budget", "5", "(\\x.x x x)(\\x.x x x)"], "4 reduction steps build 14 nodes, ceiling is 10"),
             (["minmodel", "pair", "20"], "prime number 20 is past the ceiling of 10 primes"),
         ]
         for argv, _ in cases:

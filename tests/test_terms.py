@@ -14,6 +14,7 @@ from gml import terms
 from gml.terms import (
     _cantor_pair,
     _closed_under,
+    _substituted,
     Abs,
     App,
     IDENTITY,
@@ -36,7 +37,6 @@ from gml.terms import (
     parse,
     print_term,
     size,
-    substitute,
 )
 from oracles import (
     closed_codes_by_filter,
@@ -173,7 +173,7 @@ class TestNormalize:
 
 class TestReducts:
     def test_match_the_recursive_clauses(self):
-        """one_step_reducts and substitute, walked from explicit stacks, give
+        """one_step_reducts and _substituted, walked from explicit stacks, give
         the terms the recursive clauses give, in the same order and with the
         same fresh names, on terms whose names invite capture."""
         rng = Random(101)
@@ -184,7 +184,7 @@ class TestReducts:
             want = reducts_by_cases(t)
             assert one_step_reducts(t) == want, print_term(t)
             s = random_term(rng, 5, names)
-            assert substitute(t, "x", s) is substitute_by_cases(t, "x", s), (print_term(t), print_term(s))
+            assert _substituted(t, "x", s)[0] is substitute_by_cases(t, "x", s), (print_term(t), print_term(s))
             reducts += len(want)
         assert reducts > 1000
 

@@ -28,13 +28,15 @@ sets:
 The one difference allowed is a refusal of the full scan where the check
 answers; the sweep counts those by the verdict the check gives.  It prints
 the first other mismatch with its input and exits 1; otherwise it prints the
-counts and exits 0.  It is stdlib only.
+counts and exits 0.  Each claim set's line ends with the seconds it took, so
+a run near a time limit shows which set spent it.  It is stdlib only.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
@@ -97,6 +99,7 @@ def compare(lhs, rhs, p, k_lhs: int, k_rhs: int) -> str | None:
 
 def main() -> int:
     for name, claims, ranks in sweeps():
+        start = time.perf_counter()
         counts = {"same": 0, "holds_up_to": 0, "fails_with_evidence": 0}
         for p in all_pairs(2, 2):
             for k_lhs, k_rhs in ranks:
@@ -107,7 +110,8 @@ def main() -> int:
                     counts[result] += 1
         print(
             f"{name}: {counts['same']} checks over {len(claims)} claims agree with the full scan; "
-            f"where it refuses, {counts['holds_up_to']} more hold and {counts['fails_with_evidence']} more fail"
+            f"where it refuses, {counts['holds_up_to']} more hold and {counts['fails_with_evidence']} more fail "
+            f"({time.perf_counter() - start:.1f} s)"
         )
     return 0
 
