@@ -140,6 +140,7 @@ from .completion import (
     pair_of,
     pair_of_sorted,
     restriction_atom,
+    sorted_level,
 )
 from . import pairs
 from .pairs import PartialPair, validate
@@ -256,25 +257,16 @@ class Evaluator:
         return True
 
     def _level(self, j: int) -> tuple[CompletionElement, ...]:
-        """The elements of rank <= j in sort_key order, so that argument
-        tuples drawn from it in order are already sorted.
-
-        The level sizes are counted in closed form first, so a level whose
-        keys exceed the ceiling is refused before it is built.  The sorted
-        level is kept in pair.derived beside the (rank, structure) ordered
-        one levels_up_to keeps, and is built from it once per pair; only
-        then is the level counted again, by levels_up_to's own guard."""
+        """The elements of rank <= j in sort_key order (sorted_level), so
+        that argument tuples drawn from it in order are already sorted.  The
+        level size is counted in closed form first, so a level whose keys
+        exceed the ceiling is refused before it is built."""
         n = count_up_to(self.pair, j)
         if 2**n * n > pairs.DEFAULT_CEILING:
             raise ApproximationInfeasible(
                 f"abstraction over level {j} needs 2^{n}·{n} keys, ceiling is {pairs.DEFAULT_CEILING}"
             )
-        key = ("sorted level", j)
-        got = self.pair.derived.get(key)
-        if got is None:
-            level = tuple(sorted(levels_up_to(self.pair, j), key=CompletionElement.sort_key))
-            got = self.pair.derived.setdefault(key, level)
-        return got
+        return sorted_level(self.pair, j)
 
     def preimage(self, e: CompletionElement):
         """coding_preimage(self.pair, e), an atom's key read from the table."""
@@ -577,9 +569,12 @@ def _member_probe(
     t: LambdaTerm, p: PartialPair, e: CompletionElement, max_rank: int, env: Environment
 ) -> Evaluator | None:
     """member's checks, then _least_probe: the probe whose approximation of
-    t holds e at the least rank (its k) up to max_rank, or None."""
+    t holds e at the least rank (its k) up to max_rank, or None.  Each rank
+    is a fresh evaluator, so a max_rank above the ceiling is refused."""
     if max_rank < 0:
         raise ValueError("rank bound must be non-negative")
+    if max_rank > pairs.DEFAULT_CEILING:
+        raise CeilingExceeded(f"rank {max_rank} asked for, ceiling is {pairs.DEFAULT_CEILING}")
     if not element_valid(p, e):
         raise ValueError(f"element {element_str(e, p)} is not valid over the pair")
     _validated_env(p, env, None)
@@ -811,9 +806,12 @@ def _related(sides: frozenset, steps: int, ceiling: int) -> bool:
 
 def _reaches(source: LambdaTerm, target: LambdaTerm, steps: int, budget: int) -> bool:
     """source reduces to target in at most `steps` one-step reductions,
-    found before the reducts built pass `budget` nodes."""
+    found before the reducts built pass `budget` nodes.  The walk stops when
+    no new reduct is left, whatever `steps` allows."""
     frontier, seen = [source], {source}
     for _ in range(steps):
+        if not frontier:
+            return False
         reached = []
         for t in frontier:
             for reduct, built in _reducts(t):

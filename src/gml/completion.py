@@ -17,9 +17,10 @@ how soon a loop over such a set stops, though not what the loop finds.  The
 interning tables are safe under CPython's atomic dict operations.
 Level sizes grow doubly exponentially; enumeration past
 pairs.DEFAULT_CEILING raises CeilingExceeded.  The module keeps no level of its
-own: elements_up_to builds afresh on every call, and levels_up_to keeps the
-levels of a pair in that pair's `derived` dict, shared by the evaluators and
-witness numbering of one pair.
+own: elements_up_to builds afresh on every call, and levels_up_to and
+sorted_level keep the levels of a pair, in (rank, structure) and in sort_key
+order, in that pair's `derived` dict, shared by the evaluators and witness
+numbering of one pair.
 """
 
 from __future__ import annotations
@@ -192,6 +193,8 @@ def count_up_to(p: PartialPair, k: int) -> int:
         if size > limit:
             held = f"2^{below}·{below}" + (f"{extra:+d}" if extra else "")
             raise CeilingExceeded(f"level {level} would hold {held} elements, ceiling is {limit}")
+        if size == below:  # a fixed point: every later level is this one
+            break
     return size
 
 
@@ -218,10 +221,23 @@ def levels_up_to(p: PartialPair, k: int) -> tuple[CompletionElement, ...]:
     return got
 
 
+def sorted_level(p: PartialPair, k: int) -> tuple[CompletionElement, ...]:
+    """levels_up_to(p, k) in sort_key order, built from it once per pair and
+    kept in p.derived beside it, under the same guard: counted once per
+    call, by levels_up_to when it is built and here when it is kept."""
+    key = ("sorted level", k)
+    got = p.derived.get(key)
+    if got is None:
+        return p.derived.setdefault(key, tuple(sorted(levels_up_to(p, k), key=CompletionElement.sort_key)))
+    count_up_to(p, k)
+    return got
+
+
 def _closed(p: PartialPair, seed: Iterable[CompletionElement], rounds: int) -> tuple[CompletionElement, ...]:
     """`seed` closed under the completion's coding, apply_coding(p, ...), for
-    `rounds` rounds, in the order the elements were found.  A round over
-    more keys than the ceiling is refused."""
+    `rounds` rounds, or until a round adds nothing, in the order the
+    elements were found.  A round over more keys than the ceiling is
+    refused."""
     current = dict.fromkeys(seed)
     for _ in range(rounds):
         n = len(current)
@@ -235,6 +251,8 @@ def _closed(p: PartialPair, seed: Iterable[CompletionElement], rounds: int) -> t
             for args in itertools.combinations(members, m):
                 for res in members:
                     current[apply_coding(p, args, res)] = None
+        if len(current) == n:
+            break
     return tuple(current)
 
 
@@ -282,16 +300,17 @@ def restrict(p: PartialPair, k: int) -> Restriction:
     return Restriction(pair, elements, atom_of, {v: e for e, v in atom_of.items()})
 
 
-def _keys_below(level: Iterable[CompletionElement], args_key: tuple, res_key: tuple) -> int:
-    """How many keys (S, x) over `level` sort before (args_key, res_key), with
-    S compared as its structurally sorted tuple and then x.
+def _keys_below(level: tuple[CompletionElement, ...], args_key: tuple, res_key: tuple) -> int:
+    """How many keys (S, x) over `level`, in sort_key order, sort before
+    (args_key, res_key), with S compared as its structurally sorted tuple
+    and then x.
 
     A subset S sorts before the sorted tuple A exactly when it is a proper
     prefix of A, or agrees with A up to some position i and then takes an
     element y between A[i-1] and A[i], followed by any subset of the elements
     above y; those subsets sum to a difference of two powers of two.
     """
-    keys = sorted(e.sort_key() for e in level)
+    keys = [e.sort_key() for e in level]
     members = set(keys)
     n = len(keys)
     subsets = 0
@@ -318,11 +337,10 @@ def restriction_atom(p: PartialPair, e: CompletionElement) -> int:
         return e.atom
     args_key = tuple(x.sort_key() for x in e.args_sorted)
     res_key = e.res.sort_key()
-    below = levels_up_to(p, e.rank - 1)
+    below = sorted_level(p, e.rank - 1)
     fresh = _keys_below(below, args_key, res_key)
     if e.rank >= 2:
-        # E_{r-2} is the rank prefix of E_{r-1}
-        fresh -= _keys_below((x for x in below if x.rank <= e.rank - 2), args_key, res_key)
+        fresh -= _keys_below(sorted_level(p, e.rank - 2), args_key, res_key)
     else:
         fresh -= sum(
             1

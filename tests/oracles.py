@@ -35,7 +35,7 @@ import itertools
 from functools import lru_cache
 from math import isqrt
 from random import Random
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from gml import minmodel, pairs
 from gml.approximation import (
@@ -44,6 +44,7 @@ from gml.approximation import (
     Evaluator,
     Verdict,
     approx_interpret,
+    check_inequation,
     extract_witness_subpair,
     member,
 )
@@ -58,7 +59,7 @@ from gml.completion import (
 )
 from gml.pairs import Morphism, PartialPair, union
 from gml.semantics import Environment, interpret
-from gml.terms import Abs, App, LambdaTerm, Var, ident_of_nat, is_closed, one_step_reducts
+from gml.terms import Abs, App, LambdaTerm, Var, ident_of_nat, is_closed, one_step_reducts, print_term
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +214,18 @@ def supporting_keys_by_enumeration(ev: Evaluator, t: App, env: dict, e):
 # for the first element the rank-k_rhs evaluator of rhs rejects.  That is
 # the least witness; its membership rank and witness subpair come from the
 # package.  A refusal anywhere in the left side comes before any verdict.
+# A caller that scans one left side more than once passes a dict of its own
+# as `cache`, which keeps the sorted left side under (lhs, p, k_lhs,
+# ceiling); none is kept here.  A refusal is kept as outcome() gives it, not
+# as the exception, whose traceback would grow at every raise.
 
 
-@lru_cache(maxsize=1)
-def _whole_left_side(lhs: LambdaTerm, p: PartialPair, k_lhs: int, ceiling: int) -> tuple:
-    """The rank-k_lhs approximation of lhs in structural order, kept for the
-    next scan of the same left side under the same ceiling."""
-    return tuple(sorted(approx_interpret(lhs, p, Environment(), k_lhs), key=lambda e: e.sort_key()))
+def outcome(run):
+    """run()'s value, or the type and message of the refusal it raises."""
+    try:
+        return run()
+    except CeilingExceeded as exc:
+        return type(exc), str(exc)
 
 
 def check_inequation_by_full_scan(
@@ -228,13 +234,21 @@ def check_inequation_by_full_scan(
     p: PartialPair,
     k_lhs: int = DEFAULT_MEMBER_BOUND,
     k_rhs: int = DEFAULT_MEMBER_BOUND + DEFAULT_SLACK,
+    cache: dict | None = None,
 ) -> Verdict:
     if not is_closed(lhs) or not is_closed(rhs):
         raise ValueError("inequation checking expects closed terms")
     if k_rhs < k_lhs:
         raise ValueError("the right bound must be at least the left bound")
     ev = Evaluator(p, k_rhs)
-    for candidate in _whole_left_side(lhs, p, k_lhs, pairs.DEFAULT_CEILING):
+    cache = {} if cache is None else cache
+    key = (lhs, p, k_lhs, pairs.DEFAULT_CEILING)
+    if key not in cache:
+        cache[key] = outcome(lambda: sorted(approx_interpret(lhs, p, Environment(), k_lhs), key=lambda e: e.sort_key()))
+    left = cache[key]
+    if isinstance(left, tuple):
+        raise left[0](left[1])
+    for candidate in left:
         if not ev.contains(rhs, {}, candidate):
             found = member(lhs, p, candidate, k_lhs)
             subpair = extract_witness_subpair(lhs, p, candidate, found.rank)
@@ -409,38 +423,27 @@ def closed_terms_up_to(max_size: int) -> list[LambdaTerm]:
     return out
 
 
-def set_level_abstractions(max_size: int) -> list[LambdaTerm]:
-    """The closed abstractions of size <= max_size whose body holds only
-    variables and applications, in closed_terms_up_to order."""
-
-    def flat(nt: tuple) -> bool:
-        return nt[0] == "v" or (nt[0] == "a" and flat(nt[1]) and flat(nt[2]))
-
+def abstractions_where(max_size: int, keep) -> list[LambdaTerm]:
+    """The closed abstractions of size <= max_size whose nameless body
+    passes keep, in closed_terms_up_to order."""
     return [
         named_by_rescan(nt)
         for size in range(2, max_size + 1)
         for nt in _closed_nameless(size, 0)
-        if nt[0] == "l" and flat(nt[1])
+        if nt[0] == "l" and keep(nt[1])
     ]
 
 
-def redex_free_abstractions(max_size: int) -> list[LambdaTerm]:
-    """The closed abstractions of size <= max_size in which no application
-    has an abstraction as its function side, in closed_terms_up_to order."""
+def set_level(nt: tuple) -> bool:
+    """The nameless term holds only variables and applications."""
+    return nt[0] == "v" or (nt[0] == "a" and set_level(nt[1]) and set_level(nt[2]))
 
-    def redex_free(nt: tuple) -> bool:
-        if nt[0] == "v":
-            return True
-        if nt[0] == "l":
-            return redex_free(nt[1])
-        return nt[1][0] != "l" and redex_free(nt[1]) and redex_free(nt[2])
 
-    return [
-        named_by_rescan(nt)
-        for size in range(2, max_size + 1)
-        for nt in _closed_nameless(size, 0)
-        if nt[0] == "l" and redex_free(nt)
-    ]
+def redex_free(nt: tuple) -> bool:
+    """No application in the nameless term has an abstraction as its function side."""
+    if nt[0] == "a" and nt[1][0] == "l":
+        return False
+    return all(redex_free(part) for part in nt[1:] if isinstance(part, tuple))
 
 
 def head_reaching_terms(max_size: int) -> list[LambdaTerm]:
@@ -796,3 +799,63 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("index", type=int)
 
     return top
+
+
+# ---------------------------------------------------------------------------
+# The differential sweep: check_inequation against the full scan, over four
+# claim sets on every pair of all_pairs(2, 2).  tools/pruned_scan_sweep.py
+# compares every case; the suite compares a seeded sample of each set.
+
+
+class ClaimSet(NamedTuple):
+    claims: list  # (lhs, rhs), in the generator's order
+    ranks: tuple  # the two (kM, kN) settings
+    allowed: frozenset  # (kind, ranks): the check may answer kind there where the full scan refuses
+
+
+def _claims(terms: list) -> list:
+    return [(lhs, rhs) for lhs in terms for rhs in terms if lhs is not rhs]
+
+
+_SHORT_RANKS = ((2, 4), (1, 3))
+_ANY_ANSWER = frozenset(itertools.product(("holds_up_to", "fails_with_evidence"), _SHORT_RANKS))
+CLAIM_SETS = {
+    "set-level": ClaimSet(_claims(abstractions_where(9, set_level)), _SHORT_RANKS, frozenset()),
+    # each side against every one, itself included
+    "redex-free": ClaimSet(
+        list(itertools.product(abstractions_where(5, redex_free), repeat=2)), _SHORT_RANKS, frozenset()
+    ),
+    # closed terms of size <= 7 and their one- and two-step reducts, both ways;
+    # at (2, 3) the two-step reducts are past the slack
+    "beta-related": ClaimSet(beta_related_claims(7, 2), ((2, 4), (2, 3)), frozenset({("holds_up_to", (2, 4))})),
+    # closed terms of size <= 5 that reach an abstraction through their head redexes
+    "head-reaching": ClaimSet(_claims(head_reaching_terms(5)), _SHORT_RANKS, _ANY_ANSWER),
+}
+
+
+def sweep_cases(claim_set: ClaimSet) -> list:
+    """Every (lhs, rhs, p, ranks) of the claim set, claim by claim, then by pair, then by rank setting."""
+    every_pair = all_pairs(2, 2)
+    return [(lhs, rhs, p, ranks) for lhs, rhs in claim_set.claims for p in every_pair for ranks in claim_set.ranks]
+
+
+class Mismatch(AssertionError):
+    """The check and the full scan differ where the claim set allows no difference."""
+
+
+def compare(claim_set: ClaimSet, lhs, rhs, p: PartialPair, ranks: tuple, cache: dict | None = None) -> tuple:
+    """(result, got): got is check_inequation's verdict JSON, or its refusal;
+    result is "same" when the full scan (given cache) gives the same, and
+    got's kind when the full scan refuses and the claim set allows that
+    answer at these ranks.  Any other difference raises Mismatch."""
+    k_lhs, k_rhs = ranks
+    got = outcome(lambda: check_inequation(lhs, rhs, p, k_lhs, k_rhs).to_json(p))
+    want = outcome(lambda: check_inequation_by_full_scan(lhs, rhs, p, k_lhs, k_rhs, cache).to_json(p))
+    if got == want:
+        return "same", got
+    if isinstance(want, tuple) and isinstance(got, dict) and (got["kind"], ranks) in claim_set.allowed:
+        return got["kind"], got
+    raise Mismatch(
+        f"mismatch: {print_term(lhs)} <= {print_term(rhs)}, kM={k_lhs}, kN={k_rhs}\n"
+        f"pair: {p.to_json()}\ncheck:     {got}\nfull scan: {want}"
+    )

@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import sys
+import time
 from collections import Counter
 from random import Random
 
@@ -37,19 +38,20 @@ from gml.semantics import Environment, interpret
 from gml.minmodel import enumerate_pair, search_counterexample
 from gml.terms import FALSE, IDENTITY, OMEGA, TRUE, Abs, App, Var, godel_decode, parse
 from oracles import (
+    CLAIM_SETS,
     abstraction_by_membership,
     all_pairs,
-    beta_related_claims,
     check_inequation_by_full_scan,
     closed_terms_up_to,
+    compare,
     head_reaching_terms,
+    outcome,
     random_pair,
     random_term,
     rank_monotone_violations,
-    redex_free_abstractions,
     restriction_witness,
-    set_level_abstractions,
     supporting_keys_by_enumeration,
+    sweep_cases,
 )
 
 
@@ -402,13 +404,14 @@ class TestExtractWitness:
             found = member(t, free1, e, 3)
             assert validate(extract_witness_subpair(t, free1, e, found.rank)).ok
         assert builds == {0: 1, 1: 1, 2: 1}
-        # numbering first: restriction_atom fills the entry the evaluator then reads
+        # numbering first: restriction_atom fills the entries (levels 1 and 0)
+        # the evaluator then reads
         fresh = PartialPair({0})
         assert restriction_atom(fresh, rank2) == want
-        assert builds == {0: 1, 1: 2, 2: 1}
+        assert builds == {0: 2, 1: 2, 2: 1}
         level = approximation.Evaluator(fresh, 2)._level(1)
         assert set(level) == set(fresh.derived[("elements_up_to", 1)])
-        assert builds == {0: 1, 1: 2, 2: 1}
+        assert builds == {0: 2, 1: 2, 2: 1}
 
 
 class TestWitnessFromEvaluator:
@@ -631,14 +634,6 @@ class TestCheckEquation:
         assert not fwd.failed and not bwd.failed
 
 
-def _outcome(run):
-    """run()'s value, or the type and message of the refusal it raises."""
-    try:
-        return run()
-    except CeilingExceeded as exc:
-        return type(exc), str(exc)
-
-
 def _seeded_pairs(seed: int, atoms: int, count: int) -> list[PartialPair]:
     """count seeded pairs on exactly this many atoms, each with some coding."""
     rng = Random(seed)
@@ -676,8 +671,8 @@ class TestWitnessOrderScan:
         count = 0
         for p, k, pool in cases:
             for t in pool:
-                got = _outcome(lambda: list(Evaluator(p, k).ordered(t, {}, k)))
-                want = _outcome(
+                got = outcome(lambda: list(Evaluator(p, k).ordered(t, {}, k)))
+                want = outcome(
                     lambda: sorted(Evaluator(p, k).enumerate(t, {}, k), key=CompletionElement.sort_key)
                 )
                 assert got == want, (t, p, k)
@@ -696,10 +691,10 @@ class TestWitnessOrderScan:
         for _ in range(80):
             p = rng.choice(pairs)
             lhs, rhs = rng.sample(terms, 2)
-            forward = _outcome(lambda: check_inequation(lhs, rhs, p).to_json(p))
-            assert forward == _outcome(lambda: check_inequation_by_full_scan(lhs, rhs, p).to_json(p)), (lhs, rhs, p)
-            got = _outcome(lambda: [v.to_json(p) for v in check_equation(lhs, rhs, p, 1, 3)])
-            want = _outcome(
+            forward = outcome(lambda: check_inequation(lhs, rhs, p).to_json(p))
+            assert forward == outcome(lambda: check_inequation_by_full_scan(lhs, rhs, p).to_json(p)), (lhs, rhs, p)
+            got = outcome(lambda: [v.to_json(p) for v in check_equation(lhs, rhs, p, 1, 3)])
+            want = outcome(
                 lambda: [
                     check_inequation_by_full_scan(a, b, p, 1, 3).to_json(p) for a, b in ((lhs, rhs), (rhs, lhs))
                 ]
@@ -716,13 +711,13 @@ class TestWitnessOrderScan:
         abstractions = [t for t in closed_terms_up_to(6) if isinstance(t, Abs)]
         for p in [PartialPair({0, 1, 2})] + _seeded_pairs(10, 3, 2):
             for t in abstractions:
-                got = _outcome(lambda: check_inequation(t, IDENTITY, p))
-                assert got == _outcome(lambda: check_inequation_by_full_scan(t, IDENTITY, p)), (t, p)
+                got = outcome(lambda: check_inequation(t, IDENTITY, p))
+                assert got == outcome(lambda: check_inequation_by_full_scan(t, IDENTITY, p)), (t, p)
                 assert got[0] is ApproximationInfeasible, (t, p)
         rhs = parse("(\\x.x x) (\\y.y)")
         free2 = PartialPair({0, 1})
-        got = _outcome(lambda: check_inequation(IDENTITY, rhs, free2))
-        assert got == _outcome(lambda: check_inequation_by_full_scan(IDENTITY, rhs, free2))
+        got = outcome(lambda: check_inequation(IDENTITY, rhs, free2))
+        assert got == outcome(lambda: check_inequation_by_full_scan(IDENTITY, rhs, free2))
         assert got[0] is ApproximationInfeasible
 
     def test_abstraction_guard_refuses_before_building(self, monkeypatch, capsys, pair_file):
@@ -811,8 +806,8 @@ class TestReflexiveInclusion:
         terms = closed_terms_up_to(6)
         for p in all_pairs(1, 2) + _seeded_pairs(84, 2, 3):
             for t in terms:
-                got = _outcome(lambda: check_inequation(t, t, p).to_json(p))
-                assert got == _outcome(lambda: check_inequation_by_full_scan(t, t, p).to_json(p)), (t, p)
+                got = outcome(lambda: check_inequation(t, t, p).to_json(p))
+                assert got == outcome(lambda: check_inequation_by_full_scan(t, t, p).to_json(p)), (t, p)
 
     def test_holds_where_the_right_side_refuses(self, capsys, pair_file, free1):
         """\\x.(\\a b.b) x x against itself on the free atom: the rank-4 right
@@ -849,6 +844,21 @@ def _subsets_by_filter(items: tuple, viable) -> list:
     return out
 
 
+def _kind(got) -> str:
+    """A verdict JSON's kind, or "refused"."""
+    return got["kind"] if isinstance(got, dict) else "refused"
+
+
+def _both_ways(claim_set, lhs, rhs, p, ranks) -> list:
+    """compare() in both directions, and check_equation against the check's
+    two outcomes: the first refusal, or both verdicts.  Returns the two."""
+    got = [compare(claim_set, a, b, p, ranks)[1] for a, b in ((lhs, rhs), (rhs, lhs))]
+    refusals = [one for one in got if isinstance(one, tuple)]
+    equation = outcome(lambda: [v.to_json(p) for v in check_equation(lhs, rhs, p, *ranks)])
+    assert equation == (refusals[0] if refusals else got), (lhs, rhs, p, ranks)
+    return got
+
+
 class TestPrunedInclusion:
     """When both sides reach abstractions \\x.B and \\y.C through their head
     redexes, the scan passes over the argument sets extending chosen by
@@ -856,33 +866,13 @@ class TestPrunedInclusion:
     chosen: both are monotone, so no set there holds a witness."""
 
     def test_verdicts_match_full_scan(self):
-        """A seeded slice of tools/pruned_scan_sweep.py: the nine set-level
-        closed abstractions of size <= 9, over every pair of <= 2 atoms and
-        <= 2 coded triples, at (kM, kN) = (2, 4) and (1, 3)."""
-        terms = set_level_abstractions(9)
-        assert len(terms) == 9
-        cases = [
-            (lhs, rhs, p, ranks)
-            for lhs in terms
-            for rhs in terms
-            if lhs is not rhs
-            for p in all_pairs(2, 2)
-            for ranks in ((2, 4), (1, 3))
-        ]
+        """A seeded slice of tools/pruned_scan_sweep.py, 600 of the 11,088
+        cases of its set-level claim set, through check_inequation and
+        check_equation."""
         kinds = Counter()
-        for lhs, rhs, p, (k_lhs, k_rhs) in Random(85).sample(cases, 600):
-            want = _outcome(
-                lambda: [
-                    check_inequation_by_full_scan(a, b, p, k_lhs, k_rhs).to_json(p) for a, b in ((lhs, rhs), (rhs, lhs))
-                ]
-            )
-            forward = _outcome(lambda: check_inequation(lhs, rhs, p, k_lhs, k_rhs).to_json(p))
-            assert forward == _outcome(
-                lambda: check_inequation_by_full_scan(lhs, rhs, p, k_lhs, k_rhs).to_json(p)
-            ), (lhs, rhs, p, k_lhs)
-            got = _outcome(lambda: [v.to_json(p) for v in check_equation(lhs, rhs, p, k_lhs, k_rhs)])
-            assert got == want, (lhs, rhs, p, k_lhs)
-            kinds[forward["kind"] if isinstance(forward, dict) else "refused"] += 1
+        for lhs, rhs, p, ranks in Random(85).sample(sweep_cases(CLAIM_SETS["set-level"]), 600):
+            forward, _ = _both_ways(CLAIM_SETS["set-level"], lhs, rhs, p, ranks)
+            kinds[_kind(forward)] += 1
         assert kinds["fails_with_evidence"] > 100 and kinds["holds_up_to"] > 100
 
     def test_pruning_engages(self, monkeypatch):
@@ -906,22 +896,13 @@ class TestPrunedInclusion:
             assert verdict.failed and 0 < len(asked) < unpruned // 3, (claim, len(asked))
 
     def test_redex_free_verdicts_match_full_scan(self):
-        """A seeded slice of tools/pruned_scan_sweep.py: the 17 redex-free
-        closed abstractions of size <= 5, whose bodies may hold abstractions,
-        over every pair of <= 2 atoms and <= 2 coded triples, at (kM, kN) =
-        (2, 4) and (1, 3)."""
-        terms = redex_free_abstractions(5)
-        assert len(terms) == 17
-        cases = [
-            (lhs, rhs, p, ranks) for lhs in terms for rhs in terms for p in all_pairs(2, 2) for ranks in ((2, 4), (1, 3))
-        ]
+        """A seeded slice of tools/pruned_scan_sweep.py, 1,500 of the 44,506
+        cases of its redex-free claim set, whose bodies may hold
+        abstractions."""
         kinds = Counter()
-        for lhs, rhs, p, (k_lhs, k_rhs) in Random(88).sample(cases, 1500):
-            got = _outcome(lambda: check_inequation(lhs, rhs, p, k_lhs, k_rhs).to_json(p))
-            assert got == _outcome(lambda: check_inequation_by_full_scan(lhs, rhs, p, k_lhs, k_rhs).to_json(p)), (
-                lhs, rhs, p, k_lhs,
-            )
-            kinds[got["kind"] if isinstance(got, dict) else "refused"] += 1
+        for lhs, rhs, p, ranks in Random(88).sample(sweep_cases(CLAIM_SETS["redex-free"]), 1500):
+            _, got = compare(CLAIM_SETS["redex-free"], lhs, rhs, p, ranks)
+            kinds[_kind(got)] += 1
         assert kinds["fails_with_evidence"] > 300 and kinds["holds_up_to"] > 100
 
     def test_pruning_engages_under_an_inner_abstraction(self, monkeypatch):
@@ -945,34 +926,13 @@ class TestPrunedInclusion:
         assert verdict.failed and 0 < len(asked) < 264 // 3, len(asked)
 
     def test_head_reaching_verdicts_match_full_scan(self):
-        """A seeded slice of tools/pruned_scan_sweep.py: the 20 closed terms
-        of size <= 5 whose head reaches an abstraction (abstractions whose
-        bodies may hold redexes, and one redex), over every pair of <= 2
-        atoms and <= 2 coded triples, at (kM, kN) = (2, 4) and (1, 3),
-        through check_inequation and check_equation.  The one difference
-        allowed is a refusal of the full scan where the check answers."""
-        terms = head_reaching_terms(5)
-        assert len(terms) == 20
-        cases = [
-            (lhs, rhs, p, ranks)
-            for lhs in terms
-            for rhs in terms
-            if lhs is not rhs
-            for p in all_pairs(2, 2)
-            for ranks in ((2, 4), (1, 3))
-        ]
+        """A seeded slice of tools/pruned_scan_sweep.py, 500 of the 58,520
+        cases of its head-reaching claim set (abstractions whose bodies may
+        hold redexes, and one redex), through check_inequation both ways and
+        check_equation.  The check may answer where the full scan refuses."""
         kinds = Counter()
-        for lhs, rhs, p, (k_lhs, k_rhs) in Random(89).sample(cases, 500):
-            got, refusals = [], []
-            for a, b in ((lhs, rhs), (rhs, lhs)):
-                one = _outcome(lambda: check_inequation(a, b, p, k_lhs, k_rhs).to_json(p))
-                want = _outcome(lambda: check_inequation_by_full_scan(a, b, p, k_lhs, k_rhs).to_json(p))
-                assert one == want or (isinstance(want, tuple) and isinstance(one, dict)), (a, b, p, k_lhs)
-                kinds[one["kind"] if isinstance(one, dict) else "refused"] += 1
-                got.append(one)
-                refusals += [one] if isinstance(one, tuple) else []
-            equation = _outcome(lambda: [v.to_json(p) for v in check_equation(lhs, rhs, p, k_lhs, k_rhs)])
-            assert equation == (refusals[0] if refusals else got), (lhs, rhs, p, k_lhs)
+        for lhs, rhs, p, ranks in Random(89).sample(sweep_cases(CLAIM_SETS["head-reaching"]), 500):
+            kinds.update(map(_kind, _both_ways(CLAIM_SETS["head-reaching"], lhs, rhs, p, ranks)))
         assert kinds["fails_with_evidence"] > 200 and kinds["holds_up_to"] > 100, kinds
 
     def test_pruning_engages_through_head_redexes(self, monkeypatch):
@@ -1030,8 +990,8 @@ class TestPrunedInclusion:
         monkeypatch.setattr(Evaluator, "_level", recorded)
         for ranks, kind in (((1, 3), "holds_up_to"), ((2, 4), ApproximationInfeasible)):
             refused.clear()
-            got = _outcome(lambda: check_inequation(lhs, rhs, p, *ranks).to_json(p))
-            assert got == _outcome(lambda: check_inequation_by_full_scan(lhs, rhs, p, *ranks).to_json(p)), ranks
+            got = outcome(lambda: check_inequation(lhs, rhs, p, *ranks).to_json(p))
+            assert got == outcome(lambda: check_inequation_by_full_scan(lhs, rhs, p, *ranks).to_json(p)), ranks
             assert refused and (got["kind"] if isinstance(got, dict) else got[0]) == kind, (ranks, got)
 
     def test_subsets_walk_matches_filter(self):
@@ -1067,23 +1027,16 @@ class TestBetaRelatedInclusion:
     approximation at a fixed rank and each expansion costs one rank."""
 
     def test_verdicts_match_full_scan(self):
-        """A seeded slice of tools/pruned_scan_sweep.py: closed terms of size
-        <= 7 against their one- and two-step reducts, both ways, over every
-        pair of <= 2 atoms and <= 2 coded triples, at (kM, kN) = (2, 4) and
-        (2, 3).  The one difference allowed is a refusal answered
-        holds_up_to, and never at (2, 3), where two steps pass the slack.
-        Claims of lambda-beta hold almost everywhere."""
-        claims = beta_related_claims(7, 2)
-        assert len(claims) == 176
-        cases = [(lhs, rhs, p, ranks) for lhs, rhs in claims for p in all_pairs(2, 2) for ranks in ((2, 4), (2, 3))]
+        """A seeded slice of tools/pruned_scan_sweep.py, 900 of the 27,104
+        cases of its beta-related claim set: closed terms against their one-
+        and two-step reducts, both ways.  The check may answer holds_up_to
+        where the full scan refuses, and only at (2, 4): at (2, 3) two steps
+        pass the slack.  Claims of lambda-beta hold almost everywhere."""
         kinds = Counter()
-        for lhs, rhs, p, (k_lhs, k_rhs) in Random(87).sample(cases, 900):
-            got = _outcome(lambda: check_inequation(lhs, rhs, p, k_lhs, k_rhs).to_json(p))
-            want = _outcome(lambda: check_inequation_by_full_scan(lhs, rhs, p, k_lhs, k_rhs).to_json(p))
-            if got != want:
-                assert isinstance(want, tuple) and got["kind"] == "holds_up_to" and k_rhs == 4, (lhs, rhs, p, k_rhs)
-                kinds["proved"] += 1
-            kinds[got["kind"] if isinstance(got, dict) else "refused"] += 1
+        for lhs, rhs, p, ranks in Random(87).sample(sweep_cases(CLAIM_SETS["beta-related"]), 900):
+            result, got = compare(CLAIM_SETS["beta-related"], lhs, rhs, p, ranks)
+            kinds["proved"] += result != "same"
+            kinds[_kind(got)] += 1
         # at (2, 3) a claim two steps apart is scanned, and some fail there
         assert kinds["fails_with_evidence"] > 0 and kinds["holds_up_to"] > 800 and kinds["proved"] > 0
 
@@ -1160,6 +1113,15 @@ class TestBetaRelatedInclusion:
         than kN - kM, so the claim is scanned, and refuted on component 2."""
         found = search_counterexample(parse("\\b.b"), parse("(\\a.a) (\\a.a a) (\\a b.b)"), 2)
         assert found is not None and found[0] == 2 and found[1].failed
+
+    def test_reduct_walk_stops_when_no_reduct_is_left(self, free1):
+        """\\x.x has no reduct, so a walk from it stops at once whatever the
+        slack; it ran one empty round per step, for seconds at 10^8 steps."""
+        redex = parse("(\\x.x) (\\y.y)")
+        start = time.perf_counter()
+        assert not approximation._reaches(IDENTITY, redex, 10**8, pairs.DEFAULT_CEILING)
+        assert check_inequation(IDENTITY, redex, free1, 0, 10**8).kind == "holds_up_to"
+        assert time.perf_counter() - start < 1
 
     def test_reduct_walk_is_stack_safe_and_charged_to_the_ceiling(self, monkeypatch):
         """A 2,001-application spine of identities is two steps from the
@@ -1306,9 +1268,10 @@ class TestMemoDiscipline:
                 assert ev.preimage(e) == coding_preimage(p, e), (p, e)
 
     def test_sorted_level_built_once_per_pair(self, monkeypatch, free2):
-        """_level keeps its sort_key-ordered tuple in pair.derived: a second
-        evaluator over the pair reads it back after one closed-form count,
-        and the guard still reads the ceiling on every call."""
+        """The sort_key-ordered level is kept in pair.derived
+        (completion.sorted_level): a second evaluator over the pair reads it
+        back after two closed-form counts, its key guard's and the kept
+        level's, and the guard still reads the ceiling on every call."""
         level = Evaluator(free2, 2)._level(1)
         assert list(level) == sorted(elements_up_to(free2, 1), key=CompletionElement.sort_key)
         counts = []
@@ -1320,7 +1283,7 @@ class TestMemoDiscipline:
 
         monkeypatch.setattr(approximation, "count_up_to", counted)
         monkeypatch.setattr(completion, "count_up_to", counted)
-        assert Evaluator(free2, 2)._level(1) is level and counts == [1]
+        assert Evaluator(free2, 2)._level(1) is level and counts == [1, 1]
         monkeypatch.setattr(pairs, "DEFAULT_CEILING", 100)
         with pytest.raises(ApproximationInfeasible):
             Evaluator(free2, 2)._level(1)

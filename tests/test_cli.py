@@ -402,6 +402,8 @@ class TestOneCeiling:
             (["pair", "auts", "--pair", three], "automorphisms of 3 atoms take 3!·3 checks, ceiling is 10"),
             (["enum-terms", "20"], "20 terms asked for, ceiling is 10"),
             (["reduce", "--budget", "20", "Omega"], "20 steps asked for, ceiling is 10"),
+            (["member", "--pair", free_file, "--rank", "20", "\\x.x", "({0},0)"], "rank 20 asked for, ceiling is 10"),
+            (["witness", "--pair", free_file, "--rank", "20", "\\x.x", "({0},0)"], "rank 20 asked for, ceiling is 10"),
             (["reduce", "--budget", "5", "(\\x.x x x)(\\x.x x x)"], "4 reduction steps build 14 nodes, ceiling is 10"),
             (["minmodel", "pair", "20"], "prime number 20 is past the ceiling of 10 primes"),
         ]

@@ -1,4 +1,5 @@
 import itertools
+import time
 from random import Random
 
 import pytest
@@ -21,7 +22,9 @@ from gml.completion import (
     restrict,
     restriction_atom,
 )
+from gml.approximation import check_inequation
 from gml.pairs import Morphism, PartialPair, automorphisms, is_subpair, union, validate
+from gml.terms import parse
 from oracles import all_pairs, cycles_left_by, naive_levels, random_pair
 
 
@@ -89,6 +92,19 @@ class TestApplyCoding:
 
 
 class TestElementsUpTo:
+    def test_counts_and_closures_stop_at_a_fixed_point(self):
+        """On the empty pair every level is empty, so counting a level,
+        listing it, closing the empty seed and checking an inclusion over it
+        stop once a round adds nothing: at 10^7 rounds they ran for seconds
+        each, one round per rank."""
+        empty = PartialPair(())
+        start = time.perf_counter()
+        assert count_up_to(empty, 10**7) == 0 and elements_up_to(empty, 10**7) == ()
+        closure = generate_subgraphmodel(empty, (), 10**7)
+        assert closure.saturated and closure.elements == ()
+        assert check_inequation(parse("\\x.x"), parse("\\x y.y"), empty, 10**6, 10**6).kind == "holds_up_to"
+        assert time.perf_counter() - start < 1
+
     def test_free_singleton_levels(self, free1):
         assert len(elements_up_to(free1, 1)) == 3
         assert len(elements_up_to(free1, 2)) == 25

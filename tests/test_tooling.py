@@ -11,6 +11,7 @@ every name it defines read somewhere, so a removal leaves no orphan."""
 
 import ast
 import importlib.util
+import inspect
 import json
 import subprocess
 import sys
@@ -21,9 +22,11 @@ import pytest
 import gml
 import gml.cli  # noqa: F401  (the tracer patches names on gml.cli too)
 from gml import minmodel
+import oracles
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
+SWEEP = ROOT / "tools" / "pruned_scan_sweep.py"
 PACKAGE = ROOT / "src" / "gml"
 
 
@@ -164,3 +167,30 @@ def test_every_package_definition_is_read():
 def test_definition_check_sees_an_orphan():
     source = "LIMIT = 3\n__all__ = []\n\ndef used():\n    return LIMIT\n\nclass Orphan:\n    pass\n\nused()\n"
     assert [n for n in module_definitions(source) if n not in names_read(source)] == ["Orphan"]
+
+
+def test_sweep_and_its_slices_read_one_claim_table():
+    """The differential sweep's claim sets are one table, oracles.CLAIM_SETS,
+    compared through one comparator, oracles.compare: the sweep tool runs
+    every case of each set, and each of the suite's four seeded slices
+    samples one set's cases (oracles.sweep_cases)."""
+    sizes = {name: len(claim_set.claims) for name, claim_set in oracles.CLAIM_SETS.items()}
+    assert sizes == {"set-level": 72, "redex-free": 289, "beta-related": 176, "head-reaching": 380}
+    tool = ast.parse(SWEEP.read_text())
+    imported = {alias.name for node in tool.body if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+                for alias in node.names}
+    assert {"CLAIM_SETS", "compare"} <= imported
+    import test_approximation as suite
+
+    assert suite.CLAIM_SETS is oracles.CLAIM_SETS and suite.sweep_cases is oracles.sweep_cases
+    assert suite.compare is oracles.compare
+    slices = {
+        suite.TestPrunedInclusion.test_verdicts_match_full_scan: "set-level",
+        suite.TestPrunedInclusion.test_redex_free_verdicts_match_full_scan: "redex-free",
+        suite.TestBetaRelatedInclusion.test_verdicts_match_full_scan: "beta-related",
+        suite.TestPrunedInclusion.test_head_reaching_verdicts_match_full_scan: "head-reaching",
+    }
+    for test, name in slices.items():  # each samples its set's cases and compares under that set
+        source = inspect.getsource(test)
+        assert f'sweep_cases(CLAIM_SETS["{name}"])' in source, name
+        assert source.count("CLAIM_SETS[") == source.count(f'CLAIM_SETS["{name}"]') == 2, name
